@@ -8,6 +8,7 @@ are printed with 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -18,10 +19,11 @@ from . import __version__
 from .copula_em import FitConfig, fit_minibatch_offline, fit_standard
 from .data_model import (
     DataTable,
-    _parse_cell,
     format_cell,
+    iter_csv_rows,
     parse_type_overrides,
     read_csv,
+    read_header,
     write_csv,
 )
 from .evaluation import coverage, mae, smae
@@ -132,7 +134,6 @@ def _cmd_impute(args) -> int:
         config = FitConfig(
             tol=args.tol,
             max_iter=args.max_iter,
-            training_mode=args.mode,
             batch_size=args.batch_size,
             num_pass=args.num_pass,
             stepsize=lambda t, c=args.stepsize_c: c / (c + t),
@@ -192,16 +193,6 @@ def _cmd_impute(args) -> int:
     return 0
 
 
-def _iter_csv_rows(fh, n_cols, names, start=0):
-    reader = csv.reader(fh)
-    for i, rec in enumerate(reader, start=start):
-        if not rec:
-            continue
-        if len(rec) != n_cols:
-            raise ParseError(f"row {i + 1} has {len(rec)} fields, expected {n_cols}")
-        yield np.array([_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)])
-
-
 def _cmd_stream(args) -> int:
     try:
         config = StreamConfig(
@@ -214,64 +205,77 @@ def _cmd_stream(args) -> int:
     except ValueError as err:
         raise CliError(str(err)) from None
 
-    in_fh = sys.stdin if args.input == "-" else open(args.input, newline="",
-                                                     encoding="utf-8")
-    truth_fh = open(args.truth, newline="", encoding="utf-8") if args.truth else None
-    out_fh = sys.stdout if args.output == "-" else open(args.output, "w",
-                                                        newline="", encoding="utf-8")
-    try:
+    with contextlib.ExitStack() as stack:
+        def open_csv(path, mode="r"):
+            return stack.enter_context(open(path, mode, newline="", encoding="utf-8"))
+
+        try:
+            in_fh = sys.stdin if args.input == "-" else open_csv(args.input)
+            truth_fh = open_csv(args.truth) if args.truth else None
+        except OSError as err:
+            raise ParseError(str(err)) from None
+        out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
         return _run_stream(args, config, in_fh, truth_fh, out_fh)
-    finally:
-        for fh in (in_fh, truth_fh, out_fh):
-            if fh not in (sys.stdin, sys.stdout, None):
-                fh.close()
+
+
+def _csv_rows(fh, path: str, names=None):
+    """Yield the header names of an open CSV file, then its rows parsed
+    against ``names`` or that header; parse failures name the file."""
+    reader = csv.reader(fh)
+    try:
+        header = read_header(reader)
+        yield header
+        yield from iter_csv_rows(reader, names or header)
+    except ValueError as err:
+        raise ParseError(f"{path}: {err}") from None
+
+
+def _paired(rows, truth, truth_path):
+    """Yield (row, revealed row or None), one truth row per input row."""
+    for i, row in enumerate(rows, start=1):
+        revealed = next(truth, None) if truth else None
+        if truth and revealed is None:
+            raise ParseError(f"{truth_path}: row {i} is missing: the truth "
+                             f"file has fewer rows than the input")
+        yield row, revealed
 
 
 def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
+    rows = _csv_rows(in_fh, args.input)
+    names = next(rows)
     try:
-        header = next(csv.reader(in_fh))
-    except StopIteration:
-        raise ParseError(f"{args.input}: empty CSV: a header row is required") from None
-    names = [h.strip() for h in header]
-    p = len(names)
-    try:
-        types = parse_type_overrides(args.types, p) if args.types else None
+        types = parse_type_overrides(args.types, len(names)) if args.types else None
     except ValueError as err:
         raise CliError(str(err)) from None
-
-    rows = _iter_csv_rows(in_fh, p, names)
+    truth = None
     if truth_fh is not None:
-        next(csv.reader(truth_fh))  # skip header
-        truth_rows = _iter_csv_rows(truth_fh, p, names)
-    else:
-        truth_rows = None
+        truth = _csv_rows(truth_fh, args.truth, names)
+        next(truth)
+    pairs = _paired(rows, truth, args.truth)
 
     writer = csv.writer(out_fh, lineterminator="\n")
     writer.writerow(names + ["warmup"])
 
-    warmup_in, warmup_train = [], []
+    warmup_train = []
     for _ in range(config.n_train):
         try:
-            row = next(rows)
+            row, revealed = next(pairs)
         except StopIteration:
             raise ParseError(
                 f"{args.input}: fewer rows than --n-train={config.n_train}"
             ) from None
-        train_row = next(truth_rows) if truth_rows is not None else row
-        warmup_in.append(row)
-        warmup_train.append(train_row)
+        warmup_train.append(row if revealed is None else revealed)
         writer.writerow([format_cell(x) for x in row] + ["1"])
     out_fh.flush()
 
     try:
-        state = init_stream(np.vstack(warmup_train), config, types=types,
-                            min_ord_ratio=args.min_ord_ratio)
+        state = init_stream(DataTable(np.array(warmup_train), names), config,
+                            types=types, min_ord_ratio=args.min_ord_ratio)
     except ValueError as err:
         print(f"copulafill: stream initialization failed: {err}", file=sys.stderr)
         return 3
 
-    for row in rows:
-        revealed = next(truth_rows) if truth_rows is not None else None
+    for row, revealed in pairs:
         try:
             imputed, state = step(state, row, revealed)
         except ValueError as err:

@@ -20,9 +20,6 @@ from .data_model import DataTable, VariableType, detect_variable_types
 from .latent import _truncmoments, batch_posterior
 from .marginals import Marginal, fit_marginal
 
-TRAINING_MODES = ("standard", "minibatch-offline", "minibatch-online")
-
-
 def default_stepsize(t: int, c: float = 5.0) -> float:
     return c / (c + t)
 
@@ -33,7 +30,6 @@ class FitConfig:
 
     tol: float = 0.01
     max_iter: int = 50
-    training_mode: str = "standard"
     batch_size: int = 100
     num_pass: int = 2
     stepsize: Callable[[int], float] = default_stepsize
@@ -47,8 +43,6 @@ class FitConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.training_mode not in TRAINING_MODES:
-            raise ValueError(f"unknown training mode {self.training_mode!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_pass < 1:
@@ -124,13 +118,12 @@ def _estep_chunk(corr, lower, upper, sweeps):
     for g in post.groups:
         if g.mis_idx.size == 0:
             continue
-        block = len(g.rows) * g.cov_pure
+        block = len(g.rows) * g.block.cov_pure
         vsum = g.ivar.sum(axis=0)
         if vsum.any():
-            block = block + g.coef.T @ (vsum[:, None] * g.coef)
+            block = block + g.block.coef.T @ (vsum[:, None] * g.block.coef)
         s[np.ix_(g.mis_idx, g.mis_idx)] += block
-    loglik_total = float((post.gauss_ll + post.log_mass).sum())
-    return s, post.mean.sum(axis=0), loglik_total, post.mean
+    return s, post.mean.sum(axis=0), post.loglik, post.mean
 
 
 def estep(corr, lower, upper, sweeps: int = 2, n_workers: int = 1) -> EStepResult:
@@ -158,16 +151,12 @@ def estep(corr, lower, upper, sweeps: int = 2, n_workers: int = 1) -> EStepResul
     ll = 0.0
     parts = []
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for s_c, m_c, ll_c, z_c in pool.map(_estep_chunk_star, args):
+        for s_c, m_c, ll_c, z_c in pool.map(_estep_chunk, *zip(*args)):
             s += s_c
             m += m_c
             ll += ll_c
             parts.append(z_c)
     return EStepResult(s, m, ll / n, np.concatenate(parts, axis=0))
-
-
-def _estep_chunk_star(args):
-    return _estep_chunk(*args)
 
 
 def mstep(s_sum: np.ndarray, n: int) -> np.ndarray:
@@ -263,6 +252,42 @@ def _prepare_fit(table, types, min_ord_ratio):
     return table, marginals, vartypes, lower[keep], upper[keep], single
 
 
+def blend_step(corr, lower, upper, eta: float, sweeps: int = 2,
+               n_workers: int = 1, single=()):
+    """(1 - eta) corr + eta M(E(corr)), with the ``single`` columns pinned
+    in M(E(corr)); also returns the relative change and batch loglik."""
+    res = estep(corr, lower, upper, sweeps=sweeps, n_workers=n_workers)
+    target = _pin_single_level(mstep(res.s_sum, len(lower)), single)
+    new_corr = (1.0 - eta) * corr + eta * target
+    return new_corr, _rel_change(corr, new_corr), res.loglik
+
+
+def run_em(theta, em_step, config: FitConfig, batches=None):
+    """Iterate ``em_step(theta, rows, eta) -> (theta, change, loglik)``.
+
+    Without ``batches``: up to max_iter steps over all rows with eta = 1,
+    until change < tol, else a warning. With ``batches`` (row index arrays):
+    one step each at eta = stepsize(t). Returns (theta, trace, converged).
+    """
+    minibatch = batches is not None
+    if not minibatch:
+        batches = [slice(None)] * config.max_iter
+    trace = []
+    for t, rows in enumerate(batches, start=1):
+        eta = config.stepsize(t) if minibatch else 1.0
+        theta, change, loglik = em_step(theta, rows, eta)
+        trace.append((change, loglik))
+        if config.verbose:
+            print(f"Iteration {t}: copula parameter change {change:.4f}, "
+                  f"likelihood {loglik:.4f}")
+        if not minibatch and change < config.tol:
+            return theta, trace, True
+    if minibatch:
+        return theta, trace, True
+    warnings.warn(f"EM did not converge within {config.max_iter} iterations")
+    return theta, trace, False
+
+
 def fit_standard(
     table,
     config: FitConfig | None = None,
@@ -270,33 +295,7 @@ def fit_standard(
     min_ord_ratio: float = 0.1,
 ) -> CopulaModel:
     """Fit marginals and the copula correlation by standard EM."""
-    config = config or FitConfig()
-    table, marginals, vartypes, lower, upper, single = _prepare_fit(
-        table, types, min_ord_ratio
-    )
-    if lower.shape[0] == 0:
-        raise ValueError("no rows with observed cells to fit on")
-    corr = _pin_single_level(initial_corr(lower, upper), single)
-    n = lower.shape[0]
-    trace = []
-    converged = False
-    for it in range(1, config.max_iter + 1):
-        res = estep(corr, lower, upper, sweeps=config.sweeps,
-                    n_workers=config.n_workers)
-        new_corr = _pin_single_level(mstep(res.s_sum, n), single)
-        change = _rel_change(corr, new_corr)
-        corr = new_corr
-        trace.append((change, res.loglik))
-        if config.verbose:
-            print(f"Iteration {it}: copula parameter change {change:.4f}, "
-                  f"likelihood {res.loglik:.4f}")
-        if change < config.tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(f"EM did not converge within {config.max_iter} iterations")
-    return CopulaModel(corr, marginals, vartypes, list(table.col_names),
-                       fit_trace=trace, converged=converged, sweeps=config.sweeps)
+    return _fit_corr(table, config or FitConfig(), types, min_ord_ratio, False)
 
 
 def fit_minibatch_offline(
@@ -311,44 +310,36 @@ def fit_minibatch_offline(
     seed-shuffled row order; requires batch_size >= n_cols so every
     observed block stays invertible.
     """
-    config = config or FitConfig()
+    return _fit_corr(table, config or FitConfig(), types, min_ord_ratio, True)
+
+
+def _fit_corr(table, config, types, min_ord_ratio, minibatch) -> CopulaModel:
     table, marginals, vartypes, lower, upper, single = _prepare_fit(
         table, types, min_ord_ratio
     )
     n, p = lower.shape
     if n == 0:
         raise ValueError("no rows with observed cells to fit on")
-    if config.batch_size < p:
-        raise ValueError(
-            f"mini-batch training needs batch size >= number of columns "
-            f"({config.batch_size} < {p}); use the low-rank model for wide data"
-        )
-    n_batches = int(np.ceil(n / config.batch_size))
-    total_iters = n_batches * config.num_pass
-    validate_stepsize(config.stepsize, total_iters)
+    batches = None
+    if minibatch:
+        if config.batch_size < p:
+            raise ValueError(
+                f"mini-batch training needs batch size >= number of columns "
+                f"({config.batch_size} < {p}); use the low-rank model for wide data"
+            )
+        n_batches = int(np.ceil(n / config.batch_size))
+        validate_stepsize(config.stepsize, n_batches * config.num_pass)
+        perm = np.random.default_rng(config.seed).permutation(n)
+        batches = np.array_split(perm, n_batches) * config.num_pass
 
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
-    batches = np.array_split(perm, n_batches)
+    def em_step(corr, rows, eta):
+        return blend_step(corr, lower[rows], upper[rows], eta, config.sweeps,
+                          config.n_workers, single)
+
     corr = _pin_single_level(initial_corr(lower, upper), single)
-    trace = []
-    t = 0
-    for _ in range(config.num_pass):
-        for idx in batches:
-            t += 1
-            res = estep(corr, lower[idx], upper[idx], sweeps=config.sweeps,
-                        n_workers=config.n_workers)
-            batch_corr = _pin_single_level(mstep(res.s_sum, len(idx)), single)
-            eta = config.stepsize(t)
-            new_corr = (1.0 - eta) * corr + eta * batch_corr
-            change = _rel_change(corr, new_corr)
-            corr = new_corr
-            trace.append((change, res.loglik))
-            if config.verbose:
-                print(f"Iteration {t}: copula parameter change {change:.4f}, "
-                      f"likelihood {res.loglik:.4f}")
+    corr, trace, converged = run_em(corr, em_step, config, batches)
     return CopulaModel(corr, marginals, vartypes, list(table.col_names),
-                       fit_trace=trace, converged=True, sweeps=config.sweeps)
+                       fit_trace=trace, converged=converged, sweeps=config.sweeps)
 
 
 def approx_loglik(model: CopulaModel, table) -> float:
@@ -361,8 +352,10 @@ def approx_loglik(model: CopulaModel, table) -> float:
     values = table.values if isinstance(table, DataTable) else np.asarray(table, float)
     lower, upper = encode_table(model.marginals, values)
     keep = ~np.isnan(lower).all(axis=1)
-    post = batch_posterior(model.correlation(), lower[keep], upper[keep],
-                           sweeps=model.sweeps)
+    from .imputer import _model_kernel
+
+    posterior, _ = _model_kernel(model)
+    post = posterior(lower[keep], upper[keep])
     return float((post.gauss_ll + post.log_mass).mean())
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,20 +187,34 @@ def read_csv(path_or_buf) -> DataTable:
 
 def _read_csv_stream(fh) -> DataTable:
     reader = csv.reader(fh)
+    names = read_header(reader)
+    rows = list(iter_csv_rows(reader, names))
+    vals = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    return DataTable(vals, names)
+
+
+def read_header(reader) -> list[str]:
+    """Header names of a ``csv.reader``: stripped, and then unique."""
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty CSV: a header row is required") from None
     names = [h.strip() for h in header]
-    rows = []
+    dups = [name for name, count in Counter(names).items() if count > 1]
+    if dups:
+        raise ValueError(f"duplicate column name {dups[0]!r} in the header")
+    return names
+
+
+def iter_csv_rows(reader, names):
+    """Lazily parse the data rows of a ``csv.reader`` to lists of floats.
+    Blank lines are skipped; errors name the row and any bad column."""
     for i, rec in enumerate(reader):
         if not rec:
             continue
         if len(rec) != len(names):
             raise ValueError(f"row {i + 1} has {len(rec)} fields, expected {len(names)}")
-        rows.append([_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)])
-    vals = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    return DataTable(vals, names)
+        yield [_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)]
 
 
 def _parse_cell(token: str, row: int, col: str) -> float:

@@ -9,15 +9,15 @@ each marginal's median-type value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, cho_factor, cholesky
 from scipy.special import ndtr, ndtri
 
 from .copula_em import CopulaModel, encode_table
 from .data_model import DataTable
-from .latent import batch_posterior
-from .lrgc import _lowrank_posterior
+from .latent import _DenseBlock, batch_posterior
+from .lrgc import _LowRankBlock, _lowrank_posterior
 
 
 @dataclass
@@ -44,6 +44,17 @@ def _coerce_values(model: CopulaModel, table) -> np.ndarray:
     return values
 
 
+def _model_kernel(model: CopulaModel):
+    """The model's posterior of encoded rows and its observed-block factory
+    ``make_block(obs, mis)``: the one place the dense and the low-rank
+    model part ways."""
+    if model.lowrank is None:
+        return (partial(batch_posterior, model.corr, sweeps=model.sweeps),
+                partial(_DenseBlock, model.corr))
+    return (partial(_lowrank_posterior, model.lowrank, sweeps=model.sweeps),
+            partial(_LowRankBlock, model.lowrank))
+
+
 def _model_posterior(model: CopulaModel, values: np.ndarray):
     """(latent mean, missing-coordinate variance) grids for all rows.
 
@@ -54,16 +65,10 @@ def _model_posterior(model: CopulaModel, values: np.ndarray):
     mean = np.zeros((n, p))
     mvar = np.where(np.isnan(values), 1.0, 0.0)
     has_obs = ~np.isnan(lower).all(axis=1)
-    if has_obs.any():
-        if model.lowrank is None:
-            post = batch_posterior(model.corr, lower[has_obs], upper[has_obs],
-                                   sweeps=model.sweeps)
-        else:
-            post = _lowrank_posterior(model.lowrank, lower[has_obs],
-                                      upper[has_obs], model.sweeps,
-                                      want_moments=False)
-        mean[has_obs] = post.mean
-        mvar[has_obs] = post.mvar
+    posterior, _ = _model_kernel(model)
+    post = posterior(lower[has_obs], upper[has_obs])
+    mean[has_obs] = post.mean
+    mvar[has_obs] = post.mvar
     return mean, mvar
 
 
@@ -139,34 +144,15 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
     latent = np.zeros((num, n, p))
     has_obs = ~np.isnan(lower).all(axis=1)
-
-    if model.lowrank is None:
-        _sample_full(model, lower, upper, latent, rngs, has_obs, num)
-    else:
-        _sample_lowrank(model, lower, upper, latent, rngs, has_obs, num)
-    for i in np.flatnonzero(~has_obs):
-        latent[:, i, :] = _prior_draws(model, rngs[i], num)
-
-    out = np.empty((num, n, p))
-    missing = np.isnan(values)
-    for d in range(num):
-        out[d] = values.copy()
-        for j, marg in enumerate(model.marginals):
-            cells = missing[:, j]
-            if cells.any():
-                out[d][cells, j] = marg.from_latent(latent[d, cells, j])
-    return out
-
-
-def _prior_draws(model: CopulaModel, rng, num: int) -> np.ndarray:
-    """Unconditional latent draws for rows with no observed cells."""
-    p = model.n_cols
-    if model.lowrank is not None:
-        params = model.lowrank
-        t = rng.standard_normal((num, params.rank))
-        return t @ params.w.T + np.sqrt(params.sigma2) * rng.standard_normal((num, p))
-    chol = cholesky(model.corr + 1e-10 * np.eye(p), lower=True)
-    return rng.standard_normal((num, p)) @ chol.T
+    posterior, make_block = _model_kernel(model)
+    post = posterior(lower[has_obs], upper[has_obs])
+    _sample_groups(post.groups, np.flatnonzero(has_obs), lower, upper, latent,
+                   rngs, num)
+    if not has_obs.all():
+        prior = make_block(np.empty(0, dtype=int), np.arange(p))
+        for i in np.flatnonzero(~has_obs):
+            latent[:, i, :] = prior.draw_missing(np.zeros((num, 0)), rngs[i])
+    return np.stack([_decode_missing(model, values, draw) for draw in latent])
 
 
 def _truncnorm_draws(rng, mu, sd, lo, hi, num):
@@ -177,72 +163,20 @@ def _truncnorm_draws(rng, mu, sd, lo, hi, num):
     return mu + sd * ndtri(np.clip(u, 1e-15, 1 - 1e-15))
 
 
-def _sample_full(model, lower, upper, latent, rngs, has_obs, num):
-    post = batch_posterior(model.corr, lower[has_obs], upper[has_obs],
-                           sweeps=model.sweeps)
-    rows_with_obs = np.flatnonzero(has_obs)
-    for g in post.groups:
-        obs, mis = g.obs_idx, g.mis_idx
-        chol_mis = (
-            cholesky(g.cov_pure + 1e-10 * np.eye(len(mis)), lower=True)
-            if mis.size else None
-        )
-        jz_all = g.z_hat @ g.prec
-        interval = upper[np.ix_(rows_with_obs[g.rows], obs)] > \
-            lower[np.ix_(rows_with_obs[g.rows], obs)]
-        for r_local, r_batch in enumerate(g.rows):
-            i = rows_with_obs[r_batch]
+def _sample_groups(groups, row_ids, lower, upper, latent, rngs, num):
+    """Draw the rows of the posterior's pattern groups into ``latent``;
+    ``row_ids`` maps the posterior's batch rows to table rows."""
+    for g in groups:
+        obs, mis, block = g.obs_idx, g.mis_idx, g.block
+        state = block.start(g.z_hat)  # fresh, without the sweep's rounding
+        for r, i in enumerate(row_ids[g.rows]):
             rng = rngs[i]
-            z_obs = np.tile(g.z_hat[r_local], (num, 1))
-            for c in np.flatnonzero(interval[r_local]):
-                cvar = 1.0 / g.prec[c, c]
-                cmu = g.z_hat[r_local, c] - jz_all[r_local, c] * cvar
+            z_obs = np.tile(g.z_hat[r], (num, 1))
+            for c in np.flatnonzero(upper[i, obs] > lower[i, obs]):
+                cmu = block.cond_mean(g.z_hat, state, r, c)
                 z_obs[:, c] = _truncnorm_draws(
-                    rng, cmu, np.sqrt(cvar),
+                    rng, cmu, np.sqrt(block.cvar[c]),
                     lower[i, obs[c]], upper[i, obs[c]], num)
             latent[:, i, obs] = z_obs
             if mis.size:
-                eps = rng.standard_normal((num, len(mis)))
-                latent[:, i, mis] = z_obs @ g.coef + eps @ chol_mis.T
-
-
-def _sample_lowrank(model, lower, upper, latent, rngs, has_obs, num):
-    params = model.lowrank
-    w, s2 = params.w, params.sigma2
-    k = params.rank
-    post = _lowrank_posterior(params, lower[has_obs], upper[has_obs],
-                              model.sweeps, want_moments=False)
-    rows_with_obs = np.flatnonzero(has_obs)
-    lo_obs = lower[has_obs]
-    hi_obs = upper[has_obs]
-    missing = np.isnan(lo_obs)
-    for r_batch in range(lo_obs.shape[0]):
-        i = rows_with_obs[r_batch]
-        rng = rngs[i]
-        obs = np.flatnonzero(~missing[r_batch])
-        mis = np.flatnonzero(missing[r_batch])
-        w_o = w[obs]
-        gram = s2 * np.eye(k) + w_o.T @ w_o
-        factor = cho_factor(gram, lower=True)
-        u = cho_solve(factor, w_o.T)
-        z_hat = post.mean[r_batch, obs]
-        z_obs = np.tile(z_hat, (num, 1))
-        interval = hi_obs[r_batch, obs] > lo_obs[r_batch, obs]
-        if interval.any():
-            diag_h = np.einsum("ij,ji->i", w_o, u)
-            ft_row = z_hat @ u.T
-            for c in np.flatnonzero(interval):
-                cvar = s2 / (1.0 - diag_h[c])
-                jz_c = (z_hat[c] - ft_row @ w_o[c]) / s2
-                cmu = z_hat[c] - jz_c * cvar
-                z_obs[:, c] = _truncnorm_draws(
-                    rng, cmu, np.sqrt(cvar),
-                    lo_obs[r_batch, obs[c]], hi_obs[r_batch, obs[c]], num)
-        latent[:, i, obs] = z_obs
-        if mis.size:
-            cov_t = s2 * cho_solve(factor, np.eye(k))
-            chol_t = cholesky(cov_t + 1e-12 * np.eye(k), lower=True)
-            ft = z_obs @ u.T
-            t_draw = ft + rng.standard_normal((num, k)) @ chol_t.T
-            noise = rng.standard_normal((num, len(mis))) * np.sqrt(s2)
-            latent[:, i, mis] = t_draw @ w[mis].T + noise
+                latent[:, i, mis] = block.draw_missing(z_obs, rng)

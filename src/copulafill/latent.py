@@ -8,14 +8,19 @@ each interval coordinate is repeatedly replaced by the moments of its
 univariate conditional truncated normal given the other observed
 coordinates at their current means. Cross-covariances among interval
 coordinates are dropped; only their variances are kept.
+
+One sweep serves both models. Per missingness pattern it runs against an
+observed block: :class:`_DenseBlock` here, the Woodbury block of the
+low-rank model in :mod:`copulafill.lrgc`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.special import erfcx, ndtr, ndtri
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -143,7 +148,7 @@ def _truncmoments(mu, var, lower, upper):
     return mean, tvar, mass
 
 
-def _chol_spd(mat: np.ndarray, context: str = ""):
+def _chol_spd(mat: np.ndarray):
     """Cholesky with an escalating diagonal jitter ladder."""
     eye = np.eye(len(mat))
     for jit in _JITTERS:
@@ -152,7 +157,7 @@ def _chol_spd(mat: np.ndarray, context: str = ""):
         except LinAlgError:
             continue
     raise LinAlgError(
-        f"observed-block correlation is singular even with jitter 1e-2{context}"
+        "observed-block correlation is singular even with jitter 1e-2"
     )
 
 
@@ -168,18 +173,47 @@ def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):
     z_obs = np.asarray(z_obs, dtype=float)
     if z_obs.shape != obs_idx.shape:
         raise ValueError("z_obs must match obs_idx in length")
-    if mis_idx.size == 0:
-        return np.empty(0), np.empty((0, 0))
-    if obs_idx.size == 0:
-        return np.zeros(mis_idx.size), sigma[np.ix_(mis_idx, mis_idx)].copy()
-    s_oo = sigma[np.ix_(obs_idx, obs_idx)]
-    s_om = sigma[np.ix_(obs_idx, mis_idx)]
-    factor = _chol_spd(s_oo)
-    coef = cho_solve(factor, s_om)
-    mean = coef.T @ z_obs
-    cov = sigma[np.ix_(mis_idx, mis_idx)] - s_om.T @ coef
-    cov = (cov + cov.T) / 2.0
-    return mean, cov
+    block = _DenseBlock(sigma, obs_idx, mis_idx)
+    return z_obs @ block.coef, block.cov_pure
+
+
+class _DenseBlock:
+    """Observed block of one pattern under a dense correlation: Sigma_OO
+    solved by Cholesky; the sweep's running state is J z, J = Sigma_OO^-1."""
+
+    def __init__(self, sigma, obs, mis):
+        factor = _chol_spd(sigma[np.ix_(obs, obs)])
+        self.prec = cho_solve(factor, np.eye(len(obs)))
+        self.cvar = 1.0 / np.diag(self.prec)   # observed conditional variances
+        self.logdet = 2.0 * np.log(np.diag(factor[0])).sum()
+        self.coef = cho_solve(factor, sigma[np.ix_(obs, mis)])  # (o, m)
+        cov = sigma[np.ix_(mis, mis)] - sigma[np.ix_(mis, obs)] @ self.coef
+        self.cov_pure = (cov + cov.T) / 2.0
+
+    def start(self, z):
+        return z @ self.prec
+
+    def cond_mean(self, z, jz, sel, c):
+        return z[sel, c] - jz[sel, c] * self.cvar[c]
+
+    def update(self, jz, sel, c, delta):
+        jz[sel] += delta[:, None] * self.prec[c][None, :]
+
+    def quad(self, z, jz):
+        return np.einsum("ij,ij->i", jz, z)
+
+    def missing_moments(self, z, ivar, jz):
+        var = np.diag(self.cov_pure)[None, :] + ivar @ (self.coef * self.coef)
+        return z @ self.coef, var
+
+    @cached_property
+    def _chol_mis(self):
+        return cholesky(self.cov_pure + 1e-10 * np.eye(len(self.cov_pure)),
+                        lower=True)
+
+    def draw_missing(self, z_obs, rng):
+        eps = rng.standard_normal((len(z_obs), len(self.cov_pure)))
+        return z_obs @ self.coef + eps @ self._chol_mis.T
 
 
 @dataclass
@@ -205,11 +239,10 @@ class _PatternGroup:
     rows: np.ndarray          # row indices sharing the missingness pattern
     obs_idx: np.ndarray
     mis_idx: np.ndarray
-    coef: np.ndarray          # Sigma_OO^-1 Sigma_OM, shape (o, m)
-    cov_pure: np.ndarray      # Sigma_MM - Sigma_MO Sigma_OO^-1 Sigma_OM
+    block: object             # _DenseBlock or the low-rank block
     z_hat: np.ndarray         # (r, o) conditional means of observed coords
     ivar: np.ndarray          # (r, o) interval-coordinate variances
-    prec: np.ndarray          # Sigma_OO^-1, for conditional sampling
+    state: np.ndarray         # the block's running state at z_hat
 
 
 @dataclass
@@ -223,6 +256,11 @@ class BatchPosterior:
     log_mass: np.ndarray      # (n,) summed interval log-masses
     groups: list
 
+    @property
+    def loglik(self) -> float:
+        """Total approximate observed-data log-likelihood of the batch."""
+        return float((self.gauss_ll + self.log_mass).sum())
+
 
 def batch_posterior(sigma, lower, upper, sweeps: int = 2) -> BatchPosterior:
     """Approximate posterior for every row of an encoded batch.
@@ -234,99 +272,76 @@ def batch_posterior(sigma, lower, upper, sweeps: int = 2) -> BatchPosterior:
     done once.
     """
     sigma = np.asarray(sigma, dtype=float)
+    return _solve_patterns(lower, upper, sweeps,
+                           lambda obs, mis: _DenseBlock(sigma, obs, mis))
+
+
+def _solve_patterns(lower, upper, sweeps, make_block, visit=None) -> BatchPosterior:
+    """Sweep each missingness pattern against ``make_block(obs, mis)``.
+    Solved groups are kept in ``groups``, or passed to ``visit`` instead."""
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     n, p = lower.shape
-    if n == 0:
-        return BatchPosterior(
-            np.zeros((0, p)), np.zeros((0, p)), np.zeros((0, p)),
-            np.zeros(0), np.zeros(0), [],
-        )
+    post = BatchPosterior(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)),
+                          np.zeros(n), np.zeros(n), [])
     missing = np.isnan(lower)
     if np.any(missing.all(axis=1)):
         row = int(np.flatnonzero(missing.all(axis=1))[0])
         raise ValueError(f"row {row} has no observed coordinates")
 
-    mean = np.zeros((n, p))
-    ivar = np.zeros((n, p))
-    mvar = np.zeros((n, p))
-    gauss_ll = np.zeros(n)
-    log_mass = np.zeros(n)
-    groups: list[_PatternGroup] = []
-
     _, inverse = np.unique(missing, axis=0, return_inverse=True)
     inverse = inverse.ravel()
-    for g in range(inverse.max() + 1):
+    for g in np.unique(inverse):
         rows = np.flatnonzero(inverse == g)
         mis = np.flatnonzero(missing[rows[0]])
         obs = np.flatnonzero(~missing[rows[0]])
-        lo = lower[np.ix_(rows, obs)]
-        hi = upper[np.ix_(rows, obs)]
         try:
-            group = _solve_pattern(sigma, rows, obs, mis, lo, hi, sweeps,
-                                   gauss_ll, log_mass)
+            block = make_block(obs, mis)
         except LinAlgError as err:
             raise LinAlgError(f"{err} (row {rows[0]})") from None
-        mean[np.ix_(rows, obs)] = group.z_hat
-        ivar[np.ix_(rows, obs)] = group.ivar
+        z_hat, ivar, state, log_mass = _sweep(
+            block, lower[np.ix_(rows, obs)], upper[np.ix_(rows, obs)], sweeps)
+        post.mean[np.ix_(rows, obs)] = z_hat
+        post.ivar[np.ix_(rows, obs)] = ivar
         if mis.size:
-            mean[np.ix_(rows, mis)] = group.z_hat @ group.coef
-            mvar[np.ix_(rows, mis)] = (
-                np.diag(group.cov_pure)[None, :]
-                + group.ivar @ (group.coef * group.coef)
-            )
-        groups.append(group)
-    return BatchPosterior(mean, ivar, mvar, gauss_ll, log_mass, groups)
+            post.mean[np.ix_(rows, mis)], post.mvar[np.ix_(rows, mis)] = \
+                block.missing_moments(z_hat, ivar, state)
+        post.gauss_ll[rows] = -0.5 * (block.logdet + block.quad(z_hat, state)
+                                      + len(obs) * _LOG_2PI)
+        post.log_mass[rows] = log_mass
+        group = _PatternGroup(rows, obs, mis, block, z_hat, ivar, state)
+        if visit is None:
+            post.groups.append(group)
+        else:
+            visit(group)
+    return post
 
 
-def _solve_pattern(sigma, rows, obs, mis, lo, hi, sweeps, gauss_ll, log_mass):
-    s_oo = sigma[np.ix_(obs, obs)]
-    factor = _chol_spd(s_oo)
-    prec = cho_solve(factor, np.eye(len(obs)))
-
+def _sweep(block, lo, hi, sweeps):
+    """The fixed-point scheme on one pattern group: ``sweeps`` passes over
+    the interval columns, then one pass for the interval log-masses under
+    the final conditionals. Returns z_hat, ivar, the state and log-masses."""
     interval = hi > lo
-    z_hat = np.where(np.isfinite(lo), lo, 0.0).copy()
+    z_hat = np.where(np.isfinite(lo), lo, 0.0)
     ivar = np.zeros_like(z_hat)
-    if interval.any():
-        m0, v0, _ = _truncmoments(0.0, 1.0, lo[interval], hi[interval])
-        z_hat[interval] = m0
-        ivar[interval] = v0
-        sweep_cols = np.flatnonzero(interval.any(axis=0))
-        jz = z_hat @ prec
-        for _ in range(sweeps):
-            for c in sweep_cols:
-                sel = interval[:, c]
-                cond_var = 1.0 / prec[c, c]
-                cond_mu = z_hat[sel, c] - jz[sel, c] * cond_var
-                mzc, vzc, _ = _truncmoments(cond_mu, cond_var, lo[sel, c], hi[sel, c])
-                delta = mzc - z_hat[sel, c]
-                z_hat[sel, c] = mzc
-                ivar[sel, c] = vzc
-                jz[sel] += delta[:, None] * prec[c][None, :]
-        # interval masses under the final conditionals, for the approximate
-        # likelihood only
-        for c in sweep_cols:
+    log_mass = np.zeros(len(z_hat))
+    cols = np.flatnonzero(interval.any(axis=0))
+    if cols.size:
+        z_hat[interval], ivar[interval], _ = _truncmoments(
+            0.0, 1.0, lo[interval], hi[interval])
+    state = block.start(z_hat)
+    for final in [False] * sweeps + [True]:
+        for c in cols:
             sel = interval[:, c]
-            cond_var = 1.0 / prec[c, c]
-            cond_mu = z_hat[sel, c] - jz[sel, c] * cond_var
-            _, _, mass = _truncmoments(cond_mu, cond_var, lo[sel, c], hi[sel, c])
-            lm = np.log(np.maximum(mass, 1e-300))
-            np.add.at(log_mass, rows[sel], lm)
-        quad = np.einsum("ij,ij->i", jz, z_hat)
-    else:
-        quad = np.einsum("ij,ij->i", z_hat @ prec, z_hat)
-
-    logdet = 2.0 * np.log(np.diag(factor[0])).sum()
-    gauss_ll[rows] = -0.5 * (logdet + quad + len(obs) * _LOG_2PI)
-
-    if mis.size:
-        coef = cho_solve(factor, sigma[np.ix_(obs, mis)])
-        cov_pure = sigma[np.ix_(mis, mis)] - sigma[np.ix_(mis, obs)] @ coef
-        cov_pure = (cov_pure + cov_pure.T) / 2.0
-    else:
-        coef = np.empty((len(obs), 0))
-        cov_pure = np.empty((0, 0))
-    return _PatternGroup(rows, obs, mis, coef, cov_pure, z_hat, ivar, prec)
+            m, v, mass = _truncmoments(block.cond_mean(z_hat, state, sel, c),
+                                       block.cvar[c], lo[sel, c], hi[sel, c])
+            if final:
+                log_mass[sel] += np.log(np.maximum(mass, 1e-300))
+            else:
+                block.update(state, sel, c, m - z_hat[sel, c])
+                z_hat[sel, c] = m
+                ivar[sel, c] = v
+    return z_hat, ivar, state, log_mass
 
 
 def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
@@ -335,10 +350,10 @@ def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     upper = np.asarray(upper, dtype=float).reshape(1, -1)
     post = batch_posterior(sigma, lower, upper, sweeps=sweeps)
     group = post.groups[0]
-    mis = group.mis_idx
-    cov = group.cov_pure.copy()
+    mis, coef = group.mis_idx, group.block.coef
+    cov = group.block.cov_pure.copy()
     if mis.size and group.ivar.any():
-        cov = cov + group.coef.T @ (group.ivar[0, :, None] * group.coef)
+        cov = cov + coef.T @ (group.ivar[0, :, None] * coef)
         cov = (cov + cov.T) / 2.0
     return RowPosterior(
         cond_mean=post.mean[0],

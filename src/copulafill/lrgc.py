@@ -1,23 +1,26 @@
 """Low-rank Gaussian copula: EM over the factorization Sigma = W W^T + s2 I.
 
-All E/M computations run through k x k factor-space systems via the
-Woodbury identity; no p x p matrix is formed. Because the implied
-correlation must have a unit diagonal with isotropic noise, every row of W
-carries the same norm sqrt(1 - s2); the M-step keeps the fitted row
-directions and projects the scales back onto that constraint.
+The E-step is the shared pattern sweep of :mod:`copulafill.latent`, run
+against :class:`_LowRankBlock`: per missingness pattern, a k x k Woodbury
+system replaces the observed block of Sigma, so no p x p matrix is formed.
+A fit folds each pattern group into the M-step sums as soon as it is
+solved. Because the implied correlation must have a unit diagonal with
+isotropic noise, every row of W carries the same norm sqrt(1 - s2); the
+M-step keeps the fitted row directions and projects the scales back onto
+that constraint.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.sparse.linalg import svds
 
-from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change
-from .latent import _LOG_2PI, _truncmoments
+from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change, run_em
+from .latent import BatchPosterior, _solve_patterns, _truncmoments
 
 
 @dataclass
@@ -57,123 +60,106 @@ def _project_unit_diag(w: np.ndarray, sigma2: float) -> tuple[np.ndarray, float]
     return w * scale[:, None], sigma2
 
 
-@dataclass
-class _LowRankPost:
-    mean: np.ndarray       # (n, p) conditional latent means
-    ivar: np.ndarray       # (n, p) interval-coordinate variances
-    mvar: np.ndarray       # (n, p) missing-coordinate variances
-    loglik: float          # total observed-data log-likelihood
-    # M-step accumulators
-    s1: np.ndarray         # (p, k, k) sums of E[t t^T] over rows observing j
-    s2: np.ndarray         # (p, k) sums of E[t] z_j
-    q: np.ndarray          # (p,) sums of z_j^2 + interval variance
-    n_cells: int
+class _LowRankBlock:
+    """Observed block of one pattern under Sigma = W W^T + s2 I: the k x k
+    Woodbury gram G = s2 I + W_O^T W_O. The sweep's running state is the
+    factor means G^-1 W_O^T z; W is shared, so a kept block is O(k o)."""
 
-
-def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps,
-                       want_moments=True) -> _LowRankPost:
-    w, s2 = params.w, params.sigma2
-    p, k = w.shape
-    lower = np.atleast_2d(lower)
-    upper = np.atleast_2d(upper)
-    n = lower.shape[0]
-    missing = np.isnan(lower)
-    if np.any(missing.all(axis=1)):
-        row = int(np.flatnonzero(missing.all(axis=1))[0])
-        raise ValueError(f"row {row} has no observed coordinates")
-
-    mean = np.zeros((n, p))
-    ivar = np.zeros((n, p))
-    mvar = np.zeros((n, p))
-    loglik = 0.0
-    s1 = np.zeros((p, k, k))
-    s2_acc = np.zeros((p, k))
-    q = np.zeros(p)
-    n_cells = 0
-
-    _, inverse = np.unique(missing, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for g in range(inverse.max() + 1):
-        rows = np.flatnonzero(inverse == g)
-        obs = np.flatnonzero(~missing[rows[0]])
-        mis = np.flatnonzero(missing[rows[0]])
+    def __init__(self, params: LowRankParams, obs, mis):
+        w, s2, k = params.w, params.sigma2, params.rank
+        self.w, self.obs, self.mis, self.s2 = w, obs, mis, s2
         w_o = w[obs]
-        lo = lower[np.ix_(rows, obs)]
-        hi = upper[np.ix_(rows, obs)]
         gram = s2 * np.eye(k) + w_o.T @ w_o
         try:
             factor = cho_factor(gram, lower=True)
         except LinAlgError:
             factor = cho_factor(gram + 1e-8 * np.eye(k), lower=True)
-        u = cho_solve(factor, w_o.T)              # (k, o) = G^-1 W_O^T
+        self.u = cho_solve(factor, w_o.T)              # (k, o) = G^-1 W_O^T
+        self.ginv = cho_solve(factor, np.eye(k))
+        self.cov_t = s2 * self.ginv                    # factor covariance
+        # determinant lemma
+        self.logdet = ((len(obs) - k) * np.log(s2)
+                       + 2.0 * np.log(np.diag(factor[0])).sum())
 
-        interval = hi > lo
-        z = np.where(np.isfinite(lo), lo, 0.0).copy()
-        v = np.zeros_like(z)
-        if interval.any():
-            m0, v0, _ = _truncmoments(0.0, 1.0, lo[interval], hi[interval])
-            z[interval] = m0
-            v[interval] = v0
-        ft = z @ u.T                              # (r, k) factor means
-        if interval.any():
-            diag_h = np.einsum("ij,ji->i", w_o, u)
-            diag_j = (1.0 - diag_h) / s2
-            for _ in range(sweeps):
-                for c in np.flatnonzero(interval.any(axis=0)):
-                    sel = interval[:, c]
-                    if not sel.any():
-                        continue
-                    jz_c = (z[sel, c] - ft[sel] @ w_o[c]) / s2
-                    cvar = 1.0 / diag_j[c]
-                    cmu = z[sel, c] - jz_c * cvar
-                    mzc, vzc, _ = _truncmoments(cmu, cvar, lo[sel, c], hi[sel, c])
-                    delta = mzc - z[sel, c]
-                    z[sel, c] = mzc
-                    v[sel, c] = vzc
-                    ft[sel] += delta[:, None] * u[:, c][None, :]
-            for c in np.flatnonzero(interval.any(axis=0)):
-                sel = interval[:, c]
-                jz_c = (z[sel, c] - ft[sel] @ w_o[c]) / s2
-                cvar = 1.0 / diag_j[c]
-                cmu = z[sel, c] - jz_c * cvar
-                _, _, mass = _truncmoments(cmu, cvar, lo[sel, c], hi[sel, c])
-                loglik += float(np.log(np.maximum(mass, 1e-300)).sum())
+    @cached_property
+    def cvar(self):
+        """Observed conditional variances, from the diagonal of
+        Sigma_OO^-1 = (I - W_O G^-1 W_O^T) / s2."""
+        h = np.einsum("ij,ji->i", self.w[self.obs], self.u)
+        return 1.0 / ((1.0 - h) / self.s2)
 
-        mean[np.ix_(rows, obs)] = z
-        ivar[np.ix_(rows, obs)] = v
-        cov_t = s2 * cho_solve(factor, np.eye(k))  # (k, k) factor covariance
-        if mis.size:
-            w_m = w[mis]
-            mean[np.ix_(rows, mis)] = ft @ w_m.T
-            mvar[np.ix_(rows, mis)] = (
-                np.einsum("ij,jk,ik->i", w_m, cov_t, w_m)[None, :] + s2
-            )
-        # observed-data Gaussian log-density via the determinant lemma
-        o = len(obs)
-        logdet = (o - k) * np.log(s2) + 2.0 * np.log(np.diag(factor[0])).sum()
-        s_vec = z @ w_o                            # (r, k) W_O^T z
-        quad = ((z * z).sum(axis=1) - np.einsum(
-            "ij,ij->i", s_vec @ cho_solve(factor, np.eye(k)), s_vec)) / s2
-        loglik += float((-0.5 * (logdet + quad + o * _LOG_2PI)).sum())
+    def start(self, z):
+        return z @ self.u.T
 
-        if want_moments:
-            r = len(rows)
-            block = r * cov_t + ft.T @ ft
-            s1[obs] += block[None, :, :]
-            s2_acc[obs] += z.T @ ft
-            q[obs] += (z * z + v).sum(axis=0)
-            n_cells += r * o
-    return _LowRankPost(mean, ivar, mvar, loglik, s1, s2_acc, q, n_cells)
+    def cond_mean(self, z, ft, sel, c):
+        jz_c = (z[sel, c] - ft[sel] @ self.w[self.obs[c]]) / self.s2
+        return z[sel, c] - jz_c * self.cvar[c]
+
+    def update(self, ft, sel, c, delta):
+        ft[sel] += delta[:, None] * self.u[:, c][None, :]
+
+    def quad(self, z, ft):
+        s_vec = z @ self.w[self.obs]                   # (r, k) W_O^T z
+        return ((z * z).sum(axis=1)
+                - np.einsum("ij,ij->i", s_vec @ self.ginv, s_vec)) / self.s2
+
+    def missing_moments(self, z, ivar, ft):
+        w_m = self.w[self.mis]
+        var = np.einsum("ij,jk,ik->i", w_m, self.cov_t, w_m) + self.s2
+        if ivar.any():
+            # interval variance through Sigma_MO Sigma_OO^-1 = W_M G^-1 W_O^T,
+            # as one k x k matrix per row instead of an (o, m) coefficient
+            carried = np.einsum("ko,ro,lo->rkl", self.u, ivar, self.u)
+            var = var + np.einsum("mk,rkl,ml->rm", w_m, carried, w_m)
+        return ft @ w_m.T, var
+
+    @cached_property
+    def _chol_t(self):
+        return cholesky(self.cov_t + 1e-12 * np.eye(len(self.cov_t)), lower=True)
+
+    def draw_missing(self, z_obs, rng):
+        num, k = len(z_obs), len(self.cov_t)
+        t_draw = z_obs @ self.u.T + rng.standard_normal((num, k)) @ self._chol_t.T
+        noise = rng.standard_normal((num, len(self.mis))) * np.sqrt(self.s2)
+        return t_draw @ self.w[self.mis].T + noise
 
 
-def _mstep_lowrank(post: _LowRankPost, k: int) -> tuple[np.ndarray, float]:
-    p = post.s1.shape[0]
+class _FactorMoments:
+    """M-step sums of the low-rank fit, added one pattern group at a time."""
+
+    def __init__(self, p: int, k: int):
+        self.s1 = np.zeros((p, k, k))  # sums of E[t t^T] over rows observing j
+        self.s2 = np.zeros((p, k))     # sums of E[t] z_j
+        self.q = np.zeros(p)           # sums of z_j^2 + interval variance
+        self.n_cells = 0
+
+    def add(self, group) -> None:
+        obs, z, ft = group.obs_idx, group.z_hat, group.state
+        block = len(z) * group.block.cov_t + ft.T @ ft
+        self.s1[obs] += block[None, :, :]
+        self.s2[obs] += z.T @ ft
+        self.q[obs] += (z * z + group.ivar).sum(axis=0)
+        self.n_cells += z.size
+
+
+def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps,
+                       moments: _FactorMoments | None = None) -> BatchPosterior:
+    """Posterior of an encoded batch under the low-rank model. With
+    ``moments``, each pattern group is added to those M-step sums and
+    dropped, so a fit holds one group at a time; else groups are kept."""
+    return _solve_patterns(lower, upper, sweeps,
+                           lambda obs, mis: _LowRankBlock(params, obs, mis),
+                           visit=None if moments is None else moments.add)
+
+
+def _mstep_lowrank(moments: _FactorMoments, k: int) -> tuple[np.ndarray, float]:
+    p = moments.s1.shape[0]
     w_new = np.empty((p, k))
     for j in range(p):
-        w_new[j] = np.linalg.solve(post.s1[j] + 1e-10 * np.eye(k), post.s2[j])
-    resid = post.q - 2.0 * np.einsum("jk,jk->j", w_new, post.s2) + np.einsum(
-        "jk,jkl,jl->j", w_new, post.s1, w_new)
-    sigma2 = float(max(resid.sum() / post.n_cells, 1e-6))
+        w_new[j] = np.linalg.solve(moments.s1[j] + 1e-10 * np.eye(k), moments.s2[j])
+    resid = moments.q - 2.0 * np.einsum("jk,jk->j", w_new, moments.s2) + np.einsum(
+        "jk,jkl,jl->j", w_new, moments.s1, w_new)
+    sigma2 = float(max(resid.sum() / moments.n_cells, 1e-6))
     return _project_unit_diag(w_new, sigma2)
 
 
@@ -216,24 +202,17 @@ def fit_lrgc(
         raise ValueError(f"rank must satisfy 1 <= rank < n_cols, got {rank} (p={p})")
     if rank >= n:
         raise ValueError(f"rank {rank} needs more than {n} fitted rows")
-    params = _init_lowrank(lower, upper, rank)
-    trace = []
-    converged = False
-    for it in range(1, config.max_iter + 1):
-        post = _lowrank_posterior(params, lower, upper, config.sweeps)
-        w_new, s2_new = _mstep_lowrank(post, rank)
-        change = _rel_change(params.w, w_new)
-        params = LowRankParams(w_new, s2_new)
-        loglik = post.loglik / n
-        trace.append((change, loglik))
-        if config.verbose:
-            print(f"Iteration {it}: copula parameter change {change:.4f}, "
-                  f"likelihood {loglik:.4f}")
-        if change < config.tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(f"EM did not converge within {config.max_iter} iterations")
+
+    def em_step(params, rows, eta):
+        moments = _FactorMoments(p, rank)
+        post = _lowrank_posterior(params, lower[rows], upper[rows],
+                                  config.sweeps, moments)
+        w_new, s2_new = _mstep_lowrank(moments, rank)
+        return (LowRankParams(w_new, s2_new), _rel_change(params.w, w_new),
+                post.loglik / n)
+
+    params, trace, converged = run_em(_init_lowrank(lower, upper, rank),
+                                      em_step, config)
     return CopulaModel(None, marginals, vartypes, list(table.col_names),
                        fit_trace=trace, converged=converged, lowrank=params,
                        sweeps=config.sweeps)

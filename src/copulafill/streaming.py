@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula_em import encode_table, estep, initial_corr, mstep
+from .copula_em import blend_step, encode_table, initial_corr
 from .data_model import DataTable, ORDINAL, VariableType, detect_variable_types
 from .latent import batch_posterior
 from .marginals import Marginal, decayed_weights, fit_marginal
@@ -166,11 +166,10 @@ def step(state: StreamState, row, revealed=None):
     state.n_seen += 1
 
     if len(state.pending_lower) >= state.config.batch_size:
-        res = estep(state.corr, np.vstack(state.pending_lower),
-                    np.vstack(state.pending_upper), sweeps=state.config.sweeps)
-        batch_corr = mstep(res.s_sum, len(state.pending_lower))
-        eta = state.config.const_stepsize
-        state.corr = (1.0 - eta) * state.corr + eta * batch_corr
+        state.corr, _, _ = blend_step(
+            state.corr, np.vstack(state.pending_lower),
+            np.vstack(state.pending_upper), state.config.const_stepsize,
+            sweeps=state.config.sweeps)
         state.pending_lower.clear()
         state.pending_upper.clear()
     return imputed, state

@@ -206,6 +206,59 @@ class TestStreamCommand:
                      "--n-train", "10"])
         assert code == 2
 
+    def test_missing_input_or_truth_exit_2(self, stream_files, tmp_path):
+        in_path, _ = stream_files
+        none = str(tmp_path / "none.csv")
+        assert main(["stream", none, "-o", str(tmp_path / "x.csv")]) == 2
+        assert main(["stream", str(in_path), "-o", str(tmp_path / "y.csv"),
+                     "--truth", none]) == 2
+
+    def test_unparsable_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"{i}.0,{i % 3}.5,0.{i}\n" for i in range(1, 9))
+        path.write_text("a,b,c\n" + rows + "1.0,zzz,0.3\n")
+        code = main(["stream", str(path), "-o", str(tmp_path / "x.csv"),
+                     "--n-train", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parse failure" in err and "row 9" in err and "'b'" in err
+
+    def test_short_truth_file_exit_2(self, stream_files, tmp_path, capsys):
+        in_path, truth_path = stream_files
+        short = tmp_path / "short_truth.csv"
+        short.write_text("".join(truth_path.read_text().splitlines(True)[:41]))
+        code = main(["stream", str(in_path), "-o", str(tmp_path / "x.csv"),
+                     "--truth", str(short), "--n-train", "25"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parse failure" in err and "row 41" in err
+
+    def test_disagreeing_truth_names_the_header_column(self, stream_files,
+                                                       tmp_path, capsys):
+        in_path, truth_path = stream_files
+        renamed, bad = tmp_path / "renamed.csv", tmp_path / "bad_truth.csv"
+        lines = in_path.read_text().splitlines(True)
+        renamed.write_text("".join(["w,x,y,z\n"] + lines[1:]))
+        lines = truth_path.read_text().splitlines(True)
+        lines[30] = "9," + lines[30].split(",", 1)[1]
+        bad.write_text("".join(["w,x,y,z\n"] + lines[1:]))
+        code = main(["stream", str(renamed), "-o", str(tmp_path / "x.csv"),
+                     "--truth", str(bad), "--n-train", "25"])
+        assert code == 3
+        assert "observed column 'w'" in capsys.readouterr().err
+
+
+class TestDuplicateHeader:
+    def test_impute_and_stream_reject_duplicate_names(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        rows = "".join(f"{i},{2 * i},{i % 4}\n" for i in range(30))
+        path.write_text("a, a ,b\n" + rows)
+        for cmd in (["impute", str(path), "-o", str(tmp_path / "x.csv")],
+                    ["stream", str(path), "-o", str(tmp_path / "y.csv")]):
+            assert main(cmd) == 2
+            err = capsys.readouterr().err
+            assert "parse failure" in err and "duplicate column name 'a'" in err
+
 
 class TestEvaluateCommand:
     def test_perfect_and_median_scores(self, toy_csv, tmp_path, capsys):

@@ -302,5 +302,3 @@ class TestFitConfig:
             FitConfig(tol=0.0)
         with pytest.raises(ValueError):
             FitConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            FitConfig(training_mode="offline")

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.stats import norm
 
-from copulafill.copula_em import FitConfig, fit_standard
-from copulafill.data_model import DataTable
-from copulafill.evaluation import mae, mask_mcar, sample_gc
-from copulafill.imputer import impute_single
-from copulafill.lrgc import LowRankParams, fit_lrgc, implied_corr
+from copulafill.copula_em import CopulaModel, FitConfig, approx_loglik, fit_standard
+from copulafill.data_model import CONTINUOUS, DataTable, VariableType
+from copulafill.evaluation import mae, mask_mcar, ordinal_spec, sample_gc
+from copulafill.imputer import impute_multiple, impute_single
+from copulafill.latent import batch_posterior
+from copulafill.lrgc import LowRankParams, _lowrank_posterior, fit_lrgc, implied_corr
+from copulafill.marginals import fit_marginal
 
 
 def random_lowrank(p, k, sigma2, seed=0):
@@ -107,3 +112,68 @@ class TestFit:
         mae_full = mae(impute_single(full, masked).imputed, tab, masked)
         mae_low = mae(impute_single(low, masked).imputed, tab, masked)
         assert mae_low <= 1.05 * mae_full
+
+
+class TestPosteriorOracle:
+    """The Woodbury posterior agrees with the dense posterior run on the
+    materialized implied correlation."""
+
+    @pytest.fixture
+    def case(self):
+        params = random_lowrank(8, 2, 0.3, seed=20)
+        rng = np.random.default_rng(21)
+        n = 40
+        z = (rng.standard_normal((n, 2)) @ params.w.T
+             + np.sqrt(0.3) * rng.standard_normal((n, 8)))
+        # 0 point, 1 interval, 2 upper half-line, 3 lower half-line, 4 missing
+        kind = rng.integers(0, 5, size=(n, 8))
+        kind[n // 2:] = kind[: n // 2]  # shared patterns: groups of several rows
+        kind[(kind == 4).all(axis=1), 0] = 1
+        lower = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
+                          [z, z - 0.4, z - 0.2, -np.inf], np.nan)
+        upper = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
+                          [z, z + 0.3, np.inf, z + 0.1], np.nan)
+        assert {0, 1, 2, 3, 4} <= set(kind.ravel())
+        low = _lowrank_posterior(params, lower, upper, 2)
+        dense = batch_posterior(implied_corr(params), lower, upper)
+        return low, dense
+
+    def test_moments_and_loglik_match_dense(self, case):
+        low, dense = case
+        np.testing.assert_allclose(low.mean, dense.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(low.ivar, dense.ivar, rtol=0, atol=1e-10)
+        assert dense.ivar.any()
+        total = float((dense.gauss_ll + dense.log_mass).sum())
+        assert abs(low.loglik - total) <= 1e-10
+
+    def test_missing_variance_carries_interval_variance(self, case):
+        low, dense = case
+        np.testing.assert_allclose(low.mvar, dense.mvar, rtol=0, atol=1e-10)
+
+    def test_approx_loglik_matches_dense_on_implied_corr(self):
+        params = random_lowrank(6, 2, 0.3, seed=23)
+        specs = [norm.ppf, ordinal_spec([0.3, 0.4, 0.3])] * 3
+        masked = mask_mcar(sample_gc(200, specs, lowrank=params, seed=24),
+                           0.2, seed=25)
+        low = fit_lrgc(masked, rank=2, config=FitConfig(max_iter=3))
+        dense = dataclasses.replace(low, corr=implied_corr(low.lowrank),
+                                    lowrank=None)
+        assert approx_loglik(low, masked) == pytest.approx(
+            approx_loglik(dense, masked), rel=0, abs=1e-10)
+
+
+def test_singular_gram_falls_back_to_jitter_in_posterior_and_sampler():
+    w = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0], [0.0, 1.0]])
+    params = LowRankParams(w, 1e-300)
+    # a row observing column 0 only has a singular Woodbury gram
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(params.sigma2 * np.eye(2) + np.outer(w[0], w[0]), lower=True)
+    train = np.random.default_rng(22).standard_normal((50, 4))
+    marginals = [fit_marginal(train[:, j], VariableType(CONTINUOUS))
+                 for j in range(4)]
+    model = CopulaModel(None, marginals, [m.vartype for m in marginals],
+                        list("abcd"), lowrank=params)
+    rows = np.array([[0.3, np.nan, np.nan, np.nan],
+                     [-1.0, np.nan, 0.2, np.nan]])
+    assert np.isfinite(impute_single(model, rows).imputed).all()
+    assert np.isfinite(impute_multiple(model, rows, num=3, seed=0)).all()
