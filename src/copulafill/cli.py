@@ -123,6 +123,13 @@ def _derived_path(output: str, suffix: str) -> Path:
     return out.with_name(out.stem + suffix + out.suffix)
 
 
+def _write(path, values, names) -> None:
+    try:
+        write_csv(path, values, names)
+    except OSError as err:
+        raise CliError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _cmd_impute(args) -> int:
     if args.mode == "minibatch-online":
         raise CliError("use the 'stream' command for minibatch-online mode")
@@ -143,6 +150,9 @@ def _cmd_impute(args) -> int:
         )
     except ValueError as err:
         raise CliError(str(err)) from None
+    for path in filter(None, (args.output, args.corr_out)):
+        if not Path(path).parent.is_dir():  # caught before the fit
+            raise CliError(f"cannot write {path}: no directory {Path(path).parent}")
 
     table = _read_table(args.input)
     try:
@@ -177,19 +187,19 @@ def _cmd_impute(args) -> int:
         print(f"copulafill: fit failed: {err}", file=sys.stderr)
         return 3
 
-    write_csv(args.output, result.imputed, table.col_names)
+    _write(args.output, result.imputed, table.col_names)
     if args.ci:
         lo, hi = confidence_intervals(model, table, alpha=args.alpha,
                                       kind=args.ci, seed=args.seed)
-        write_csv(_derived_path(args.output, "_ci_lower"), lo, table.col_names)
-        write_csv(_derived_path(args.output, "_ci_upper"), hi, table.col_names)
+        _write(_derived_path(args.output, "_ci_lower"), lo, table.col_names)
+        _write(_derived_path(args.output, "_ci_upper"), hi, table.col_names)
     if args.multiple:
         draws = impute_multiple(model, table, num=args.multiple, seed=args.seed)
         for k in range(args.multiple):
-            write_csv(_derived_path(args.output, f"_imp{k + 1}"), draws[k],
-                      table.col_names)
+            _write(_derived_path(args.output, f"_imp{k + 1}"), draws[k],
+                   table.col_names)
     if args.corr_out:
-        write_csv(args.corr_out, model.correlation(), table.col_names)
+        _write(args.corr_out, model.correlation(), table.col_names)
     return 0
 
 
@@ -214,7 +224,10 @@ def _cmd_stream(args) -> int:
             truth_fh = open_csv(args.truth) if args.truth else None
         except OSError as err:
             raise ParseError(str(err)) from None
-        out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
+        try:
+            out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
+        except OSError as err:
+            raise CliError(f"cannot write {args.output}: {err.strerror}") from None
         return _run_stream(args, config, in_fh, truth_fh, out_fh)
 
 

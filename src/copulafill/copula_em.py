@@ -111,18 +111,12 @@ def encode_table(marginals: list[Marginal], values: np.ndarray):
 
 
 def _estep_chunk(corr, lower, upper, sweeps):
-    post = batch_posterior(corr, lower, upper, sweeps=sweeps)
-    p = corr.shape[0]
-    s = post.mean.T @ post.mean
-    s[np.diag_indices(p)] += post.ivar.sum(axis=0)
-    for g in post.groups:
-        if g.mis_idx.size == 0:
-            continue
-        block = len(g.rows) * g.block.cov_pure
-        vsum = g.ivar.sum(axis=0)
-        if vsum.any():
-            block = block + g.block.coef.T @ (vsum[:, None] * g.block.coef)
-        s[np.ix_(g.mis_idx, g.mis_idx)] += block
+    missing_cov = []
+    post = batch_posterior(
+        corr, lower, upper, sweeps,
+        visit=lambda ch: missing_cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
+    s = post.mean.T @ post.mean + sum(missing_cov)
+    s[np.diag_indices(corr.shape[0])] += post.ivar.sum(axis=0)
     return s, post.mean.sum(axis=0), post.loglik, post.mean
 
 

@@ -16,8 +16,8 @@ from scipy.special import ndtr, ndtri
 
 from .copula_em import CopulaModel, encode_table
 from .data_model import DataTable
-from .latent import _DenseBlock, batch_posterior
-from .lrgc import _LowRankBlock, _lowrank_posterior
+from .latent import _DenseStack, batch_posterior
+from .lrgc import _LowRankStack, _lowrank_posterior
 
 
 @dataclass
@@ -45,14 +45,14 @@ def _coerce_values(model: CopulaModel, table) -> np.ndarray:
 
 
 def _model_kernel(model: CopulaModel):
-    """The model's posterior of encoded rows and its observed-block factory
-    ``make_block(obs, mis)``: the one place the dense and the low-rank
-    model part ways."""
+    """The model's posterior of encoded rows and its stack factory
+    ``make_stack(missing patterns)``: the one place the dense and the
+    low-rank model part ways."""
     if model.lowrank is None:
         return (partial(batch_posterior, model.corr, sweeps=model.sweeps),
-                partial(_DenseBlock, model.corr))
+                partial(_DenseStack, model.corr))
     return (partial(_lowrank_posterior, model.lowrank, sweeps=model.sweeps),
-            partial(_LowRankBlock, model.lowrank))
+            partial(_LowRankStack, model.lowrank))
 
 
 def _model_posterior(model: CopulaModel, values: np.ndarray):
@@ -144,14 +144,14 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
     latent = np.zeros((num, n, p))
     has_obs = ~np.isnan(lower).all(axis=1)
-    posterior, make_block = _model_kernel(model)
-    post = posterior(lower[has_obs], upper[has_obs])
-    _sample_groups(post.groups, np.flatnonzero(has_obs), lower, upper, latent,
-                   rngs, num)
+    posterior, make_stack = _model_kernel(model)
+    posterior(lower[has_obs], upper[has_obs],
+              visit=partial(_sample_chunk, np.flatnonzero(has_obs), lower, upper,
+                            latent, rngs, num))
     if not has_obs.all():
-        prior = make_block(np.empty(0, dtype=int), np.arange(p))
+        prior = make_stack(np.ones((1, p), dtype=bool))
         for i in np.flatnonzero(~has_obs):
-            latent[:, i, :] = prior.draw_missing(np.zeros((num, 0)), rngs[i])
+            latent[:, i, :] = prior.draw_missing(np.zeros((num, p)), 0, rngs[i])
     return np.stack([_decode_missing(model, values, draw) for draw in latent])
 
 
@@ -163,20 +163,19 @@ def _truncnorm_draws(rng, mu, sd, lo, hi, num):
     return mu + sd * ndtri(np.clip(u, 1e-15, 1 - 1e-15))
 
 
-def _sample_groups(groups, row_ids, lower, upper, latent, rngs, num):
-    """Draw the rows of the posterior's pattern groups into ``latent``;
+def _sample_chunk(row_ids, lower, upper, latent, rngs, num, chunk):
+    """Draw the rows of one solved posterior chunk into ``latent``;
     ``row_ids`` maps the posterior's batch rows to table rows."""
-    for g in groups:
-        obs, mis, block = g.obs_idx, g.mis_idx, g.block
-        state = block.start(g.z_hat)  # fresh, without the sweep's rounding
-        for r, i in enumerate(row_ids[g.rows]):
-            rng = rngs[i]
-            z_obs = np.tile(g.z_hat[r], (num, 1))
-            for c in np.flatnonzero(upper[i, obs] > lower[i, obs]):
-                cmu = block.cond_mean(g.z_hat, state, r, c)
-                z_obs[:, c] = _truncnorm_draws(
-                    rng, cmu, np.sqrt(block.cvar[c]),
-                    lower[i, obs[c]], upper[i, obs[c]], num)
-            latent[:, i, obs] = z_obs
-            if mis.size:
-                latent[:, i, mis] = block.draw_missing(z_obs, rng)
+    stack, z, pat = chunk.stack, chunk.z, chunk.pat
+    state = stack.start(z, pat)  # fresh, without the sweep's rounding
+    for r, i in enumerate(row_ids[chunk.rows]):
+        rng, u = rngs[i], pat[r]
+        z_obs = np.tile(z[r], (num, 1))
+        for c in np.flatnonzero(upper[i] > lower[i]):
+            z_obs[:, c] = _truncnorm_draws(
+                rng, stack.cond_mean(z, state, r, u, c), np.sqrt(stack.cvar[u, c]),
+                lower[i, c], upper[i, c], num)
+        latent[:, i] = z_obs
+        mis = stack.missing[u]
+        if mis.any():
+            latent[:, i, mis] = stack.draw_missing(z_obs, u, rng)

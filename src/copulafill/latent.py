@@ -9,18 +9,24 @@ univariate conditional truncated normal given the other observed
 coordinates at their current means. Cross-covariances among interval
 coordinates are dropped; only their variances are kept.
 
-One sweep serves both models. Per missingness pattern it runs against an
-observed block: :class:`_DenseBlock` here, the Woodbury block of the
-low-rank model in :mod:`copulafill.lrgc`.
+All rows of a batch go through one sweep, in chunks of rows sized from a
+fixed element budget. Per chunk, each distinct missingness pattern's
+observed block is factored once and all of them together, as one stack:
+:class:`_DenseStack` here sets each pattern's missing rows and columns of
+Sigma to the identity and factors a (U, p, p) stack; the Woodbury stack of
+:mod:`copulafill.lrgc` factors (U, k, k) grams. Each pass of the sweep
+visits every interval column once, with one truncated-moment call over all
+rows that hold an interval there, and gathers each row's update from its
+pattern's slice of the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
+from numpy.linalg import LinAlgError
 from scipy.special import erfcx, ndtr, ndtri
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -28,6 +34,10 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 # diagonal jitter ladder applied when an observed-block factorization fails
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+# doubles one chunk may hold per stacked or row-gathered array (2 MB), so
+# no n x p x p array is formed however long the batch
+_CHUNK_ELEMS = 1 << 18
 
 
 def std_normal_cdf(z):
@@ -148,17 +158,112 @@ def _truncmoments(mu, var, lower, upper):
     return mean, tvar, mass
 
 
-def _chol_spd(mat: np.ndarray):
-    """Cholesky with an escalating diagonal jitter ladder."""
-    eye = np.eye(len(mat))
-    for jit in _JITTERS:
-        try:
-            return cho_factor(mat + jit * eye if jit else mat, lower=True)
-        except LinAlgError:
-            continue
-    raise LinAlgError(
-        "observed-block correlation is singular even with jitter 1e-2"
-    )
+class _SingularBlock(LinAlgError):
+    """A stack could not factor the block of pattern ``index``."""
+
+    def __init__(self, index: int, jitter: float):
+        super().__init__(f"observed block is singular even with jitter {jitter:g}")
+        self.index = index
+
+
+def _chol_stack(mats, diag, jitters):
+    """Cholesky factors of a (U, d, d) stack. When the stack fails, each
+    matrix is factored alone, adding ``jit * diag[u]`` to its diagonal for
+    the first ``jit`` in ``jitters`` that succeeds, so a matrix that needs
+    no jitter gets the factor it gets in a stack of its own."""
+    try:
+        return np.linalg.cholesky(mats)
+    except LinAlgError:
+        pass
+    chol = np.empty_like(mats)
+    for u, mat in enumerate(mats):
+        for jit in jitters:
+            try:
+                chol[u] = np.linalg.cholesky(mat + np.diag(jit * diag[u]))
+                break
+            except LinAlgError:
+                continue
+        else:
+            raise _SingularBlock(u, jitters[-1])
+    return chol
+
+
+def _chol_inverse(chol):
+    """Inverses of the SPD matrices with Cholesky factors ``chol``."""
+    linv = np.linalg.inv(chol)
+    return np.swapaxes(linv, -1, -2) @ linv
+
+
+def _diag(stack):
+    return np.diagonal(stack, axis1=-2, axis2=-1)
+
+
+class _DenseStack:
+    """Observed blocks of U missingness patterns under a dense correlation.
+
+    Each pattern's Sigma has its missing rows and columns set to the
+    identity, so one (U, p, p) Cholesky factorization serves them all: the
+    inverse ``prec`` is Sigma_OO^-1 on the observed block and the identity
+    elsewhere. Per-row arrays are (r, p) with zeros at missing cells; the
+    sweep's running state is J z with J = ``prec``.
+    """
+
+    def __init__(self, sigma, missing):
+        self.missing = missing
+        obs = ~missing
+        obs_block = obs[:, :, None] & obs[:, None, :]
+        chol = _chol_stack(np.where(obs_block, sigma, np.eye(len(sigma))),
+                           obs.astype(float), _JITTERS)
+        self.prec = _chol_inverse(chol)
+        self.cvar = 1.0 / _diag(self.prec)       # observed conditional variances
+        self.logdet = 2.0 * np.log(_diag(chol)).sum(axis=1)
+        # Sigma_OO^-1 Sigma_OM, zero outside observed rows and missing columns
+        self.coef = (self.prec * obs_block) @ sigma * missing[:, None, :]
+        cov = (sigma - sigma @ self.coef) * (missing[:, :, None] & missing[:, None, :])
+        self.cov = (cov + np.swapaxes(cov, 1, 2)) / 2.0   # of the missing block
+
+    def start(self, z, pat):
+        return (z[:, None, :] @ self.prec[pat])[:, 0]
+
+    def cond_mean(self, z, jz, rows, pats, c):
+        return z[rows, c] - jz[rows, c] * self.cvar[pats, c]
+
+    def update(self, jz, rows, pats, c, delta):
+        jz[rows] += delta[:, None] * self.prec[pats, c]
+
+    def quad(self, z, jz, pat):
+        return np.einsum("ij,ij->i", jz, z)
+
+    def missing_mean(self, z, jz, pat):
+        return (z[:, None, :] @ self.coef[pat])[:, 0]
+
+    def missing_var(self, ivar, pat):
+        var = _diag(self.cov)[pat]
+        if ivar.any():
+            var += (ivar[:, None, :] @ np.square(self.coef[pat]))[:, 0]
+        return var
+
+    def cov_sum(self, pat, ivar):
+        """Missing-block conditional covariance summed over rows with
+        patterns ``pat`` and interval variances ``ivar``: (p, p), with the
+        interval variance carried into the missing coordinates."""
+        counts = np.bincount(pat, minlength=len(self.cov)).astype(float)
+        vsum = np.zeros(self.cvar.shape)
+        np.add.at(vsum, pat, ivar)
+        carried = (self.coef * np.sqrt(vsum)[:, :, None]).reshape(-1, vsum.shape[1])
+        total = np.tensordot(counts, self.cov, axes=1) + carried.T @ carried
+        return (total + total.T) / 2.0
+
+    @cached_property
+    def _chol_missing(self):
+        p = self.cov.shape[1]
+        return np.linalg.cholesky(self.cov + np.eye(p) * (~self.missing[:, None, :] + 1e-10))
+
+    def draw_missing(self, z_obs, u, rng):
+        mis = self.missing[u]
+        eps = rng.standard_normal((len(z_obs), mis.sum()))
+        return (z_obs @ self.coef[u][:, mis]
+                + eps @ self._chol_missing[u][np.ix_(mis, mis)].T)
 
 
 def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):
@@ -173,47 +278,12 @@ def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):
     z_obs = np.asarray(z_obs, dtype=float)
     if z_obs.shape != obs_idx.shape:
         raise ValueError("z_obs must match obs_idx in length")
-    block = _DenseBlock(sigma, obs_idx, mis_idx)
-    return z_obs @ block.coef, block.cov_pure
-
-
-class _DenseBlock:
-    """Observed block of one pattern under a dense correlation: Sigma_OO
-    solved by Cholesky; the sweep's running state is J z, J = Sigma_OO^-1."""
-
-    def __init__(self, sigma, obs, mis):
-        factor = _chol_spd(sigma[np.ix_(obs, obs)])
-        self.prec = cho_solve(factor, np.eye(len(obs)))
-        self.cvar = 1.0 / np.diag(self.prec)   # observed conditional variances
-        self.logdet = 2.0 * np.log(np.diag(factor[0])).sum()
-        self.coef = cho_solve(factor, sigma[np.ix_(obs, mis)])  # (o, m)
-        cov = sigma[np.ix_(mis, mis)] - sigma[np.ix_(mis, obs)] @ self.coef
-        self.cov_pure = (cov + cov.T) / 2.0
-
-    def start(self, z):
-        return z @ self.prec
-
-    def cond_mean(self, z, jz, sel, c):
-        return z[sel, c] - jz[sel, c] * self.cvar[c]
-
-    def update(self, jz, sel, c, delta):
-        jz[sel] += delta[:, None] * self.prec[c][None, :]
-
-    def quad(self, z, jz):
-        return np.einsum("ij,ij->i", jz, z)
-
-    def missing_moments(self, z, ivar, jz):
-        var = np.diag(self.cov_pure)[None, :] + ivar @ (self.coef * self.coef)
-        return z @ self.coef, var
-
-    @cached_property
-    def _chol_mis(self):
-        return cholesky(self.cov_pure + 1e-10 * np.eye(len(self.cov_pure)),
-                        lower=True)
-
-    def draw_missing(self, z_obs, rng):
-        eps = rng.standard_normal((len(z_obs), len(self.cov_pure)))
-        return z_obs @ self.coef + eps @ self._chol_mis.T
+    missing = np.ones((1, len(sigma)), dtype=bool)
+    missing[0, obs_idx] = False
+    stack = _DenseStack(sigma, missing)
+    z = np.zeros(len(sigma))
+    z[obs_idx] = z_obs
+    return z @ stack.coef[0][:, mis_idx], stack.cov[0][np.ix_(mis_idx, mis_idx)]
 
 
 @dataclass
@@ -235,14 +305,16 @@ class RowPosterior:
 
 
 @dataclass
-class _PatternGroup:
-    rows: np.ndarray          # row indices sharing the missingness pattern
-    obs_idx: np.ndarray
-    mis_idx: np.ndarray
-    block: object             # _DenseBlock or the low-rank block
-    z_hat: np.ndarray         # (r, o) conditional means of observed coords
-    ivar: np.ndarray          # (r, o) interval-coordinate variances
-    state: np.ndarray         # the block's running state at z_hat
+class _Chunk:
+    """One solved chunk of a batch, as handed to a posterior's ``visit``."""
+
+    rows: slice               # the chunk's rows in the batch
+    stack: object             # _DenseStack or the low-rank stack
+    pat: np.ndarray           # each row's pattern index in the stack
+    z: np.ndarray             # (r, p) conditional means, 0 at missing cells
+                              # until the visit returns
+    ivar: np.ndarray          # (r, p) interval-coordinate variances
+    state: np.ndarray         # the stack's running state at z
 
 
 @dataclass
@@ -254,111 +326,125 @@ class BatchPosterior:
     mvar: np.ndarray          # (n, p) missing-coordinate variances
     gauss_ll: np.ndarray      # (n,) Gaussian log-density of observed coords
     log_mass: np.ndarray      # (n,) summed interval log-masses
-    groups: list
+    pattern: np.ndarray       # (n,) index of each row's missingness pattern
 
     @property
     def loglik(self) -> float:
         """Total approximate observed-data log-likelihood of the batch."""
         return float((self.gauss_ll + self.log_mass).sum())
 
+    @property
+    def groups(self) -> list:
+        """Row indices of each missingness pattern."""
+        order = np.argsort(self.pattern, kind="stable")
+        bounds = np.flatnonzero(np.diff(self.pattern[order])) + 1
+        return np.split(order, bounds) if order.size else []
 
-def batch_posterior(sigma, lower, upper, sweeps: int = 2) -> BatchPosterior:
+
+def batch_posterior(sigma, lower, upper, sweeps: int = 2,
+                    visit=None) -> BatchPosterior:
     """Approximate posterior for every row of an encoded batch.
 
     ``lower``/``upper`` are (n, p) latent bounds: NaN in both marks a
     missing cell, equal finite bounds a degenerate (continuous) cell, and a
-    proper interval an ordinal level or truncation boundary. Rows are
-    grouped by missingness pattern so each observed-block factorization is
-    done once.
+    proper interval an ordinal level or truncation boundary. Each
+    missingness pattern's observed block is factored once per chunk of
+    rows; ``visit``, if given, is called with each solved :class:`_Chunk`.
     """
     sigma = np.asarray(sigma, dtype=float)
-    return _solve_patterns(lower, upper, sweeps,
-                           lambda obs, mis: _DenseBlock(sigma, obs, mis))
+    return _solve(lower, upper, sweeps, partial(_DenseStack, sigma), sigma.size,
+                  visit)
 
 
-def _solve_patterns(lower, upper, sweeps, make_block, visit=None) -> BatchPosterior:
-    """Sweep each missingness pattern against ``make_block(obs, mis)``.
-    Solved groups are kept in ``groups``, or passed to ``visit`` instead."""
+def _solve(lower, upper, sweeps, make_stack, row_cost, visit=None) -> BatchPosterior:
+    """Sweep all rows against stacks ``make_stack(missing patterns)``.
+
+    Rows are cut into chunks of at most ``_CHUNK_ELEMS // row_cost`` rows,
+    ``row_cost`` being the elements per row of a stack's largest stacked
+    or row-gathered array; each chunk factors its patterns as one stack.
+    """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     n, p = lower.shape
-    post = BatchPosterior(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)),
-                          np.zeros(n), np.zeros(n), [])
     missing = np.isnan(lower)
     if np.any(missing.all(axis=1)):
         row = int(np.flatnonzero(missing.all(axis=1))[0])
         raise ValueError(f"row {row} has no observed coordinates")
-
     _, inverse = np.unique(missing, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for g in np.unique(inverse):
-        rows = np.flatnonzero(inverse == g)
-        mis = np.flatnonzero(missing[rows[0]])
-        obs = np.flatnonzero(~missing[rows[0]])
+    post = BatchPosterior(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)),
+                          np.zeros(n), np.zeros(n), inverse.ravel())
+
+    size = max(1, _CHUNK_ELEMS // row_cost)
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        _, first, pat = np.unique(post.pattern[rows], return_index=True,
+                                  return_inverse=True)
+        miss = missing[rows]
         try:
-            block = make_block(obs, mis)
-        except LinAlgError as err:
-            raise LinAlgError(f"{err} (row {rows[0]})") from None
-        z_hat, ivar, state, log_mass = _sweep(
-            block, lower[np.ix_(rows, obs)], upper[np.ix_(rows, obs)], sweeps)
-        post.mean[np.ix_(rows, obs)] = z_hat
-        post.ivar[np.ix_(rows, obs)] = ivar
-        if mis.size:
-            post.mean[np.ix_(rows, mis)], post.mvar[np.ix_(rows, mis)] = \
-                block.missing_moments(z_hat, ivar, state)
-        post.gauss_ll[rows] = -0.5 * (block.logdet + block.quad(z_hat, state)
-                                      + len(obs) * _LOG_2PI)
+            stack = make_stack(miss[first])
+        except _SingularBlock as err:
+            raise LinAlgError(f"{err} (row {start + first[err.index]})") from None
+        z, ivar = post.mean[rows], post.ivar[rows]   # views, filled in place
+        state, log_mass = _sweep(stack, pat, lower[rows], upper[rows], sweeps,
+                                 z, ivar)
+        post.gauss_ll[rows] = -0.5 * (stack.logdet[pat] + stack.quad(z, state, pat)
+                                      + (~miss).sum(axis=1) * _LOG_2PI)
         post.log_mass[rows] = log_mass
-        group = _PatternGroup(rows, obs, mis, block, z_hat, ivar, state)
-        if visit is None:
-            post.groups.append(group)
-        else:
-            visit(group)
+        if visit is not None:
+            visit(_Chunk(rows, stack, pat, z, ivar, state))
+        if miss.any():
+            # after the visit, which reads z with zeros at missing cells;
+            # one (r, p) result at a time, as wide rows make them large
+            np.copyto(z, stack.missing_mean(z, state, pat), where=miss)
+            np.copyto(post.mvar[rows], stack.missing_var(ivar, pat), where=miss)
     return post
 
 
-def _sweep(block, lo, hi, sweeps):
-    """The fixed-point scheme on one pattern group: ``sweeps`` passes over
-    the interval columns, then one pass for the interval log-masses under
-    the final conditionals. Returns z_hat, ivar, the state and log-masses."""
+def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
+    """The fixed-point scheme on one chunk: ``sweeps`` Gauss-Seidel passes
+    over the interval columns, then one pass for the interval log-masses
+    under the final conditionals. Each pass makes one truncated-moment call
+    per column over every row with an interval there. Fills ``z_hat`` and
+    the zeroed ``ivar`` in place (``z_hat`` is 0 at missing cells) and
+    returns the state and log-masses."""
     interval = hi > lo
-    z_hat = np.where(np.isfinite(lo), lo, 0.0)
-    ivar = np.zeros_like(z_hat)
+    z_hat[...] = lo
+    z_hat[~np.isfinite(lo)] = 0.0
     log_mass = np.zeros(len(z_hat))
-    cols = np.flatnonzero(interval.any(axis=0))
-    if cols.size:
+    if interval.any():
         z_hat[interval], ivar[interval], _ = _truncmoments(
             0.0, 1.0, lo[interval], hi[interval])
-    state = block.start(z_hat)
+    state = stack.start(z_hat, pat)
+    cols = []
+    for c in np.flatnonzero(interval.any(axis=0)):
+        rows = np.flatnonzero(interval[:, c])
+        cols.append((c, rows, pat[rows], lo[rows, c], hi[rows, c]))
     for final in [False] * sweeps + [True]:
-        for c in cols:
-            sel = interval[:, c]
-            m, v, mass = _truncmoments(block.cond_mean(z_hat, state, sel, c),
-                                       block.cvar[c], lo[sel, c], hi[sel, c])
+        for c, rows, pats, lo_c, hi_c in cols:
+            m, v, mass = _truncmoments(stack.cond_mean(z_hat, state, rows, pats, c),
+                                       stack.cvar[pats, c], lo_c, hi_c)
             if final:
-                log_mass[sel] += np.log(np.maximum(mass, 1e-300))
+                log_mass[rows] += np.log(np.maximum(mass, 1e-300))
             else:
-                block.update(state, sel, c, m - z_hat[sel, c])
-                z_hat[sel, c] = m
-                ivar[sel, c] = v
-    return z_hat, ivar, state, log_mass
+                stack.update(state, rows, pats, c, m - z_hat[rows, c])
+                z_hat[rows, c] = m
+                ivar[rows, c] = v
+    return state, log_mass
 
 
 def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     """Posterior of a single row; see :func:`batch_posterior` for encoding."""
     lower = np.asarray(lower, dtype=float).reshape(1, -1)
     upper = np.asarray(upper, dtype=float).reshape(1, -1)
-    post = batch_posterior(sigma, lower, upper, sweeps=sweeps)
-    group = post.groups[0]
-    mis, coef = group.mis_idx, group.block.coef
-    cov = group.block.cov_pure.copy()
-    if mis.size and group.ivar.any():
-        cov = cov + coef.T @ (group.ivar[0, :, None] * coef)
-        cov = (cov + cov.T) / 2.0
+    cov = []
+    post = batch_posterior(
+        sigma, lower, upper, sweeps,
+        visit=lambda ch: cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
+    mis = np.flatnonzero(np.isnan(lower[0]))
     return RowPosterior(
         cond_mean=post.mean[0],
         cond_var=post.ivar[0],
-        cond_cov_missing=cov,
-        obs_idx=group.obs_idx,
+        cond_cov_missing=cov[0][np.ix_(mis, mis)],
+        obs_idx=np.flatnonzero(~np.isnan(lower[0])),
         mis_idx=mis,
     )

@@ -1,26 +1,27 @@
 """Low-rank Gaussian copula: EM over the factorization Sigma = W W^T + s2 I.
 
-The E-step is the shared pattern sweep of :mod:`copulafill.latent`, run
-against :class:`_LowRankBlock`: per missingness pattern, a k x k Woodbury
-system replaces the observed block of Sigma, so no p x p matrix is formed.
-A fit folds each pattern group into the M-step sums as soon as it is
-solved. Because the implied correlation must have a unit diagonal with
-isotropic noise, every row of W carries the same norm sqrt(1 - s2); the
-M-step keeps the fitted row directions and projects the scales back onto
-that constraint.
+The E-step is the one batched sweep of :mod:`copulafill.latent`, run
+against :class:`_LowRankStack`: per chunk of rows, every missingness
+pattern's observed block of Sigma is replaced by a k x k Woodbury gram,
+all of them factored together as one (U, k, k) stack, so no p x p or
+U x p x p array is formed. A fit folds each solved chunk into the M-step
+sums with one batched contraction and drops it. Because the implied
+correlation must have a unit diagonal with isotropic noise, every row of W
+carries the same norm sqrt(1 - s2); the M-step keeps the fitted row
+directions and projects the scales back onto that constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.sparse.linalg import svds
 
 from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change, run_em
-from .latent import BatchPosterior, _solve_patterns, _truncmoments
+from .latent import (BatchPosterior, _chol_inverse, _chol_stack, _diag, _solve,
+                     _truncmoments)
 
 
 @dataclass
@@ -60,72 +61,79 @@ def _project_unit_diag(w: np.ndarray, sigma2: float) -> tuple[np.ndarray, float]
     return w * scale[:, None], sigma2
 
 
-class _LowRankBlock:
-    """Observed block of one pattern under Sigma = W W^T + s2 I: the k x k
-    Woodbury gram G = s2 I + W_O^T W_O. The sweep's running state is the
-    factor means G^-1 W_O^T z; W is shared, so a kept block is O(k o)."""
+class _LowRankStack:
+    """Observed blocks of U missingness patterns under Sigma = W W^T + s2 I,
+    as a (U, k, k) stack of inverse Woodbury grams G^-1, with
+    G = s2 I + W_O^T W_O; W is shared, so no p x p or (U, k, p) array is
+    formed. The sweep's running state is the factor means G^-1 W_O^T z."""
 
-    def __init__(self, params: LowRankParams, obs, mis):
+    def __init__(self, params: LowRankParams, missing):
         w, s2, k = params.w, params.sigma2, params.rank
-        self.w, self.obs, self.mis, self.s2 = w, obs, mis, s2
-        w_o = w[obs]
-        gram = s2 * np.eye(k) + w_o.T @ w_o
-        try:
-            factor = cho_factor(gram, lower=True)
-        except LinAlgError:
-            factor = cho_factor(gram + 1e-8 * np.eye(k), lower=True)
-        self.u = cho_solve(factor, w_o.T)              # (k, o) = G^-1 W_O^T
-        self.ginv = cho_solve(factor, np.eye(k))
-        self.cov_t = s2 * self.ginv                    # factor covariance
+        self.w, self.s2, self.missing = w, s2, missing
+        self._outer = (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+        gram = (~missing @ self._outer).reshape(-1, k, k) + s2 * np.eye(k)
+        chol = _chol_stack(gram, np.ones((len(missing), k)), (0.0, 1e-8))
+        self.ginv = _chol_inverse(chol)
+        self.cov_t = s2 * self.ginv                     # factor covariance
         # determinant lemma
-        self.logdet = ((len(obs) - k) * np.log(s2)
-                       + 2.0 * np.log(np.diag(factor[0])).sum())
+        self.logdet = (((~missing).sum(axis=1) - k) * np.log(s2)
+                       + 2.0 * np.log(_diag(chol)).sum(axis=1))
+
+    def _leverage(self, mats):
+        """w_j^T M w_j for every column j and every k x k matrix M."""
+        return np.einsum("jk,ukl,jl->uj", self.w, mats, self.w)
 
     @cached_property
     def cvar(self):
         """Observed conditional variances, from the diagonal of
         Sigma_OO^-1 = (I - W_O G^-1 W_O^T) / s2."""
-        h = np.einsum("ij,ji->i", self.w[self.obs], self.u)
-        return 1.0 / ((1.0 - h) / self.s2)
+        return 1.0 / ((1.0 - self._leverage(self.ginv)) / self.s2)
 
-    def start(self, z):
-        return z @ self.u.T
+    def start(self, z, pat):
+        return (self.ginv[pat] @ (z @ self.w)[:, :, None])[:, :, 0]
 
-    def cond_mean(self, z, ft, sel, c):
-        jz_c = (z[sel, c] - ft[sel] @ self.w[self.obs[c]]) / self.s2
-        return z[sel, c] - jz_c * self.cvar[c]
+    def cond_mean(self, z, ft, rows, pats, c):
+        jz_c = (z[rows, c] - ft[rows] @ self.w[c]) / self.s2
+        return z[rows, c] - jz_c * self.cvar[pats, c]
 
-    def update(self, ft, sel, c, delta):
-        ft[sel] += delta[:, None] * self.u[:, c][None, :]
+    def update(self, ft, rows, pats, c, delta):
+        ft[rows] += delta[:, None] * (self.ginv[pats] @ self.w[c])
 
-    def quad(self, z, ft):
-        s_vec = z @ self.w[self.obs]                   # (r, k) W_O^T z
-        return ((z * z).sum(axis=1)
-                - np.einsum("ij,ij->i", s_vec @ self.ginv, s_vec)) / self.s2
+    def quad(self, z, ft, pat):
+        s_vec = z @ self.w                              # (r, k) W_O^T z
+        return (np.einsum("ij,ij->i", z, z)
+                - np.einsum("ij,ij->i", (s_vec[:, None, :] @ self.ginv[pat])[:, 0],
+                            s_vec)) / self.s2
 
-    def missing_moments(self, z, ivar, ft):
-        w_m = self.w[self.mis]
-        var = np.einsum("ij,jk,ik->i", w_m, self.cov_t, w_m) + self.s2
+    def missing_mean(self, z, ft, pat):
+        return ft @ self.w.T
+
+    def missing_var(self, ivar, pat):
+        cov = self.cov_t[pat]
         if ivar.any():
-            # interval variance through Sigma_MO Sigma_OO^-1 = W_M G^-1 W_O^T,
-            # as one k x k matrix per row instead of an (o, m) coefficient
-            carried = np.einsum("ko,ro,lo->rkl", self.u, ivar, self.u)
-            var = var + np.einsum("mk,rkl,ml->rm", w_m, carried, w_m)
-        return ft @ w_m.T, var
+            # interval variance carried into the factor covariance,
+            # G^-1 W_O^T diag(ivar) W_O G^-1: k x k per row, no (o, m) matrix
+            ginv = self.ginv[pat]
+            cov = cov + ginv @ (ivar @ self._outer).reshape(cov.shape) @ ginv
+        var = self._leverage(cov)
+        var += self.s2
+        return var
 
     @cached_property
     def _chol_t(self):
-        return cholesky(self.cov_t + 1e-12 * np.eye(len(self.cov_t)), lower=True)
+        return np.linalg.cholesky(self.cov_t + 1e-12 * np.eye(self.cov_t.shape[1]))
 
-    def draw_missing(self, z_obs, rng):
-        num, k = len(z_obs), len(self.cov_t)
-        t_draw = z_obs @ self.u.T + rng.standard_normal((num, k)) @ self._chol_t.T
-        noise = rng.standard_normal((num, len(self.mis))) * np.sqrt(self.s2)
-        return t_draw @ self.w[self.mis].T + noise
+    def draw_missing(self, z_obs, u, rng):
+        mis = self.missing[u]
+        num, k = len(z_obs), self.cov_t.shape[1]
+        t_draw = (z_obs @ self.w @ self.ginv[u]
+                  + rng.standard_normal((num, k)) @ self._chol_t[u].T)
+        noise = rng.standard_normal((num, mis.sum())) * np.sqrt(self.s2)
+        return t_draw @ self.w[mis].T + noise
 
 
 class _FactorMoments:
-    """M-step sums of the low-rank fit, added one pattern group at a time."""
+    """M-step sums of the low-rank fit, added one solved chunk at a time."""
 
     def __init__(self, p: int, k: int):
         self.s1 = np.zeros((p, k, k))  # sums of E[t t^T] over rows observing j
@@ -133,23 +141,23 @@ class _FactorMoments:
         self.q = np.zeros(p)           # sums of z_j^2 + interval variance
         self.n_cells = 0
 
-    def add(self, group) -> None:
-        obs, z, ft = group.obs_idx, group.z_hat, group.state
-        block = len(z) * group.block.cov_t + ft.T @ ft
-        self.s1[obs] += block[None, :, :]
-        self.s2[obs] += z.T @ ft
-        self.q[obs] += (z * z + group.ivar).sum(axis=0)
-        self.n_cells += z.size
+    def add(self, chunk) -> None:
+        obs = ~chunk.stack.missing[chunk.pat]
+        z, ft = chunk.z, chunk.state
+        e_tt = chunk.stack.cov_t[chunk.pat] + ft[:, :, None] * ft[:, None, :]
+        self.s1 += np.einsum("ij,ikl->jkl", obs, e_tt)
+        self.s2 += z.T @ ft
+        self.q += np.einsum("ij,ij->j", z, z) + chunk.ivar.sum(axis=0)
+        self.n_cells += int(obs.sum())
 
 
 def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps,
-                       moments: _FactorMoments | None = None) -> BatchPosterior:
-    """Posterior of an encoded batch under the low-rank model. With
-    ``moments``, each pattern group is added to those M-step sums and
-    dropped, so a fit holds one group at a time; else groups are kept."""
-    return _solve_patterns(lower, upper, sweeps,
-                           lambda obs, mis: _LowRankBlock(params, obs, mis),
-                           visit=None if moments is None else moments.add)
+                       visit=None) -> BatchPosterior:
+    """Posterior of an encoded batch under the low-rank model; ``visit`` as
+    in :func:`copulafill.latent.batch_posterior`. A fit passes
+    ``_FactorMoments.add``, so it holds one chunk at a time."""
+    return _solve(lower, upper, sweeps, partial(_LowRankStack, params),
+                  len(params.w) + params.rank ** 2, visit)
 
 
 def _mstep_lowrank(moments: _FactorMoments, k: int) -> tuple[np.ndarray, float]:
@@ -206,7 +214,7 @@ def fit_lrgc(
     def em_step(params, rows, eta):
         moments = _FactorMoments(p, rank)
         post = _lowrank_posterior(params, lower[rows], upper[rows],
-                                  config.sweeps, moments)
+                                  config.sweeps, moments.add)
         w_new, s2_new = _mstep_lowrank(moments, rank)
         return (LowRankParams(w_new, s2_new), _rel_change(params.w, w_new),
                 post.loglik / n)

@@ -73,10 +73,6 @@ def _window_marginal(state: StreamState, j: int, weights=None) -> Marginal:
         return fit_marginal(vals, VariableType(ORDINAL), weights)
 
 
-def _refit_marginals(state: StreamState) -> None:
-    state.marginals = [_window_marginal(state, j) for j in range(state.n_cols)]
-
-
 def init_stream(rows, config: StreamConfig | None = None, types=None,
                 min_ord_ratio: float = 0.1) -> StreamState:
     """Initialize marginals and the correlation from the first rows."""
@@ -98,7 +94,7 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
         buffers.append(deque(col[~np.isnan(col)], maxlen=config.window_size))
     state = StreamState(config, detected, list(table.col_names), buffers,
                         corr=np.eye(table.n_cols))
-    _refit_marginals(state)
+    state.marginals = [_window_marginal(state, j) for j in range(state.n_cols)]
     lower, upper = encode_table(state.marginals, table.values)
     keep = ~np.isnan(lower).all(axis=1)
     state.corr = initial_corr(lower[keep], upper[keep])
@@ -157,12 +153,13 @@ def step(state: StreamState, row, revealed=None):
     source = revealed if revealed is not None else row
     src_lower, src_upper = encode_table(state.marginals, source[None, :])
     observed = ~np.isnan(source)
+    # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(observed):
         state.buffers[j].append(source[j])
+        state.marginals[j] = _window_marginal(state, j)
     if observed.any():
         state.pending_lower.append(src_lower[0])
         state.pending_upper.append(src_upper[0])
-    _refit_marginals(state)
     state.n_seen += 1
 
     if len(state.pending_lower) >= state.config.batch_size:

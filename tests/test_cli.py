@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -141,6 +143,18 @@ class TestImputeCommand:
         assert main(["impute", str(masked_path), "-o", out,
                      "--mode", "minibatch-online"]) == 1
 
+    def test_unwritable_output_exit_1(self, toy_csv, tmp_path, capsys):
+        _, masked_path = toy_csv
+        nodir = tmp_path / "nodir"
+        for flags in (["-o", str(nodir / "x.csv")],
+                      ["-o", str(tmp_path / "x.csv"), "--corr-out",
+                       str(nodir / "c.csv")],
+                      ["-o", str(tmp_path)]):  # a directory, found at write time
+            assert main(["impute", str(masked_path), *flags]) == 1
+            err = capsys.readouterr().err
+            assert f"cannot write {flags[-1]}" in err
+            assert "Traceback" not in err
+
     def test_online_fit_failure_exit_3(self, tmp_path, capsys):
         path = tmp_path / "empty_col.csv"
         path.write_text("a,b\n1,\n2,\n3,\n")
@@ -212,6 +226,14 @@ class TestStreamCommand:
         assert main(["stream", none, "-o", str(tmp_path / "x.csv")]) == 2
         assert main(["stream", str(in_path), "-o", str(tmp_path / "y.csv"),
                      "--truth", none]) == 2
+
+    def test_unwritable_output_exit_1(self, stream_files, tmp_path, capsys,
+                                      monkeypatch):
+        in_path, _ = stream_files
+        monkeypatch.setattr("sys.stdin", io.StringIO(in_path.read_text()))
+        out = str(tmp_path / "nodir" / "y.csv")
+        assert main(["stream", "-", "-o", out]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_unparsable_cell_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -177,3 +177,28 @@ def test_singular_gram_falls_back_to_jitter_in_posterior_and_sampler():
                      [-1.0, np.nan, 0.2, np.nan]])
     assert np.isfinite(impute_single(model, rows).imputed).all()
     assert np.isfinite(impute_multiple(model, rows, num=3, seed=0)).all()
+
+
+def test_imputation_keeps_no_per_pattern_state_at_p3000():
+    # single imputation and analytic intervals keep nothing per pattern. At
+    # p=3000, n=40 the table, its latent bounds and the posterior's grids
+    # take about 7 MB; per-pattern blocks and moments for the 40 patterns
+    # would add about 4 MB more than the 12.5 MB bound leaves room for
+    import tracemalloc
+    import warnings
+
+    from copulafill.imputer import confidence_intervals
+
+    params = random_lowrank(3000, 3, 0.1, seed=26)
+    masked = mask_mcar(sample_gc(40, [norm.ppf] * 3000, lowrank=params, seed=27),
+                       0.2, seed=28)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # two iterations need not converge
+        model = fit_lrgc(masked, rank=3, config=FitConfig(max_iter=2))
+    for impute in (lambda: impute_single(model, masked),
+                   lambda: confidence_intervals(model, masked)):
+        tracemalloc.start()
+        impute()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 12.5e6
