@@ -111,11 +111,11 @@ def encode_table(marginals: list[Marginal], values: np.ndarray):
 
 
 def _estep_chunk(corr, lower, upper, sweeps):
-    missing_cov = []
+    s = np.zeros_like(corr)   # each solved chunk adds its missing covariance
     post = batch_posterior(
         corr, lower, upper, sweeps,
-        visit=lambda ch: missing_cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
-    s = post.mean.T @ post.mean + sum(missing_cov)
+        visit=lambda ch: np.add(s, ch.stack.cov_sum(ch.pat, ch.ivar), out=s))
+    s += post.mean.T @ post.mean
     s[np.diag_indices(corr.shape[0])] += post.ivar.sum(axis=0)
     return s, post.mean.sum(axis=0), post.loglik, post.mean
 

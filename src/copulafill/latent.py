@@ -9,15 +9,17 @@ univariate conditional truncated normal given the other observed
 coordinates at their current means. Cross-covariances among interval
 coordinates are dropped; only their variances are kept.
 
-All rows of a batch go through one sweep, in chunks of rows sized from a
-fixed element budget. Per chunk, each distinct missingness pattern's
-observed block is factored once and all of them together, as one stack:
-:class:`_DenseStack` here sets each pattern's missing rows and columns of
-Sigma to the identity and factors a (U, p, p) stack; the Woodbury stack of
-:mod:`copulafill.lrgc` factors (U, k, k) grams. Each pass of the sweep
-visits every interval column once, with one truncated-moment call over all
-rows that hold an interval there, and gathers each row's update from its
-pattern's slice of the stack.
+All rows of a batch go through one sweep. Each distinct missingness
+pattern's observed block is factored once, and all of them together, as
+one stack: :class:`_DenseStack` here sets each pattern's missing rows and
+columns of Sigma to the identity and factors a (U, p, p) stack; the
+Woodbury stack of :mod:`copulafill.lrgc` factors (U, k, k) grams. A fixed
+element budget caps both the patterns one stack holds and the rows solved
+at once, so a long batch or a wide one splits into several stacks or
+chunks of rows, and no array holds a p x p matrix per row. Each pass of the
+sweep visits every interval column once, with one truncated-moment call
+over all rows of a chunk that hold an interval there, and gathers each
+row's update from its pattern's slice of the stack.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # diagonal jitter ladder applied when an observed-block factorization fails
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
-# doubles one chunk may hold per stacked or row-gathered array (2 MB), so
-# no n x p x p array is formed however long the batch
+# doubles a stack may hold per stacked array, and a chunk of rows per
+# row array (2 MB); no array holds a p x p matrix per row
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -198,6 +200,22 @@ def _diag(stack):
     return np.diagonal(stack, axis1=-2, axis2=-1)
 
 
+def _rows_times(x, mats, pat):
+    """Rows ``x[i] @ mats[pat[i]]``, one vector-matrix product a row, so a
+    row's result does not depend on the rows solved with it. A matrix that
+    several rows share is used in place; the others are gathered, at most
+    one per pattern of the stack."""
+    out = np.empty((len(x), mats.shape[-1]))
+    counts = np.bincount(pat, minlength=len(mats))
+    single = np.flatnonzero(counts[pat] == 1)
+    out[single] = (x[single, None, :] @ mats[pat[single]])[:, 0]
+    order, ends = np.argsort(pat, kind="stable"), np.cumsum(counts)
+    for u in np.flatnonzero(counts > 1):
+        rows = order[ends[u] - counts[u]:ends[u]]
+        out[rows] = (x[rows, None, :] @ mats[u])[:, 0]
+    return out
+
+
 class _DenseStack:
     """Observed blocks of U missingness patterns under a dense correlation.
 
@@ -209,7 +227,7 @@ class _DenseStack:
     """
 
     def __init__(self, sigma, missing):
-        self.missing = missing
+        self.sigma, self.missing = sigma, missing
         obs = ~missing
         obs_block = obs[:, :, None] & obs[:, None, :]
         chol = _chol_stack(np.where(obs_block, sigma, np.eye(len(sigma))),
@@ -223,7 +241,7 @@ class _DenseStack:
         self.cov = (cov + np.swapaxes(cov, 1, 2)) / 2.0   # of the missing block
 
     def start(self, z, pat):
-        return (z[:, None, :] @ self.prec[pat])[:, 0]
+        return _rows_times(z, self.prec, pat)
 
     def cond_mean(self, z, jz, rows, pats, c):
         return z[rows, c] - jz[rows, c] * self.cvar[pats, c]
@@ -234,13 +252,15 @@ class _DenseStack:
     def quad(self, z, jz, pat):
         return np.einsum("ij,ij->i", jz, z)
 
-    def missing_mean(self, z, jz, pat):
-        return (z[:, None, :] @ self.coef[pat])[:, 0]
+    def missing_mean(self, jz):
+        # Sigma_MO Sigma_OO^-1 z_O: J z is 0 at missing cells
+        return (jz[:, None, :] @ self.sigma)[:, 0]
 
     def missing_var(self, ivar, pat):
         var = _diag(self.cov)[pat]
-        if ivar.any():
-            var += (ivar[:, None, :] @ np.square(self.coef[pat]))[:, 0]
+        for c in np.flatnonzero(ivar.any(axis=0)):
+            rows = np.flatnonzero(ivar[:, c])
+            var[rows] += ivar[rows, c, None] * np.square(self.coef[pat[rows], c])
         return var
 
     def cov_sum(self, pat, ivar):
@@ -278,12 +298,11 @@ def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):
     z_obs = np.asarray(z_obs, dtype=float)
     if z_obs.shape != obs_idx.shape:
         raise ValueError("z_obs must match obs_idx in length")
-    missing = np.ones((1, len(sigma)), dtype=bool)
-    missing[0, obs_idx] = False
-    stack = _DenseStack(sigma, missing)
-    z = np.zeros(len(sigma))
-    z[obs_idx] = z_obs
-    return z @ stack.coef[0][:, mis_idx], stack.cov[0][np.ix_(mis_idx, mis_idx)]
+    # a one-pattern stack over the asked-for coordinates only
+    o, idx = len(obs_idx), np.r_[obs_idx, mis_idx]
+    missing = (np.arange(len(idx)) >= o)[None, :]
+    stack = _DenseStack(sigma[np.ix_(idx, idx)], missing)
+    return z_obs @ stack.coef[0][:o, o:], stack.cov[0][o:, o:]
 
 
 @dataclass
@@ -308,7 +327,8 @@ class RowPosterior:
 class _Chunk:
     """One solved chunk of a batch, as handed to a posterior's ``visit``."""
 
-    rows: slice               # the chunk's rows in the batch
+    rows: object              # the chunk's rows in the batch: a slice or
+                              # an index array
     stack: object             # _DenseStack or the low-rank stack
     pat: np.ndarray           # each row's pattern index in the stack
     z: np.ndarray             # (r, p) conditional means, 0 at missing cells
@@ -348,20 +368,23 @@ def batch_posterior(sigma, lower, upper, sweeps: int = 2,
     ``lower``/``upper`` are (n, p) latent bounds: NaN in both marks a
     missing cell, equal finite bounds a degenerate (continuous) cell, and a
     proper interval an ordinal level or truncation boundary. Each
-    missingness pattern's observed block is factored once per chunk of
-    rows; ``visit``, if given, is called with each solved :class:`_Chunk`.
+    missingness pattern's observed block is factored once; ``visit``, if
+    given, is called with each solved :class:`_Chunk`.
     """
     sigma = np.asarray(sigma, dtype=float)
     return _solve(lower, upper, sweeps, partial(_DenseStack, sigma), sigma.size,
                   visit)
 
 
-def _solve(lower, upper, sweeps, make_stack, row_cost, visit=None) -> BatchPosterior:
+def _solve(lower, upper, sweeps, make_stack, pattern_cost,
+           visit=None) -> BatchPosterior:
     """Sweep all rows against stacks ``make_stack(missing patterns)``.
 
-    Rows are cut into chunks of at most ``_CHUNK_ELEMS // row_cost`` rows,
-    ``row_cost`` being the elements per row of a stack's largest stacked
-    or row-gathered array; each chunk factors its patterns as one stack.
+    A stack holds at most ``_CHUNK_ELEMS // pattern_cost`` patterns,
+    ``pattern_cost`` being the elements a pattern takes in a stack's
+    largest array, so each pattern is factored once per batch. The rows of
+    a stack's patterns are solved in chunks of at most ``_CHUNK_ELEMS // p``
+    rows, which bounds the sweep's temporaries however long the batch.
     """
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
@@ -370,34 +393,54 @@ def _solve(lower, upper, sweeps, make_stack, row_cost, visit=None) -> BatchPoste
     if np.any(missing.all(axis=1)):
         row = int(np.flatnonzero(missing.all(axis=1))[0])
         raise ValueError(f"row {row} has no observed coordinates")
-    _, inverse = np.unique(missing, axis=0, return_inverse=True)
+    # indices only: the unique rows would keep np.unique's p-field record
+    # dtype alive (0.5 MB at p=3000)
+    first, inverse = np.unique(missing, axis=0, return_index=True,
+                               return_inverse=True)[1:]
     post = BatchPosterior(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)),
                           np.zeros(n), np.zeros(n), inverse.ravel())
 
-    size = max(1, _CHUNK_ELEMS // row_cost)
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        _, first, pat = np.unique(post.pattern[rows], return_index=True,
-                                  return_inverse=True)
-        miss = missing[rows]
+    size = max(1, _CHUNK_ELEMS // pattern_cost)
+    piece = max(1, _CHUNK_ELEMS // p)
+    counts = np.bincount(post.pattern)
+    ends = np.cumsum(counts)
+    by_pattern = np.argsort(post.pattern, kind="stable")
+    for u0 in range(0, len(first), size):
+        u1 = min(u0 + size, len(first))
         try:
-            stack = make_stack(miss[first])
+            stack = make_stack(missing[first[u0:u1]])
         except _SingularBlock as err:
-            raise LinAlgError(f"{err} (row {start + first[err.index]})") from None
-        z, ivar = post.mean[rows], post.ivar[rows]   # views, filled in place
-        state, log_mass = _sweep(stack, pat, lower[rows], upper[rows], sweeps,
-                                 z, ivar)
-        post.gauss_ll[rows] = -0.5 * (stack.logdet[pat] + stack.quad(z, state, pat)
-                                      + (~miss).sum(axis=1) * _LOG_2PI)
-        post.log_mass[rows] = log_mass
-        if visit is not None:
-            visit(_Chunk(rows, stack, pat, z, ivar, state))
-        if miss.any():
-            # after the visit, which reads z with zeros at missing cells;
-            # one (r, p) result at a time, as wide rows make them large
-            np.copyto(z, stack.missing_mean(z, state, pat), where=miss)
-            np.copyto(post.mvar[rows], stack.missing_var(ivar, pat), where=miss)
+            raise LinAlgError(f"{err} (row {first[u0 + err.index]})") from None
+        in_stack = np.sort(by_pattern[ends[u0] - counts[u0]:ends[u1 - 1]])
+        for i in range(0, len(in_stack), piece):
+            rows = in_stack[i:i + piece]
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(rows[0], rows[-1] + 1)   # z, ivar: views of post
+            _solve_chunk(post, rows, stack, u0, missing[rows], lower[rows],
+                         upper[rows], sweeps, visit)
     return post
+
+
+def _solve_chunk(post, rows, stack, u0, miss, lo, hi, sweeps, visit):
+    """Solve the batch rows ``rows``, whose patterns are in ``stack`` from
+    pattern ``u0`` on, into ``post``."""
+    pat = post.pattern[rows] - u0
+    z, ivar = post.mean[rows], post.ivar[rows]
+    state, log_mass = _sweep(stack, pat, lo, hi, sweeps, z, ivar)
+    post.gauss_ll[rows] = -0.5 * (stack.logdet[pat] + stack.quad(z, state, pat)
+                                  + (~miss).sum(axis=1) * _LOG_2PI)
+    post.log_mass[rows] = log_mass
+    if visit is not None:
+        visit(_Chunk(rows, stack, pat, z, ivar, state))
+    if miss.any():
+        # after the visit, which reads z with zeros at missing cells;
+        # one (r, p) result at a time, as wide rows make them large
+        np.copyto(z, stack.missing_mean(state), where=miss)
+        mvar = stack.missing_var(ivar, pat)
+        mvar[~miss] = 0.0
+        post.mvar[rows] = mvar
+    if not isinstance(rows, slice):
+        post.mean[rows], post.ivar[rows] = z, ivar
 
 
 def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):

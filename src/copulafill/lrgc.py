@@ -1,11 +1,11 @@
 """Low-rank Gaussian copula: EM over the factorization Sigma = W W^T + s2 I.
 
 The E-step is the one batched sweep of :mod:`copulafill.latent`, run
-against :class:`_LowRankStack`: per chunk of rows, every missingness
-pattern's observed block of Sigma is replaced by a k x k Woodbury gram,
-all of them factored together as one (U, k, k) stack, so no p x p or
-U x p x p array is formed. A fit folds each solved chunk into the M-step
-sums with one batched contraction and drops it. Because the implied
+against :class:`_LowRankStack`: every missingness pattern's observed block
+of Sigma is replaced by a k x k Woodbury gram, all of them factored
+together as one (U, k, k) stack, so no p x p or U x p x p array is formed.
+A fit folds each solved chunk of patterns into the M-step sums with one
+batched contraction and drops it. Because the implied
 correlation must have a unit diagonal with isotropic noise, every row of W
 carries the same norm sqrt(1 - s2); the M-step keeps the fitted row
 directions and projects the scales back onto that constraint.
@@ -105,7 +105,7 @@ class _LowRankStack:
                 - np.einsum("ij,ij->i", (s_vec[:, None, :] @ self.ginv[pat])[:, 0],
                             s_vec)) / self.s2
 
-    def missing_mean(self, z, ft, pat):
+    def missing_mean(self, ft):
         return ft @ self.w.T
 
     def missing_var(self, ivar, pat):

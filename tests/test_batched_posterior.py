@@ -1,7 +1,9 @@
 """The stacked posterior against the per-pattern reference in
 ``posterior_oracle``, plus its invariants and safeguards."""
 
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 from copulafill import latent
 from copulafill.copula_em import FitConfig, estep, fit_standard
+from copulafill.data_model import DataTable
 from copulafill.evaluation import random_correlation
 from copulafill.imputer import impute_multiple
-from copulafill.latent import batch_posterior
+from copulafill.latent import batch_posterior, conditional_mvn
 from copulafill.lrgc import LowRankParams, _FactorMoments, _lowrank_posterior
 
 import posterior_oracle as oracle
@@ -106,7 +109,8 @@ class TestMatchesOracle:
         params, lo_k, hi_k = lowrank_case(90, 6, 2, 12)
         want = batch_posterior(sigma, lower, upper)
         want_k = _lowrank_posterior(params, lo_k, hi_k, 2)
-        monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)  # 8 or 20 rows a chunk
+        # dense: 8 patterns a stack, 40 rows a chunk; low-rank: 20 and 33
+        monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)
         for got, ref in ((batch_posterior(sigma, lower, upper), want),
                          (_lowrank_posterior(params, lo_k, hi_k, 2), want_k)):
             for name in FIELDS:
@@ -117,6 +121,22 @@ class TestMatchesOracle:
         s_sum, m_sum = oracle.dense_estep_sums(sigma, lower, upper)
         np.testing.assert_allclose(estep(sigma, lower, upper).s_sum, s_sum,
                                    rtol=0, atol=1e-10)
+
+    def test_each_pattern_is_factored_once(self, monkeypatch):
+        sigma, lower, upper = dense_case(90, 5, 11)
+        params, lo_k, hi_k = lowrank_case(90, 6, 2, 12)
+        monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)
+        for solve, lo, hi, per_stack, per_chunk in (
+                (partial(batch_posterior, sigma), lower, upper, 8, 40),
+                (partial(_lowrank_posterior, params, sweeps=2), lo_k, hi_k, 20, 33)):
+            chunks = []
+            post = solve(lo, hi, visit=chunks.append)
+            stacks = {id(ch.stack): ch.stack for ch in chunks}.values()
+            factored = [tuple(m) for st in stacks for m in st.missing]
+            assert len(factored) == len(set(factored)) == len(post.groups)
+            assert len(stacks) == -(-len(post.groups) // per_stack)
+            assert max(len(ch.pat) for ch in chunks) <= per_chunk
+            assert sum(len(ch.pat) for ch in chunks) == len(lo)
 
     def test_estep_sums(self):
         sigma, lower, upper = dense_case(120, 8, 9)
@@ -206,6 +226,44 @@ def test_draws_do_not_depend_on_chunking(monkeypatch):
         warnings.simplefilter("ignore")
         model = fit_standard(masked, FitConfig(max_iter=2))
     whole = impute_multiple(model, masked, num=3, seed=5)
-    monkeypatch.setattr(latent, "_CHUNK_ELEMS", 64 * 7)  # 7 rows a chunk
+    # 7 patterns a stack, 56 rows a chunk
+    monkeypatch.setattr(latent, "_CHUNK_ELEMS", 64 * 7)
     np.testing.assert_array_equal(impute_multiple(model, masked, num=3, seed=5),
                                   whole)
+
+
+def test_dense_fit_at_p512_holds_one_missing_covariance_at_a_time():
+    # at p=512 a stack holds one pattern, so every row is its own chunk;
+    # one (p, p) missing covariance per chunk kept until the end would
+    # peak near 66 MB here
+    rng = np.random.default_rng(3)
+    n, p = 24, 512
+    vals = (rng.standard_normal((n, 4)) @ rng.standard_normal((4, p))
+            + rng.standard_normal((n, p)))
+    vals[rng.random((n, p)) < 0.3] = np.nan
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_standard(DataTable(vals), FitConfig(max_iter=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_conditional_mvn_factors_only_the_asked_block():
+    p = 2000
+    sigma = np.full((p, p), 0.3)
+    np.fill_diagonal(sigma, 1.0)
+    tracemalloc.start()
+    try:
+        mean, cov = conditional_mvn(sigma, [5, 900], [0.4, -1.0], [17])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"   # a p x p is 32 MB
+    block = sigma[np.ix_([5, 900, 17], [5, 900, 17])]
+    coef = np.linalg.solve(block[:2, :2], block[:2, 2])
+    np.testing.assert_allclose(mean, [coef @ [0.4, -1.0]], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cov, [[1.0 - block[2, :2] @ coef]], rtol=0, atol=1e-14)
