@@ -19,7 +19,7 @@ from . import __version__
 from .copula_em import FitConfig, fit_minibatch_offline, fit_standard
 from .data_model import (
     DataTable,
-    format_cell,
+    format_row,
     iter_csv_rows,
     parse_type_overrides,
     read_csv,
@@ -278,7 +278,7 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
                 f"{args.input}: fewer rows than --n-train={config.n_train}"
             ) from None
         warmup_train.append(row if revealed is None else revealed)
-        writer.writerow([format_cell(x) for x in row] + ["1"])
+        writer.writerow(format_row(row) + ["1"])
     out_fh.flush()
 
     try:
@@ -294,7 +294,7 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
         except ValueError as err:
             print(f"copulafill: stream step failed: {err}", file=sys.stderr)
             return 3
-        writer.writerow([format_cell(x) for x in imputed] + ["0"])
+        writer.writerow(format_row(imputed) + ["0"])
         out_fh.flush()
     return 0
 

@@ -178,7 +178,12 @@ def parse_type_overrides(spec: str, n_cols: int) -> list[VariableType | None]:
 
 
 def read_csv(path_or_buf) -> DataTable:
-    """Read a CSV with a header row. Missing cells are empty or 'NaN'."""
+    """Read a CSV with a header row.
+
+    A cell is missing when it is empty, blank, or reads ``nan`` in any
+    case; every other cell must be a finite number as Python's ``float``
+    reads it. Parse errors name the row and column.
+    """
     if hasattr(path_or_buf, "read"):
         return _read_csv_stream(path_or_buf)
     with open(path_or_buf, newline="", encoding="utf-8") as fh:
@@ -209,12 +214,19 @@ def read_header(reader) -> list[str]:
 def iter_csv_rows(reader, names):
     """Lazily parse the data rows of a ``csv.reader`` to lists of floats.
     Blank lines are skipped; errors name the row and any bad column."""
+    nan = float("nan")
     for i, rec in enumerate(reader):
         if not rec:
             continue
         if len(rec) != len(names):
             raise ValueError(f"row {i + 1} has {len(rec)} fields, expected {len(names)}")
-        yield [_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)]
+        try:
+            # float() strips whitespace and reads nan in any case itself,
+            # so this gives the bits of _parse_cell on every token it takes
+            vals = [nan if t == "" else float(t) for t in rec]
+        except ValueError:   # a blank NA token, or a bad cell to name
+            vals = [_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)]
+        yield vals
 
 
 def _parse_cell(token: str, row: int, col: str) -> float:
@@ -229,14 +241,22 @@ def _parse_cell(token: str, row: int, col: str) -> float:
         ) from None
 
 
-def format_cell(x: float) -> str:
-    if np.isnan(x):
-        return ""
-    return format(float(x), ".6g")
+def format_row(row) -> list[str]:
+    """The CSV fields of one row of values: Python's ``.6g`` format of each
+    value as a float, and an empty field for a missing (NaN) cell."""
+    return ["" if x != x else format(x, ".6g")
+            for x in np.asarray(row, dtype=float).tolist()]
 
 
 def write_csv(path_or_buf, values: np.ndarray, col_names: list[str]) -> None:
-    """Write a value grid as CSV, floats with 6 significant digits."""
+    """Write a value grid as CSV under a header row of ``col_names``.
+
+    Each cell is Python's ``.6g`` format of its value as a float (6
+    significant digits), and a missing (NaN) cell is an empty field. The
+    dialect is the ``csv`` module's default with ``\\n`` line ends, so a
+    field is quoted only when it needs to be: a name holding a comma or a
+    quote, or the lone empty field of a one-column row.
+    """
     if hasattr(path_or_buf, "write"):
         _write_csv_stream(path_or_buf, values, col_names)
     else:
@@ -247,5 +267,5 @@ def write_csv(path_or_buf, values: np.ndarray, col_names: list[str]) -> None:
 def _write_csv_stream(fh: io.TextIOBase, values: np.ndarray, col_names) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(col_names)
-    for row in np.atleast_2d(values):
-        writer.writerow([format_cell(x) for x in row])
+    # one row's fields at a time, so the extra memory is one row
+    writer.writerows(map(format_row, np.atleast_2d(values)))

@@ -19,7 +19,8 @@ at once, so a long batch or a wide one splits into several stacks or
 chunks of rows, and no array holds a p x p matrix per row. Each pass of the
 sweep visits every interval column once, with one truncated-moment call
 over all rows of a chunk that hold an interval there, and gathers each
-row's update from its pattern's slice of the stack.
+row's update from its pattern's slice of the stack; the closing log-mass
+pass changes no state and makes one call over every interval cell.
 """
 
 from __future__ import annotations
@@ -446,10 +447,11 @@ def _solve_chunk(post, rows, stack, u0, miss, lo, hi, sweeps, visit):
 def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
     """The fixed-point scheme on one chunk: ``sweeps`` Gauss-Seidel passes
     over the interval columns, then one pass for the interval log-masses
-    under the final conditionals. Each pass makes one truncated-moment call
-    per column over every row with an interval there. Fills ``z_hat`` and
-    the zeroed ``ivar`` in place (``z_hat`` is 0 at missing cells) and
-    returns the state and log-masses."""
+    under the final conditionals. Each Gauss-Seidel pass makes one
+    truncated-moment call per column over every row with an interval there;
+    the log-mass pass makes one call over every interval cell. Fills
+    ``z_hat`` and the zeroed ``ivar`` in place (``z_hat`` is 0 at missing
+    cells) and returns the state and log-masses."""
     interval = hi > lo
     z_hat[...] = lo
     z_hat[~np.isfinite(lo)] = 0.0
@@ -462,16 +464,22 @@ def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
     for c in np.flatnonzero(interval.any(axis=0)):
         rows = np.flatnonzero(interval[:, c])
         cols.append((c, rows, pat[rows], lo[rows, c], hi[rows, c]))
-    for final in [False] * sweeps + [True]:
+    for _ in range(sweeps):
         for c, rows, pats, lo_c, hi_c in cols:
-            m, v, mass = _truncmoments(stack.cond_mean(z_hat, state, rows, pats, c),
-                                       stack.cvar[pats, c], lo_c, hi_c)
-            if final:
-                log_mass[rows] += np.log(np.maximum(mass, 1e-300))
-            else:
-                stack.update(state, rows, pats, c, m - z_hat[rows, c])
-                z_hat[rows, c] = m
-                ivar[rows, c] = v
+            m, v, _ = _truncmoments(stack.cond_mean(z_hat, state, rows, pats, c),
+                                    stack.cvar[pats, c], lo_c, hi_c)
+            stack.update(state, rows, pats, c, m - z_hat[rows, c])
+            z_hat[rows, c] = m
+            ivar[rows, c] = v
+    if cols:
+        # the log-mass pass updates no state, so its columns share one call;
+        # each column's masses are then added in the order of the sweep
+        args = [(stack.cond_mean(z_hat, state, rows, pats, c), stack.cvar[pats, c],
+                 lo_c, hi_c) for c, rows, pats, lo_c, hi_c in cols]
+        mass = _truncmoments(*map(np.concatenate, zip(*args)))[2]
+        ends = np.cumsum([len(rows) for _, rows, *_ in cols])
+        for (_, rows, *_), part in zip(cols, np.split(mass, ends[:-1])):
+            log_mass[rows] += np.log(np.maximum(part, 1e-300))
     return state, log_mass
 
 

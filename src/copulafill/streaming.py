@@ -150,8 +150,12 @@ def step(state: StreamState, row, revealed=None):
     lower, upper = encode_table(state.marginals, row[None, :])
     imputed = _impute_row(state, lower[0], upper[0], row)
 
-    source = revealed if revealed is not None else row
-    src_lower, src_upper = encode_table(state.marginals, source[None, :])
+    # _impute_row leaves the marginals as they were, so an unrevealed row's
+    # bounds serve the update too
+    source, src_lower, src_upper = row, lower, upper
+    if revealed is not None:
+        source = revealed
+        src_lower, src_upper = encode_table(state.marginals, source[None, :])
     observed = ~np.isnan(source)
     # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(observed):

@@ -156,6 +156,39 @@ class TestMatchesOracle:
         assert got.n_cells == n_cells
 
 
+class TestTruncmomentsCalls:
+    """One call for the start, one per interval column in each Gauss-Seidel
+    pass, and one for every log-mass of a chunk."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen, real = [], latent._truncmoments
+        monkeypatch.setattr(latent, "_truncmoments",
+                            lambda *a: seen.append(np.broadcast(*a).size) or real(*a))
+        return seen
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 3])
+    def test_per_solved_chunk(self, calls, sweeps):
+        sigma, lower, upper = dense_case(40, 5, 8)
+        params, lo_k, hi_k = lowrank_case(40, 6, 2, 12)
+        for solve, lo, hi in ((partial(batch_posterior, sigma), lower, upper),
+                              (partial(_lowrank_posterior, params), lo_k, hi_k)):
+            calls.clear()
+            chunks = []
+            solve(lo, hi, sweeps=sweeps, visit=chunks.append)
+            interval = hi > lo
+            k = int(interval.any(axis=0).sum())
+            assert len(chunks) == 1 and k >= 2
+            assert len(calls) == 1 + sweeps * k + 1
+            assert calls[-1] == calls[0] == interval.sum()
+            assert sum(calls) == (sweeps + 2) * interval.sum()
+
+    def test_no_interval_cell_no_call(self, calls):
+        sigma, lower, _ = dense_case(40, 5, 8)
+        batch_posterior(sigma, lower, lower)
+        assert calls == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
 def test_row_permutation_equivariance(seed, n):

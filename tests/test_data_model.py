@@ -2,7 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copulafill import data_model
 from copulafill.data_model import (
     CONTINUOUS,
     LOWER_TRUNCATED,
@@ -14,9 +17,12 @@ from copulafill.data_model import (
     detect_variable_types,
     mask_summary,
     parse_type_overrides,
+    _parse_cell,
     read_csv,
     write_csv,
 )
+
+import csv_oracle as oracle
 
 
 def table_from_column(col):
@@ -172,6 +178,103 @@ class TestCsv:
     def test_ragged_row(self):
         with pytest.raises(ValueError, match="fields"):
             read_csv(io.StringIO("a,b\n1\n"))
+
+
+def written(values, names):
+    buf = io.StringIO()
+    write_csv(buf, values, names)
+    return buf.getvalue()
+
+
+class TestCsvWriterMatchesOracle:
+    def test_edge_values(self):
+        row = [-0.0, 1e-300, 1e300, 0.1 + 0.2, 999999.5, 1234567.8, 5e-324,
+               -2.5e-5, 123456.4, 1e16 + 2]
+        assert written(np.array([row]), list("abcdefghij")) == oracle.write_csv(
+            np.array([row]), list("abcdefghij"))
+        assert written(np.array([[-0.0, 0.1 + 0.2]]), ["a", "b"]) == "a,b\n-0,0.3\n"
+
+    def test_integer_valued_floats(self):
+        vals = np.array([[0.0, 1.0, -7.0, 100000.0, 1e6, 2.0 ** 53, 12345678.0]])
+        names = [f"c{j}" for j in range(vals.shape[1])]
+        assert written(vals, names) == oracle.write_csv(vals, names)
+        assert written(vals, names).splitlines()[1] == (
+            "0,1,-7,100000,1e+06,9.0072e+15,1.23457e+07")
+        for ints in (vals.astype(np.int64), vals.astype(np.float32)):
+            assert written(ints, names) == oracle.write_csv(ints, names)
+
+    def test_nan_cells(self):
+        vals = np.array([[np.nan, 1.5, np.nan], [np.nan, np.nan, np.nan],
+                         [2.0, np.nan, -3.25]])
+        assert written(vals, ["a", "b", "c"]) == oracle.write_csv(vals, ["a", "b", "c"])
+        assert written(vals, ["a", "b", "c"]).splitlines()[2] == ",,"
+
+    def test_one_column_nan_row_is_quoted(self):
+        vals = np.array([[1.0], [np.nan], [0.5]])
+        assert written(vals, ["x"]) == oracle.write_csv(vals, ["x"]) == (
+            'x\n1\n""\n0.5\n')
+        assert np.array_equal(read_csv(io.StringIO(written(vals, ["x"]))).values,
+                              vals, equal_nan=True)
+
+    def test_ci_shaped_tables(self):
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-4, 7, (40, 6))
+        observed = rng.random((40, 6)) < 0.7
+        for bound in (vals - 1.96, vals + 1.96):
+            ci = np.where(observed, np.nan, bound)
+            names = [f"v{j}" for j in range(6)]
+            assert written(ci, names) == oracle.write_csv(ci, names)
+
+    def test_header_names_with_comma_or_quote(self):
+        names = ["a,b", 'say "hi"', "plain"]
+        vals = np.array([[1.0, np.nan, 3.0]])
+        text = written(vals, names)
+        assert text == oracle.write_csv(vals, names)
+        assert text.splitlines()[0] == '"a,b","say ""hi""",plain'
+        assert read_csv(io.StringIO(text)).col_names == names
+
+    def test_one_dimensional_values_are_one_row(self):
+        assert written(np.array([1.0, np.nan]), ["a", "b"]) == "a,b\n1,\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=8))
+    def test_any_float_row(self, row):
+        vals = np.array([row])
+        names = [f"c{j}" for j in range(len(row))]
+        assert written(vals, names) == oracle.write_csv(vals, names)
+
+
+def bits(x):
+    return np.array([x], dtype=float).view(np.uint64)[0]
+
+
+class TestCsvReaderFastPath:
+    @pytest.mark.parametrize("token",
+                             [" 1 ", "NaN", "nan", "-nan", "  ", "", "1_000", "2e3"])
+    def test_same_bits_as_parse_cell(self, token):
+        got = read_csv(io.StringIO(f"a,b\n{token},1\n")).values[0, 0]
+        assert bits(got) == bits(_parse_cell(token, 0, "a"))
+
+    def test_parse_cell_only_on_rows_the_fast_path_rejects(self, monkeypatch):
+        seen = []
+        real = data_model._parse_cell
+        monkeypatch.setattr(data_model, "_parse_cell",
+                            lambda tok, i, col: seen.append(i) or real(tok, i, col))
+        tab = read_csv(io.StringIO("a,b\n1,\nNaN,2e3\n  ,3\n"))
+        assert seen == [2, 2]
+        assert np.array_equal(tab.values, [[1.0, np.nan], [np.nan, 2000.0],
+                                           [np.nan, 3.0]], equal_nan=True)
+
+    def test_bad_token_beside_empty_cells_names_its_cell(self):
+        with pytest.raises(ValueError,
+                           match="row 2, column 'b': cannot parse 'x' as a number"):
+            read_csv(io.StringIO("a,b,c\n1,2,3\n,x,\n"))
+
+    def test_infinite_cell_is_rejected_by_the_table(self):
+        with pytest.raises(ValueError,
+                           match=r"cell \(0, 0\) is infinite; cells must be finite"):
+            read_csv(io.StringIO("a\ninf\n"))
 
 
 class TestTypeOverrides:

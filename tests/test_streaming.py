@@ -6,6 +6,7 @@ from copulafill.copula_em import CopulaModel
 from copulafill.data_model import DataTable
 from copulafill.evaluation import random_correlation, sample_gc
 from copulafill.imputer import impute_single
+from copulafill.marginals import Marginal
 from copulafill.streaming import StreamConfig, init_stream, step
 
 
@@ -166,6 +167,20 @@ class TestStep:
                    for t in range(25, 120)]
             outs.append(np.vstack(got))
         assert np.array_equal(outs[0], outs[1])
+
+    def test_encodes_a_row_once_unless_revealed(self, monkeypatch):
+        _, truth, _ = make_stream(n=40, seed=11)
+        state = init_stream(truth[:30], StreamConfig(window_size=20, n_train=30))
+        calls, real = [], Marginal.latent_bounds
+        monkeypatch.setattr(Marginal, "latent_bounds",
+                            lambda self, x: calls.append(1) or real(self, x))
+        p = state.n_cols
+        for t, revealed, want in ((30, None, p), (31, truth[31], 2 * p)):
+            row = truth[t].copy()
+            row[1] = np.nan
+            calls.clear()
+            step(state, row, revealed)
+            assert len(calls) == want
 
     def test_wrong_row_length(self):
         _, truth, _ = make_stream(n=30, seed=11)
