@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .data_model import (
     write_csv,
 )
 from .evaluation import coverage, mae, smae
-from .imputer import confidence_intervals, impute_multiple, impute_single
+from .imputer import _impute, confidence_intervals
 from .lrgc import fit_lrgc
 from .streaming import StreamConfig, init_stream, step
 
@@ -182,19 +183,23 @@ def _cmd_impute(args) -> int:
         else:
             model = fit_standard(table, config, types=types,
                                  min_ord_ratio=args.min_ord_ratio)
-        result = impute_single(model, table)
+        # one solve gives the imputation, the analytic bounds and the draws
+        result, draws = _impute(model, table.values,
+                                alpha=args.alpha if args.ci == "analytic" else None,
+                                num=args.multiple, seed=args.seed)
     except (ValueError, np.linalg.LinAlgError) as err:
         print(f"copulafill: fit failed: {err}", file=sys.stderr)
         return 3
 
     _write(args.output, result.imputed, table.col_names)
     if args.ci:
-        lo, hi = confidence_intervals(model, table, alpha=args.alpha,
-                                      kind=args.ci, seed=args.seed)
+        lo, hi = result.ci_lower, result.ci_upper
+        if args.ci == "quantile":
+            lo, hi = confidence_intervals(model, table, alpha=args.alpha,
+                                          kind="quantile", seed=args.seed)
         _write(_derived_path(args.output, "_ci_lower"), lo, table.col_names)
         _write(_derived_path(args.output, "_ci_upper"), hi, table.col_names)
     if args.multiple:
-        draws = impute_multiple(model, table, num=args.multiple, seed=args.seed)
         for k in range(args.multiple):
             _write(_derived_path(args.output, f"_imp{k + 1}"), draws[k],
                    table.col_names)
@@ -233,12 +238,21 @@ def _cmd_stream(args) -> int:
 
 def _csv_rows(fh, path: str, names=None):
     """Yield the header names of an open CSV file, then its rows parsed
-    against ``names`` or that header; parse failures name the file."""
+    against ``names`` or that header; parse failures, an infinite cell
+    among them, name the file."""
     reader = csv.reader(fh)
     try:
         header = read_header(reader)
         yield header
-        yield from iter_csv_rows(reader, names or header)
+        names = names or header
+        for row in iter_csv_rows(reader, names):
+            if math.inf in row or -math.inf in row:
+                j = next(j for j, x in enumerate(row) if abs(x) == math.inf)
+                # the reader is at the row's line; the header is line 1
+                raise ValueError(f"row {reader.line_num - 1}, column {names[j]!r}: "
+                                 f"{row[j]} is infinite; cells must be finite "
+                                 f"or missing")
+            yield row
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from None
 
@@ -266,8 +280,7 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
         next(truth)
     pairs = _paired(rows, truth, args.truth)
 
-    writer = csv.writer(out_fh, lineterminator="\n")
-    writer.writerow(names + ["warmup"])
+    csv.writer(out_fh, lineterminator="\n").writerow(names + ["warmup"])
 
     warmup_train = []
     for _ in range(config.n_train):
@@ -278,7 +291,7 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
                 f"{args.input}: fewer rows than --n-train={config.n_train}"
             ) from None
         warmup_train.append(row if revealed is None else revealed)
-        writer.writerow(format_row(row) + ["1"])
+        out_fh.write(format_row(row) + ",1\n")
     out_fh.flush()
 
     try:
@@ -294,7 +307,7 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
         except ValueError as err:
             print(f"copulafill: stream step failed: {err}", file=sys.stderr)
             return 3
-        writer.writerow(format_row(imputed) + ["0"])
+        out_fh.write(format_row(imputed) + ",0\n")
         out_fh.flush()
     return 0
 

@@ -10,7 +10,6 @@ below ``tol``.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -144,6 +143,9 @@ def estep(corr, lower, upper, sweeps: int = 2, n_workers: int = 1) -> EStepResul
     m = np.zeros(corr.shape[0])
     ll = 0.0
     parts = []
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         for s_c, m_c, ll_c, z_c in pool.map(_estep_chunk, *zip(*args)):
             s += s_c

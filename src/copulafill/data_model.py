@@ -241,11 +241,13 @@ def _parse_cell(token: str, row: int, col: str) -> float:
         ) from None
 
 
-def format_row(row) -> list[str]:
-    """The CSV fields of one row of values: Python's ``.6g`` format of each
-    value as a float, and an empty field for a missing (NaN) cell."""
-    return ["" if x != x else format(x, ".6g")
-            for x in np.asarray(row, dtype=float).tolist()]
+def format_row(row) -> str:
+    """The CSV line of one row of values, without its line end: Python's
+    ``.6g`` format of each value as a float, and an empty field for a
+    missing (NaN) cell. One ``%`` operation formats the whole row."""
+    vals = np.asarray(row, dtype=float).tolist()
+    # "%g" spells every NaN "nan", and no number holds those letters
+    return (",".join(["%.6g"] * len(vals)) % tuple(vals)).replace("nan", "")
 
 
 def write_csv(path_or_buf, values: np.ndarray, col_names: list[str]) -> None:
@@ -265,7 +267,9 @@ def write_csv(path_or_buf, values: np.ndarray, col_names: list[str]) -> None:
 
 
 def _write_csv_stream(fh: io.TextIOBase, values: np.ndarray, col_names) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(col_names)
-    # one row's fields at a time, so the extra memory is one row
-    writer.writerows(map(format_row, np.atleast_2d(values)))
+    csv.writer(fh, lineterminator="\n").writerow(col_names)
+    values = np.atleast_2d(values)
+    # an empty line of one column is its lone empty field, which csv quotes
+    empty = '""' if values.shape[1] == 1 else ""
+    # one row's line at a time, so the extra memory is one row
+    fh.writelines(f"{format_row(row) or empty}\n" for row in values)

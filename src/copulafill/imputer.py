@@ -24,8 +24,10 @@ from .lrgc import _LowRankStack, _lowrank_posterior
 class ImputationResult:
     """Completed table plus the latent means behind it.
 
-    ``ci_lower``/``ci_upper`` are populated by
-    :func:`confidence_intervals` and are NaN at observed cells.
+    ``ci_lower``/``ci_upper`` hold the analytic bounds, NaN at observed
+    cells, when the solve was asked for them, as ``copulafill impute --ci
+    analytic`` asks; :func:`impute_single` leaves them None, and
+    :func:`confidence_intervals` returns the bounds as a pair.
     """
 
     imputed: np.ndarray
@@ -55,9 +57,27 @@ def _model_kernel(model: CopulaModel):
             partial(_LowRankStack, model.lowrank))
 
 
-def _model_posterior(model: CopulaModel, values: np.ndarray):
-    """(latent mean, missing-coordinate variance) grids for all rows.
+def _decode_missing(model: CopulaModel, values: np.ndarray, latent: np.ndarray):
+    """``values`` with each missing cell decoded from ``latent``, which is
+    (n, p) or a (num, n, p) stack of draws; each column's missing cells of
+    every draw go through one ``from_latent`` call."""
+    out = np.broadcast_to(values, latent.shape).copy()
+    missing = np.isnan(values)
+    for j, marg in enumerate(model.marginals):
+        cells = missing[:, j]
+        if cells.any():
+            z = latent[..., cells, j]
+            out[..., cells, j] = marg.from_latent(z.ravel()).reshape(z.shape)
+    return out
 
+
+def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
+                     seed: int = 0):
+    """(latent mean, missing-coordinate variance) grids for all rows, from
+    one encode and one posterior solve.
+
+    Given a (num, n, p) ``latent``, the solve also fills it with ``num``
+    latent draws of every row, the RNG split per row from ``seed``.
     All-missing rows get the prior: mean 0, variance 1.
     """
     lower, upper = encode_table(model.marginals, values)
@@ -65,28 +85,49 @@ def _model_posterior(model: CopulaModel, values: np.ndarray):
     mean = np.zeros((n, p))
     mvar = np.where(np.isnan(values), 1.0, 0.0)
     has_obs = ~np.isnan(lower).all(axis=1)
-    posterior, _ = _model_kernel(model)
-    post = posterior(lower[has_obs], upper[has_obs])
+    posterior, make_stack = _model_kernel(model)
+    visit = None
+    if latent is not None:
+        num = len(latent)
+        rngs = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(n)]
+        visit = partial(_sample_chunk, np.flatnonzero(has_obs), lower, upper,
+                        latent, rngs, num)
+    post = posterior(lower[has_obs], upper[has_obs], visit=visit)
     mean[has_obs] = post.mean
     mvar[has_obs] = post.mvar
+    if latent is not None and not has_obs.all():
+        prior = make_stack(np.ones((1, p), dtype=bool))
+        for i in np.flatnonzero(~has_obs):
+            latent[:, i, :] = prior.draw_missing(np.zeros((num, p)), 0, rngs[i])
     return mean, mvar
 
 
-def _decode_missing(model: CopulaModel, values: np.ndarray, latent: np.ndarray):
-    out = values.copy()
-    missing = np.isnan(values)
-    for j, marg in enumerate(model.marginals):
-        cells = missing[:, j]
-        if cells.any():
-            out[cells, j] = marg.from_latent(latent[cells, j])
-    return out
+def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
+            num: int = 0, seed: int = 0):
+    """Impute ``values`` from one posterior solve.
+
+    Returns the :class:`ImputationResult`, holding the analytic bounds at
+    level 1 - ``alpha`` when ``alpha`` is given, and ``num`` sampled tables,
+    shape (num, n, p), or None when ``num`` is 0.
+    """
+    latent = np.zeros((num, *values.shape)) if num else None
+    mean, mvar = _model_posterior(model, values, latent, seed)
+    result = ImputationResult(_decode_missing(model, values, mean), mean)
+    if alpha is not None:
+        missing = np.isnan(values)
+        margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
+        result.ci_lower = _decode_missing(model, values, mean - margin)
+        result.ci_upper = _decode_missing(model, values, mean + margin)
+        result.ci_lower[~missing] = np.nan
+        result.ci_upper[~missing] = np.nan
+    draws = None if latent is None else _decode_missing(model, values, latent)
+    return result, draws
 
 
 def impute_single(model: CopulaModel, table) -> ImputationResult:
     """Fill missing cells with the transform of their conditional latent mean."""
-    values = _coerce_values(model, table)
-    mean, _ = _model_posterior(model, values)
-    return ImputationResult(_decode_missing(model, values, mean), mean)
+    return _impute(model, _coerce_values(model, table))[0]
 
 
 def transform_out_of_sample(model: CopulaModel, rows) -> ImputationResult:
@@ -113,18 +154,15 @@ def confidence_intervals(
     if kind not in ("analytic", "quantile"):
         raise ValueError(f"unknown interval kind {kind!r}")
     values = _coerce_values(model, table)
-    missing = np.isnan(values)
-    if kind == "quantile":
-        draws = impute_multiple(model, values, num=num_samples, seed=seed)
-        lower = np.quantile(draws, alpha / 2, axis=0)
-        upper = np.quantile(draws, 1 - alpha / 2, axis=0)
-    else:
-        mean, mvar = _model_posterior(model, values)
-        margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
-        lower = _decode_missing(model, values, mean - margin)
-        upper = _decode_missing(model, values, mean + margin)
-    lower[~missing] = np.nan
-    upper[~missing] = np.nan
+    if kind == "analytic":
+        result = _impute(model, values, alpha=alpha)[0]
+        return result.ci_lower, result.ci_upper
+    draws = impute_multiple(model, values, num=num_samples, seed=seed)
+    lower = np.quantile(draws, alpha / 2, axis=0)
+    upper = np.quantile(draws, 1 - alpha / 2, axis=0)
+    observed = ~np.isnan(values)
+    lower[observed] = np.nan
+    upper[observed] = np.nan
     return lower, upper
 
 
@@ -138,21 +176,7 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     """
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
-    values = _coerce_values(model, table)
-    n, p = values.shape
-    lower, upper = encode_table(model.marginals, values)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-    latent = np.zeros((num, n, p))
-    has_obs = ~np.isnan(lower).all(axis=1)
-    posterior, make_stack = _model_kernel(model)
-    posterior(lower[has_obs], upper[has_obs],
-              visit=partial(_sample_chunk, np.flatnonzero(has_obs), lower, upper,
-                            latent, rngs, num))
-    if not has_obs.all():
-        prior = make_stack(np.ones((1, p), dtype=bool))
-        for i in np.flatnonzero(~has_obs):
-            latent[:, i, :] = prior.draw_missing(np.zeros((num, p)), 0, rngs[i])
-    return np.stack([_decode_missing(model, values, draw) for draw in latent])
+    return _impute(model, _coerce_values(model, table), num=num, seed=seed)[1]
 
 
 def _truncnorm_draws(rng, mu, sd, lo, hi, num):

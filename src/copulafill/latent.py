@@ -33,6 +33,8 @@ from numpy.linalg import LinAlgError
 from scipy.special import erfcx, ndtr, ndtri
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_SQRT_2 = np.sqrt(2.0)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_2PI = np.log(2.0 * np.pi)
 
 # diagonal jitter ladder applied when an observed-block factorization fails
@@ -79,34 +81,30 @@ def _truncmoments(mu, var, lower, upper):
     mu, var, lower, upper = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (mu, var, lower, upper))
     )
-    if np.any(var <= 0):
+    if (var <= 0).any():
         raise ValueError("truncnorm_moments requires var > 0")
-    if np.any(lower > upper):
+    if (lower > upper).any():
         raise ValueError("truncated interval must have lower <= upper")
     sd = np.sqrt(var)
-    a = (lower - mu) / sd
-    b = (upper - mu) / sd
-
-    # reflect so the working interval is [a, inf) or has a + b >= 0
-    reflect = np.zeros(a.shape, dtype=bool)
-    reflect[np.isneginf(a) & ~np.isposinf(b)] = True
-    finite = np.isfinite(a) & np.isfinite(b)
-    reflect[finite] = a[finite] + b[finite] < 0
-    a_w = np.where(reflect, -b, a)
-    b_w = np.where(reflect, -a, b)
-
-    m = np.zeros_like(a_w)
-    v = np.ones_like(a_w)
-    mass = np.ones_like(a_w)
-
-    both_inf = np.isinf(a_w) & np.isinf(b_w)
-    one_sided = np.isinf(b_w) & ~both_inf
-    two_sided = ~np.isinf(a_w) & ~np.isinf(b_w)
+    m = np.zeros(mu.shape)
+    v = np.ones(mu.shape)
+    mass = np.ones(mu.shape)
 
     with np.errstate(all="ignore"):
+        a = (lower - mu) / sd
+        b = (upper - mu) / sd
+        # reflect so the working interval is [a, inf) or has a + b >= 0
+        reflect = ((a == -np.inf) & (b != np.inf)) | (a + b < 0)
+        a_w = np.where(reflect, -b, a)
+        b_w = np.where(reflect, -a, b)
+        # an infinite a_w now has b_w = inf: mean 0, variance 1, mass 1
+        fin_a = ~np.isinf(a_w)
+        one_sided = fin_a & np.isinf(b_w)
+        two_sided = fin_a ^ one_sided
+
         if one_sided.any():
             aa = a_w[one_sided]
-            e = _SQRT_2_OVER_PI / erfcx(aa / np.sqrt(2.0))
+            e = _SQRT_2_OVER_PI / erfcx(aa / _SQRT_2)
             m[one_sided] = e
             v[one_sided] = 1.0 + aa * e - e * e
             mass[one_sided] = ndtr(-aa)
@@ -114,8 +112,8 @@ def _truncmoments(mu, var, lower, upper):
         if tail.any():
             aa, bb = a_w[tail], b_w[tail]
             delta = np.exp((aa * aa - bb * bb) / 2.0)
-            ea = erfcx(aa / np.sqrt(2.0))
-            eb = erfcx(bb / np.sqrt(2.0))
+            ea = erfcx(aa / _SQRT_2)
+            eb = erfcx(bb / _SQRT_2)
             d = ea - delta * eb
             e = _SQRT_2_OVER_PI * (1.0 - delta) / d
             e2 = 1.0 + _SQRT_2_OVER_PI * (aa - bb * delta) / d
@@ -126,8 +124,8 @@ def _truncmoments(mu, var, lower, upper):
         if strad.any():
             aa, bb = a_w[strad], b_w[strad]
             z = ndtr(bb) - ndtr(aa)
-            pa = np.exp(-aa * aa / 2.0) / np.sqrt(2.0 * np.pi)
-            pb = np.exp(-bb * bb / 2.0) / np.sqrt(2.0 * np.pi)
+            pa = np.exp(-aa * aa / 2.0) / _SQRT_2PI
+            pb = np.exp(-bb * bb / 2.0) / _SQRT_2PI
             e = (pa - pb) / z
             m[strad] = e
             v[strad] = 1.0 + (aa * pa - bb * pb) / z - e * e
@@ -139,8 +137,6 @@ def _truncmoments(mu, var, lower, upper):
                 m[needle] = (a_w[needle] + b_w[needle]) / 2.0
                 v[needle] = (b_w[needle] - a_w[needle]) ** 2 / 12.0
 
-    m[both_inf] = 0.0
-
     # sanitize: intervals beyond numeric range collapse to the endpoint
     # nearest mu with zero variance and a flagged zero mass
     bad = ~(np.isfinite(m) & np.isfinite(v))
@@ -150,9 +146,10 @@ def _truncmoments(mu, var, lower, upper):
         m[bad] = near[bad]
         v[bad] = 0.0
         mass[bad] = 0.0
-    m = np.clip(m, a_w, b_w)
-    v = np.clip(v, 0.0, 1.0)
-    mass = np.clip(mass, 0.0, 1.0)
+    # np.clip, bit for bit: these argument orders keep its signed zeros
+    m = np.minimum(np.maximum(m, a_w), b_w)
+    v = np.minimum(np.maximum(0.0, v), 1.0)
+    mass = np.minimum(np.maximum(0.0, mass), 1.0)
 
     m = np.where(reflect, -m, m)
     mean, tvar = mu + sd * m, var * v
@@ -394,12 +391,13 @@ def _solve(lower, upper, sweeps, make_stack, pattern_cost,
     if np.any(missing.all(axis=1)):
         row = int(np.flatnonzero(missing.all(axis=1))[0])
         raise ValueError(f"row {row} has no observed coordinates")
-    # indices only: the unique rows would keep np.unique's p-field record
-    # dtype alive (0.5 MB at p=3000)
-    first, inverse = np.unique(missing, axis=0, return_index=True,
+    # each mask row as one p-byte key: its byte order is the row order of
+    # np.unique(missing, axis=0), without the p-field record dtype
+    keys = np.ascontiguousarray(missing).view(np.dtype((np.void, p)))
+    first, inverse = np.unique(keys.ravel(), return_index=True,
                                return_inverse=True)[1:]
     post = BatchPosterior(np.zeros((n, p)), np.zeros((n, p)), np.zeros((n, p)),
-                          np.zeros(n), np.zeros(n), inverse.ravel())
+                          np.zeros(n), np.zeros(n), inverse)
 
     size = max(1, _CHUNK_ELEMS // pattern_cost)
     piece = max(1, _CHUNK_ELEMS // p)

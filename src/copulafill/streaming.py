@@ -123,20 +123,31 @@ def _impute_row(state: StreamState, lower, upper, row) -> np.ndarray:
     return out
 
 
+def _check_finite(state: StreamState, row, what: str) -> None:
+    bad = np.flatnonzero(np.isinf(row))
+    if bad.size:
+        raise ValueError(f"{what} is infinite at column "
+                         f"{state.col_names[bad[0]]!r}; cells must be finite "
+                         f"or missing")
+
+
 def step(state: StreamState, row, revealed=None):
     """Impute one arriving row, then fold it into the model.
 
     ``revealed``, when given, must agree with ``row`` at the row's observed
     cells and may expose additional values; the revealed values are what
-    enters the windows and the correlation update.
+    enters the windows and the correlation update. An infinite cell in
+    either raises ValueError before the state changes.
     """
     row = np.asarray(row, dtype=float).ravel()
     if row.size != state.n_cols:
         raise ValueError(f"row has {row.size} cells, expected {state.n_cols}")
+    _check_finite(state, row, "row")
     if revealed is not None:
         revealed = np.asarray(revealed, dtype=float).ravel()
         if revealed.size != row.size:
             raise ValueError("revealed row length mismatch")
+        _check_finite(state, revealed, "revealed row")
         obs = ~np.isnan(row)
         if not np.array_equal(row[obs], revealed[obs]):
             j = int(np.flatnonzero(obs)[

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from copulafill import cli, copula_em, imputer, latent, lrgc
 from copulafill.cli import main
+from copulafill.copula_em import fit_standard
 from copulafill.data_model import read_csv, write_csv
-from copulafill.evaluation import mask_mcar, random_correlation, sample_gc
+from copulafill.evaluation import mask_mcar, ordinal_spec, random_correlation, sample_gc
+from copulafill.imputer import confidence_intervals, impute_multiple, impute_single
+from copulafill.lrgc import fit_lrgc
+
+import csv_oracle
 
 
 @pytest.fixture()
@@ -316,3 +322,94 @@ class TestEvaluateCommand:
         import re
 
         assert any(re.fullmatch(r"coverage: 0\.\d{3}", ln) for ln in lines)
+
+
+@pytest.fixture()
+def mixed_csv(tmp_path):
+    """A 6-column table with ordinal columns and 25% MCAR cells."""
+    corr = random_correlation(6, seed=40, n_factors=2, noise=0.5)
+    specs = [norm.ppf, ordinal_spec([0.2, 0.3, 0.3, 0.2]), norm(scale=2).ppf,
+             ordinal_spec([0.5, 0.5]), norm(loc=1).ppf, norm.ppf]
+    masked = mask_mcar(sample_gc(160, specs, corr=corr, seed=41), 0.25, seed=42)
+    path = tmp_path / "mixed.csv"
+    write_csv(path, masked.values, masked.col_names)
+    return path
+
+
+class TestOneSolvePerJob:
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_outputs_are_the_library_results(self, mixed_csv, tmp_path, rank):
+        out = tmp_path / "out.csv"
+        flags = ["--rank", str(rank)] if rank else []
+        assert main(["impute", str(mixed_csv), "-o", str(out), "--ci", "analytic",
+                     "--multiple", "3", *flags]) == 0
+        table = read_csv(mixed_csv)
+        model = fit_lrgc(table, rank) if rank else fit_standard(table)
+        names = table.col_names
+        lower, upper = confidence_intervals(model, table)
+        want = {"": impute_single(model, table).imputed,
+                "_ci_lower": lower, "_ci_upper": upper}
+        for k, draw in enumerate(impute_multiple(model, table, num=3), start=1):
+            want[f"_imp{k}"] = draw
+        for suffix, values in want.items():
+            got = (tmp_path / f"out{suffix}.csv").read_text(encoding="utf-8")
+            assert got == csv_oracle.write_csv(values, names), suffix
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_one_encode_and_one_solve_after_the_fit(self, mixed_csv, tmp_path,
+                                                    monkeypatch, rank):
+        events = []
+
+        def record(owner, name, event, after=False):
+            func = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if not after:
+                    events.append(event)
+                result = func(*args, **kwargs)
+                if after:
+                    events.append(event)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for fit in ("fit_standard", "fit_lrgc"):
+            record(cli, fit, "fitted", after=True)
+        for owner in (copula_em, imputer):
+            record(owner, "encode_table", "encode")
+        for owner in (latent, lrgc):
+            record(owner, "_solve", "solve")
+        flags = ["--rank", str(rank)] if rank else []
+        assert main(["impute", str(mixed_csv), "-o", str(tmp_path / "o.csv"),
+                     "--ci", "analytic", "--multiple", "3", *flags]) == 0
+        assert events.count("fitted") == 1
+        assert events[events.index("fitted") + 1:] == ["encode", "solve"]
+
+
+class TestStreamRejectsInfiniteCells:
+    @staticmethod
+    def table(tmp_path, name, cell=None):
+        rng = np.random.default_rng(50)
+        rows = [[f"{x:.4f}" for x in r] for r in rng.normal(size=(40, 3))]
+        if cell is not None:
+            i, j, token = cell
+            rows[i][j] = token
+        path = tmp_path / name
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
+        return path
+
+    @pytest.mark.parametrize("i, token", [(30, "inf"), (3, "-inf"), (39, "Infinity")])
+    def test_input_cell(self, tmp_path, capsys, i, token):
+        path = self.table(tmp_path, "in.csv", (i, 1, token))
+        out = tmp_path / "out.csv"
+        assert main(["stream", str(path), "-o", str(out), "--n-train", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"row {i + 1}, column 'b'" in err and "is infinite" in err
+        assert "inf" not in out.read_text().lower()
+
+    def test_truth_cell(self, tmp_path, capsys):
+        path = self.table(tmp_path, "in.csv")
+        truth = self.table(tmp_path, "truth.csv", (33, 2, "-inf"))
+        assert main(["stream", str(path), "-o", str(tmp_path / "out.csv"),
+                     "--truth", str(truth), "--n-train", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "row 34, column 'c'" in err

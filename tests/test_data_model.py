@@ -18,6 +18,7 @@ from copulafill.data_model import (
     mask_summary,
     parse_type_overrides,
     _parse_cell,
+    format_row,
     read_csv,
     write_csv,
 )
@@ -224,6 +225,23 @@ class TestCsvWriterMatchesOracle:
             ci = np.where(observed, np.nan, bound)
             names = [f"v{j}" for j in range(6)]
             assert written(ci, names) == oracle.write_csv(ci, names)
+
+    def test_all_nan_rows_one_column_nan_and_negative_nan(self):
+        neg_nan = np.copysign(np.nan, -1.0)
+        vals = np.array([[np.nan] * 4, [1.0, neg_nan, -0.0, np.nan],
+                         [neg_nan] * 4, [np.inf, -np.inf, 2.5, neg_nan]])
+        names = list("abcd")
+        assert written(vals, names) == oracle.write_csv(vals, names)
+        assert written(vals, names).splitlines()[1:] == [
+            ",,,", "1,,-0,", ",,,", "inf,-inf,2.5,"]
+        col = np.array([[np.nan], [neg_nan], [3.0]])
+        assert written(col, ["x"]) == oracle.write_csv(col, ["x"]) == (
+            'x\n""\n""\n3\n')
+
+    def test_format_row_is_the_line_without_its_end(self):
+        assert format_row(np.array([1.2345678, np.nan, -2.0])) == "1.23457,,-2"
+        assert format_row([np.nan]) == ""
+        assert format_row(np.array([7, 8])) == "7,8"
 
     def test_header_names_with_comma_or_quote(self):
         names = ["a,b", 'say "hi"', "plain"]

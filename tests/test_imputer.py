@@ -6,12 +6,18 @@ from copulafill.copula_em import CopulaModel, FitConfig, fit_standard
 from copulafill.data_model import CONTINUOUS, DataTable, ORDINAL, VariableType
 from copulafill.evaluation import mask_mcar, sample_gc, smae
 from copulafill.imputer import (
+    _decode_missing,
+    _impute,
+    _model_posterior,
     confidence_intervals,
     impute_multiple,
     impute_single,
     transform_out_of_sample,
 )
+from copulafill.lrgc import LowRankParams, fit_lrgc
 from copulafill.marginals import fit_marginal
+
+from conftest import make_mixed_dataset
 
 def build_model(values, corr, tags=None):
     p = values.shape[1]
@@ -303,3 +309,71 @@ class TestEquivariance:
             impute_single(model_b, tab_b).latent_means,
         )
         assert np.array_equal(imp_a[:, 1], imp_b[:, 1])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _dense_mixed_case():
+    _, _, masked = make_mixed_dataset(n=300, seed=5, mask_fraction=0.3)
+    return fit_standard(masked), masked.values
+
+
+def _lowrank_case():
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((12, 3))
+    w *= np.sqrt(0.8) / np.linalg.norm(w, axis=1, keepdims=True)
+    tab = sample_gc(250, [norm.ppf] * 12, lowrank=LowRankParams(w, 0.2), seed=10)
+    masked = mask_mcar(tab, 0.3, seed=11)
+    return fit_lrgc(masked, 3), masked.values
+
+
+def _with_all_missing_rows(values):
+    values = values.copy()
+    values[[0, 17, len(values) - 1]] = np.nan
+    return values
+
+
+class TestOneSolve:
+    """``_impute`` solves a table once for its imputation, analytic bounds
+    and draws; each must carry the bits of the public function that asks
+    for it alone."""
+
+    CASES = {"dense_mixed": _dense_mixed_case, "lowrank": _lowrank_case}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("all_missing_rows", [False, True])
+    def test_matches_the_public_functions(self, case, all_missing_rows):
+        model, values = self.CASES[case]()
+        if all_missing_rows:
+            values = _with_all_missing_rows(values)
+        result, draws = _impute(model, values, alpha=0.1, num=3, seed=7)
+        single = impute_single(model, values)
+        assert single.ci_lower is None and single.ci_upper is None
+        assert same_bits(result.imputed, single.imputed)
+        assert same_bits(result.latent_means, single.latent_means)
+        lower, upper = confidence_intervals(model, values, alpha=0.1)
+        assert same_bits(result.ci_lower, lower)
+        assert same_bits(result.ci_upper, upper)
+        assert same_bits(draws, impute_multiple(model, values, num=3, seed=7))
+        observed = ~np.isnan(values)
+        assert np.isnan(result.ci_lower[observed]).all()
+        assert not np.isnan(result.ci_upper[~observed]).any()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_decode_per_column_matches_one_per_draw(self, case):
+        model, values = self.CASES[case]()
+        values = _with_all_missing_rows(values)
+        latent = np.zeros((4, *values.shape))
+        _model_posterior(model, values, latent, seed=2)
+        per_draw = np.stack([_decode_missing(model, values, z) for z in latent])
+        assert same_bits(_decode_missing(model, values, latent), per_draw)
+        assert same_bits(per_draw, impute_multiple(model, values, num=4, seed=2))
+
+    def test_nothing_asked_beyond_the_imputation(self):
+        model, values = _dense_mixed_case()
+        result, draws = _impute(model, values)
+        assert draws is None and result.ci_lower is None

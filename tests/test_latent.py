@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copulafill import latent
 from copulafill.latent import (
     batch_posterior,
     conditional_mvn,
@@ -10,6 +13,7 @@ from copulafill.latent import (
     truncnorm_moments,
 )
 
+import truncmoments_oracle as tm_oracle
 from conftest import quad_truncnorm
 
 
@@ -215,3 +219,103 @@ class TestBatchPosterior:
         z = np.array([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(Exception, match="row 0"):
             batch_posterior(sigma, z, z.copy())
+
+
+def bit_view(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def same_bits(got, want):
+    return all(np.array_equal(bit_view(g), bit_view(w)) for g, w in zip(got, want))
+
+
+# bounds with the kernel's edge cases: infinite ends, point intervals
+# (lower == upper), needle intervals and far tails
+_bound = st.one_of(st.floats(-40.0, 40.0), st.sampled_from([-np.inf, np.inf, 0.0]))
+_cell = st.tuples(
+    st.floats(-300.0, 300.0),                              # mu
+    st.floats(1e-6, 50.0),                                 # var
+    _bound,                                                # one end
+    st.one_of(_bound, st.floats(0.0, 1e-9), st.just(0.0)),  # other end or width
+    st.booleans(),                                         # second is a width
+)
+
+
+def _cells_to_args(cells):
+    mu, var, lo, hi = (np.array(c, dtype=float) for c in list(zip(*cells))[:4])
+    width = np.array([c[4] for c in cells])
+    with np.errstate(invalid="ignore"):
+        hi = np.where(width & np.isfinite(lo), lo + np.abs(hi), hi)
+    return mu, var, np.minimum(lo, hi), np.maximum(lo, hi)
+
+
+class TestTruncmomentsMatchesOracle:
+    """The trimmed kernel gives the earlier kernel's bits on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_cell, min_size=1, max_size=12))
+    def test_same_bits(self, cells):
+        args = _cells_to_args(cells)
+        assert same_bits(latent._truncmoments(*args),
+                         tm_oracle.truncmoments(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cell)
+    def test_same_bits_on_scalars(self, cell):
+        args = [float(a[0]) for a in _cells_to_args([cell])]
+        got = latent._truncmoments(*args)
+        assert all(isinstance(x, float) for x in got)
+        assert same_bits(got, tm_oracle.truncmoments(*args))
+
+    def test_same_bits_on_many_random_cells(self):
+        rng = np.random.default_rng(20)
+        n = 200_000
+        mu = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
+        var = 10.0 ** rng.uniform(-4, 1.5, n)
+        lo = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 2, n)
+        hi = lo + np.where(rng.random(n) < 0.2, 0.0,
+                           10.0 ** rng.uniform(-14, 1.5, n))
+        lo[rng.random(n) < 0.15] = -np.inf
+        hi[rng.random(n) < 0.15] = np.inf
+        cols = (mu, var, lo, hi)
+        for size in (1, 3, 10, 85, 260):
+            for start in range(0, 2600, size):
+                args = [c[start:start + size] for c in cols]
+                assert same_bits(latent._truncmoments(*args),
+                                 tm_oracle.truncmoments(*args))
+        assert same_bits(latent._truncmoments(*cols), tm_oracle.truncmoments(*cols))
+
+    def test_broadcast_scalar_moments(self):
+        lo = np.array([-np.inf, -1.0, 0.5, 2.0])
+        hi = np.array([np.inf, 1.0, 0.5, np.inf])
+        assert same_bits(latent._truncmoments(0.0, 1.0, lo, hi),
+                         tm_oracle.truncmoments(0.0, 1.0, lo, hi))
+
+    def test_invalid_arguments_still_raise(self):
+        with pytest.raises(ValueError, match="var > 0"):
+            latent._truncmoments(0.0, 0.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="lower <= upper"):
+            latent._truncmoments(0.0, 1.0, 1.0, -1.0)
+
+
+class TestPatternGrouping:
+    """``_solve`` groups rows by one p-byte key per mask row; the groups
+    must be those of ``np.unique(missing, axis=0)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 130), st.integers(0, 40), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_same_first_and_inverse_as_unique_rows(self, p, n, share, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct rows, so patterns repeat
+        base = rng.random((max(1, n // 3), p)) < share
+        missing = base[rng.integers(0, len(base), n)]
+        missing[:, 0] = False   # _solve needs an observed cell in each row
+        lower = np.where(missing, np.nan, 0.0)
+        want_first, want_inverse = np.unique(
+            missing, axis=0, return_index=True, return_inverse=True)[1:]
+        post = latent.batch_posterior(np.eye(p), lower, lower, sweeps=1)
+        assert np.array_equal(post.pattern, want_inverse.ravel())
+        # each pattern's first row is its lowest row index
+        firsts = [g[0] for g in post.groups]
+        assert np.array_equal(firsts, want_first)

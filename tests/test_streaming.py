@@ -115,6 +115,23 @@ class TestStep:
         with pytest.raises(ValueError, match="disagrees"):
             step(state, row, revealed=bad)
 
+    def test_infinite_cell_is_rejected_before_any_update(self):
+        _, truth, _ = make_stream(n=40, seed=7)
+        state = init_stream(truth[:30], StreamConfig(window_size=20, n_train=30))
+        windows = [list(b) for b in state.buffers]
+        row = truth[30].copy()
+        row[2] = np.inf
+        with pytest.raises(ValueError, match="row is infinite at column 'col2'"):
+            step(state, row)
+        revealed = truth[30].copy()
+        revealed[3] = -np.inf
+        row = truth[30].copy()
+        row[3] = np.nan
+        with pytest.raises(ValueError, match="revealed row is infinite at column 'col3'"):
+            step(state, row, revealed=revealed)
+        assert [list(b) for b in state.buffers] == windows
+        assert state.n_seen == 0
+
     def test_revealed_values_enter_window(self):
         _, truth, _ = make_stream(n=40, seed=6)
         state = init_stream(truth[:30], StreamConfig(window_size=20, n_train=30))
