@@ -102,6 +102,11 @@ class EStepResult:
 def encode_table(marginals: list[Marginal], values: np.ndarray):
     """Latent lower/upper bound grids for a value grid (NaN where missing)."""
     values = np.asarray(values, dtype=float)
+    if len(values) == 1:
+        # one row, as streamed: a scalar encode per cell
+        pairs = [m.latent_bounds(x) for m, x in zip(marginals, values[0].tolist())]
+        bounds = np.array(pairs, dtype=float).reshape(-1, 2).T
+        return bounds[:1], bounds[1:]
     lower = np.empty_like(values)
     upper = np.empty_like(values)
     for j, m in enumerate(marginals):

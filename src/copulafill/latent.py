@@ -21,10 +21,18 @@ sweep visits every interval column once, with one truncated-moment call
 over all rows of a chunk that hold an interval there, and gathers each
 row's update from its pattern's slice of the stack; the closing log-mass
 pass changes no state and makes one call over every interval cell.
+
+A single row that needs only its mean, as a streamed row does, takes
+:func:`row_posterior_mean` instead: its o x o observed block is factored
+directly and the same sweep runs on Python floats with a scalar
+truncated-moment kernel, so no array is set up per cell. The batch path
+takes over when that block fails to factor, for its jitter ladder, and
+wherever variances, log-likelihoods or several rows are wanted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -32,9 +40,10 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.special import erfcx, ndtr, ndtri
 
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-_SQRT_2 = np.sqrt(2.0)
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+# Python floats, so the scalar kernel keeps to float arithmetic
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_2PI = np.log(2.0 * np.pi)
 
 # diagonal jitter ladder applied when an observed-block factorization fails
@@ -156,6 +165,62 @@ def _truncmoments(mu, var, lower, upper):
     if scalar:
         return float(mean[0]), float(tvar[0]), float(mass[0])
     return mean, tvar, mass
+
+
+def _truncmoments_scalar(mu: float, var: float, lower: float, upper: float):
+    """Mean and variance of :func:`_truncmoments` for one interval, on
+    Python floats, without the mass. Every branch is kept: reflection, the
+    one-sided, tail and straddling intervals, the needle, the sanitizing of
+    intervals beyond numeric range and the final clip. ``np.exp`` rather
+    than ``math.exp``: the tail formula cancels, and the two differ in the
+    last bit often enough to show."""
+    if var <= 0:
+        raise ValueError("truncnorm_moments requires var > 0")
+    if lower > upper:
+        raise ValueError("truncated interval must have lower <= upper")
+    sd = math.sqrt(var)
+    a = (lower - mu) / sd
+    b = (upper - mu) / sd
+    reflect = (a == -math.inf and b != math.inf) or a + b < 0
+    if reflect:
+        a, b = -b, -a
+    try:
+        if math.isinf(a):             # then b is +inf too
+            m, v = 0.0, 1.0
+        elif math.isinf(b):
+            e = _SQRT_2_OVER_PI / float(erfcx(a / _SQRT_2))
+            m, v = e, 1.0 + a * e - e * e
+        elif a >= 0:
+            delta = float(np.exp((a * a - b * b) / 2.0))
+            eb = float(erfcx(b / _SQRT_2))
+            d = float(erfcx(a / _SQRT_2)) - delta * eb
+            m = _SQRT_2_OVER_PI * (1.0 - delta) / d
+            v = 1.0 + _SQRT_2_OVER_PI * (a - b * delta) / d - m * m
+        else:
+            z = float(ndtr(b)) - float(ndtr(a))
+            if z < 1e-12:
+                # needle interval around 0: the density is locally uniform
+                m, v = (a + b) / 2.0, (b - a) * (b - a) / 12.0
+            else:
+                pa = float(np.exp(-a * a / 2.0)) / _SQRT_2PI
+                pb = float(np.exp(-b * b / 2.0)) / _SQRT_2PI
+                m = (pa - pb) / z
+                v = 1.0 + (a * pa - b * pb) / z - m * m
+    except ZeroDivisionError:
+        m = v = math.nan                # what the array kernel's x / 0 gives
+    if not (math.isfinite(m) and math.isfinite(v)):
+        near = a if abs(a) <= abs(b) else b
+        if math.isinf(near):
+            near = b if math.isinf(a) else a
+        m, v = near, 0.0
+    # np.maximum / np.minimum on scalars: the first argument wins ties and NaN
+    m = m if m >= a or m != m else a
+    m = m if m <= b or m != m else b
+    v = 0.0 if 0.0 >= v else v
+    v = v if v <= 1.0 or v != v else 1.0
+    if reflect:
+        m = -m
+    return mu + sd * m, var * v
 
 
 class _SingularBlock(LinAlgError):
@@ -479,6 +544,51 @@ def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
         for (_, rows, *_), part in zip(cols, np.split(mass, ends[:-1])):
             log_mass[rows] += np.log(np.maximum(part, 1e-300))
     return state, log_mass
+
+
+def row_posterior_mean(sigma, lower, upper, sweeps: int = 2) -> np.ndarray:
+    """Posterior mean of one encoded row: ``batch_posterior`` on the row
+    alone, up to rounding, at a fraction of its cost.
+
+    The row's o x o observed block is factored directly, and the sweep of
+    :func:`_sweep` runs in the same order on Python floats with
+    :func:`_truncmoments_scalar`. Nothing else of the batch path is
+    computed: no pattern grouping, stack, log-likelihood or variances. When
+    the block does not factor, the batch path and its jitter ladder give
+    the row.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    lower = np.asarray(lower, dtype=float).ravel()
+    upper = np.asarray(upper, dtype=float).ravel()
+    missing = np.isnan(lower)
+    obs = np.flatnonzero(~missing)
+    if not obs.size:
+        raise ValueError("row 0 has no observed coordinates")
+    try:
+        chol = np.linalg.cholesky(sigma[np.ix_(obs, obs)])
+    except LinAlgError:
+        return batch_posterior(sigma, lower[None, :], upper[None, :], sweeps).mean[0]
+    prec = _chol_inverse(chol)
+    lo, hi = lower[obs].tolist(), upper[obs].tolist()
+    z = [x if math.isfinite(x) else 0.0 for x in lo]
+    cols = [c for c in range(len(lo)) if hi[c] > lo[c]]
+    for c in cols:
+        z[c] = _truncmoments_scalar(0.0, 1.0, lo[c], hi[c])[0]
+    jz = (np.array(z) @ prec).tolist()
+    prec_rows = prec.tolist()
+    cvar = (1.0 / np.diagonal(prec)).tolist()
+    for _ in range(sweeps):
+        for c in cols:
+            m = _truncmoments_scalar(z[c] - jz[c] * cvar[c], cvar[c],
+                                     lo[c], hi[c])[0]
+            delta = m - z[c]
+            jz = [s + delta * r for s, r in zip(jz, prec_rows[c])]
+            z[c] = m
+    mean = np.zeros(len(lower))
+    mean[obs] = z
+    if missing.any():
+        mean[missing] = np.array(jz) @ sigma[np.ix_(obs, np.flatnonzero(missing))]
+    return mean
 
 
 def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:

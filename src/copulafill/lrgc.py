@@ -161,10 +161,9 @@ def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps,
 
 
 def _mstep_lowrank(moments: _FactorMoments, k: int) -> tuple[np.ndarray, float]:
-    p = moments.s1.shape[0]
-    w_new = np.empty((p, k))
-    for j in range(p):
-        w_new[j] = np.linalg.solve(moments.s1[j] + 1e-10 * np.eye(k), moments.s2[j])
+    # one solve over the (p, k, k) stack, each column's system on its own
+    w_new = np.linalg.solve(moments.s1 + 1e-10 * np.eye(k),
+                            moments.s2[:, :, None])[:, :, 0]
     resid = moments.q - 2.0 * np.einsum("jk,jk->j", w_new, moments.s2) + np.einsum(
         "jk,jkl,jl->j", w_new, moments.s1, w_new)
     sigma2 = float(max(resid.sum() / moments.n_cells, 1e-6))

@@ -9,6 +9,9 @@ truncation boundaries map to intervals.
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,7 @@ class Marginal:
         cum = np.cumsum(self.masses)
         cum[-1] = 1.0
         self._cum = cum
+        self._value_list = self.values.tolist()   # for bisection
         n = self.n_obs
         tag = self.vartype.tag
         if tag == ORDINAL:
@@ -73,12 +77,14 @@ class Marginal:
             at = self.values >= vt.upper
             self.p_beta = float(self.masses[at].sum())
             inner &= ~at
-        if self.p_alpha + self.p_beta >= 1.0:
+        # weighted boundary masses may sum to just under 1 with no interior left
+        if self.p_alpha + self.p_beta >= 1.0 or not inner.any():
             raise ValueError(
                 "truncated column has no interior values; boundary masses "
                 f"p_alpha={self.p_alpha:.3f}, p_beta={self.p_beta:.3f}"
             )
         self._inner_values = self.values[inner]
+        self._inner_list = self._inner_values.tolist()
         w = self.masses[inner]
         icum = np.cumsum(w) / w.sum()
         icum[-1] = 1.0
@@ -134,8 +140,9 @@ class Marginal:
 
     def latent_bounds(self, x):
         """Lower/upper latent bounds per value; NaN input stays NaN on both."""
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.ndim(x) == 0:
+            return self._point_bounds(float(x))
+        x = np.asarray(x, dtype=float)
         nan = np.isnan(x)
         tag = self.vartype.tag
         if tag == CONTINUOUS:
@@ -150,9 +157,32 @@ class Marginal:
             lo, hi = self._trunc_bounds_arr(x, nan)
         lo[nan] = np.nan
         hi[nan] = np.nan
-        if scalar:
-            return float(lo[0]), float(hi[0])
         return lo, hi
+
+    def _point_bounds(self, x: float):
+        """:meth:`latent_bounds` of one value, bit for bit, with no array
+        temporaries: a bisection, at most one ``np.interp`` and one
+        ``ndtri``."""
+        if x != x:
+            return math.nan, math.nan
+        tag = self.vartype.tag
+        if tag == ORDINAL:
+            i = _nearest_level(x, self._value_list)
+            return float(self._zcuts[i]), float(self._zcuts[i + 1])
+        if tag == CONTINUOUS:
+            lo = float(ndtri(_interp_point(x, self._value_list, self.values,
+                                           self._nodes)))
+            return lo, lo
+        vt = self.vartype
+        # the array path sets the lower boundary cell first, so the upper wins
+        if vt.has_upper_bound and self.p_beta > 0 and x >= vt.upper:
+            return float(self._z_beta), math.inf
+        if vt.has_lower_bound and self.p_alpha > 0 and x <= vt.lower:
+            return -math.inf, float(self._z_alpha)
+        u_in = _interp_point(x, self._inner_list, self._inner_values,
+                             self._inner_nodes)
+        lo = float(ndtri(self.p_alpha + (1.0 - self.p_alpha - self.p_beta) * u_in))
+        return lo, lo
 
     def _trunc_bounds_arr(self, x, nan):
         vt = self.vartype
@@ -215,17 +245,25 @@ def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
         raise ValueError("cannot fit a marginal with no observed values")
     if (weights <= 0).any():
         raise ValueError("weights must be positive")
-    vartype = _resolve_bounds(vartype, values)
     uniq, inv = np.unique(values, return_inverse=True)
-    agg = np.bincount(inv, weights=weights)
-    masses = agg / agg.sum()
-    return Marginal(vartype, uniq, masses, n_obs=int(values.size))
+    return marginal_from_sums(vartype, uniq, np.bincount(inv, weights=weights),
+                              int(values.size))
+
+
+def marginal_from_sums(vartype: VariableType, values: np.ndarray,
+                       sums: np.ndarray, n_obs: int) -> Marginal:
+    """The marginal of sorted distinct ``values`` whose weights sum to
+    ``sums``, behind ``n_obs`` observations: what :func:`fit_marginal`
+    builds once it has aggregated its input."""
+    return Marginal(_resolve_bounds(vartype, values), values, sums / sums.sum(),
+                    n_obs)
 
 
 def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
-    if not vartype.is_truncated:
-        return vartype
     lower, upper = vartype.lower, vartype.upper
+    if not ((vartype.has_lower_bound and lower is None)
+            or (vartype.has_upper_bound and upper is None)):
+        return vartype
     if vartype.has_lower_bound and lower is None:
         lower = float(values.min())
     if vartype.has_upper_bound and upper is None:
@@ -268,6 +306,25 @@ def _interp_exact(x, xp, yp):
         return float(yp[idx]) if hit else float(out)
     out[hit] = yp[idx[hit]]
     return out
+
+
+def _interp_point(x: float, xs: list, xp, yp):
+    """:func:`_interp_exact` of one value; ``xs`` is ``xp`` as a list."""
+    i = bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return yp[i]
+    return np.interp(x, xp, yp)
+
+
+def _nearest_level(x: float, grid: list) -> int:
+    """:func:`_nearest_index` of one non-NaN value on a grid list."""
+    if math.isinf(x):
+        x = math.copysign(sys.float_info.max, x)     # as np.nan_to_num
+    i = min(bisect_left(grid, x), len(grid) - 1)
+    left = max(i - 1, 0)
+    if i > 0 and abs(x - grid[left]) <= abs(grid[i] - x):
+        return left
+    return i
 
 
 def _nearest_index(x, grid):

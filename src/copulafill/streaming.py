@@ -5,10 +5,20 @@ Marginals are re-estimated from per-column sliding windows of the most
 recent observed values; the correlation follows the constant-step blend of
 per-batch EM estimates. Decay weights, when enabled, reweight only the
 imputation quantiles, never the model update.
+
+A step costs a few small array operations per row, not per cell. The row
+is encoded with one scalar ``latent_bounds`` call per column, and its
+posterior mean comes from one o x o factorization of the observed block
+(:func:`copulafill.latent.row_posterior_mean`); only a block that fails
+to factor takes the batch path and its jitter ladder. Each window keeps
+its distinct values sorted with their counts, so an appended cell updates
+them by bisection, O(log window) comparisons, and the column's marginal is
+rebuilt from them without sorting the window again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,8 +26,8 @@ import numpy as np
 
 from .copula_em import blend_step, encode_table, initial_corr
 from .data_model import DataTable, ORDINAL, VariableType, detect_variable_types
-from .latent import batch_posterior
-from .marginals import Marginal, decayed_weights, fit_marginal
+from .latent import row_posterior_mean
+from .marginals import Marginal, decayed_weights, marginal_from_sums
 
 
 @dataclass
@@ -44,6 +54,57 @@ class StreamConfig:
             raise ValueError(f"n_train must be >= 2, got {self.n_train}")
 
 
+class _Window:
+    """One column's sliding window of observed values.
+
+    ``buffer`` holds the values in arrival order; ``distinct`` holds them
+    sorted without repeats, with ``counts`` beside it, and both follow
+    every append and eviction by bisection.
+    """
+
+    def __init__(self, values, size: int):
+        self.buffer = deque(maxlen=size)
+        self.distinct: list[float] = []
+        self.counts: list[int] = []
+        for x in values:
+            self.append(x)
+
+    def append(self, x) -> None:
+        x = float(x)
+        if len(self.buffer) == self.buffer.maxlen:
+            i = bisect_left(self.distinct, self.buffer[0])
+            if self.counts[i] == 1:
+                del self.distinct[i], self.counts[i]
+            else:
+                self.counts[i] -= 1
+        self.buffer.append(x)
+        i = bisect_left(self.distinct, x)
+        if i < len(self.distinct) and self.distinct[i] == x:
+            self.counts[i] += 1
+        else:
+            self.distinct.insert(i, x)
+            self.counts.insert(i, 1)
+
+    def marginal(self, vartype: VariableType, weights=None) -> Marginal:
+        """``fit_marginal`` of the window, bit for bit; ``weights`` are in
+        window order, and their sums per value are taken in that order."""
+        values = np.array(self.distinct)
+        if weights is None:
+            sums = np.array(self.counts, dtype=float)
+        else:
+            if (weights <= 0).any():
+                raise ValueError("weights must be positive")
+            at = np.searchsorted(values, np.array(self.buffer))
+            sums = np.bincount(at, weights=weights, minlength=len(values))
+        try:
+            return marginal_from_sums(vartype, values, sums, len(self.buffer))
+        except ValueError:
+            # a truncated window may momentarily hold boundary values only;
+            # treat it as ordinal until interior values return
+            return marginal_from_sums(VariableType(ORDINAL), values, sums,
+                                      len(self.buffer))
+
+
 @dataclass
 class StreamState:
     """Mutable stream model; :func:`step` is the single writer."""
@@ -51,7 +112,7 @@ class StreamState:
     config: StreamConfig
     vartypes: list[VariableType]
     col_names: list[str]
-    buffers: list[deque]
+    windows: list[_Window]
     corr: np.ndarray
     marginals: list[Marginal] = field(default_factory=list)
     pending_lower: list[np.ndarray] = field(default_factory=list)
@@ -60,17 +121,12 @@ class StreamState:
 
     @property
     def n_cols(self) -> int:
-        return len(self.buffers)
+        return len(self.windows)
 
-
-def _window_marginal(state: StreamState, j: int, weights=None) -> Marginal:
-    vals = np.fromiter(state.buffers[j], dtype=float)
-    try:
-        return fit_marginal(vals, state.vartypes[j], weights)
-    except ValueError:
-        # a truncated window may momentarily hold boundary values only;
-        # treat it as ordinal until interior values return
-        return fit_marginal(vals, VariableType(ORDINAL), weights)
+    @property
+    def buffers(self) -> list[deque]:
+        """Each column's window values, oldest first."""
+        return [w.buffer for w in self.windows]
 
 
 def init_stream(rows, config: StreamConfig | None = None, types=None,
@@ -88,13 +144,11 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
     detected = detect_variable_types(table, min_ord_ratio=min_ord_ratio)
     if types is not None:
         detected = [t if t is not None else d for t, d in zip(types, detected)]
-    buffers = []
-    for j in range(table.n_cols):
-        col = table.values[:, j]
-        buffers.append(deque(col[~np.isnan(col)], maxlen=config.window_size))
-    state = StreamState(config, detected, list(table.col_names), buffers,
+    windows = [_Window(col[~np.isnan(col)], config.window_size)
+               for col in table.values.T]
+    state = StreamState(config, detected, list(table.col_names), windows,
                         corr=np.eye(table.n_cols))
-    state.marginals = [_window_marginal(state, j) for j in range(state.n_cols)]
+    state.marginals = [w.marginal(t) for w, t in zip(windows, detected)]
     lower, upper = encode_table(state.marginals, table.values)
     keep = ~np.isnan(lower).all(axis=1)
     state.corr = initial_corr(lower[keep], upper[keep])
@@ -108,15 +162,15 @@ def _impute_row(state: StreamState, lower, upper, row) -> np.ndarray:
     if np.isnan(lower).all():
         latent = np.zeros(state.n_cols)
     else:
-        post = batch_posterior(state.corr, lower[None, :], upper[None, :],
-                               sweeps=state.config.sweeps)
-        latent = post.mean[0]
+        latent = row_posterior_mean(state.corr, lower, upper,
+                                    sweeps=state.config.sweeps)
     out = row.copy()
     decay = state.config.decay
     for j in np.flatnonzero(missing):
         if decay < 1.0:
-            weights = decayed_weights(len(state.buffers[j]), decay)[::-1]
-            marg = _window_marginal(state, j, weights)
+            window = state.windows[j]
+            weights = decayed_weights(len(window.buffer), decay)[::-1]
+            marg = window.marginal(state.vartypes[j], weights)
         else:
             marg = state.marginals[j]
         out[j] = marg.from_latent(latent[j])
@@ -170,8 +224,8 @@ def step(state: StreamState, row, revealed=None):
     observed = ~np.isnan(source)
     # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(observed):
-        state.buffers[j].append(source[j])
-        state.marginals[j] = _window_marginal(state, j)
+        state.windows[j].append(source[j])
+        state.marginals[j] = state.windows[j].marginal(state.vartypes[j])
     if observed.any():
         state.pending_lower.append(src_lower[0])
         state.pending_upper.append(src_upper[0])

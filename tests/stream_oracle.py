@@ -1,0 +1,66 @@
+"""Direct per-row reference for the stream step.
+
+The package keeps each window's distinct values sorted with their counts,
+encodes a streamed row with one scalar ``latent_bounds`` call per column and
+takes its posterior mean from a single-row solver. This module keeps the
+direct form: each marginal is refitted from the whole window with
+``fit_marginal``, each cell is encoded as a one-element array, and the
+posterior is ``batch_posterior`` on a one-row batch. Tests compare the
+package against it; nothing in ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from copulafill.data_model import ORDINAL, VariableType
+from copulafill.latent import batch_posterior
+from copulafill.marginals import decayed_weights, fit_marginal
+
+
+def window_marginal(window, vartype, weights=None):
+    """The marginal of a window's values, refitted from scratch."""
+    vals = np.fromiter(window, dtype=float)
+    try:
+        return fit_marginal(vals, vartype, weights)
+    except ValueError:
+        # a truncated window may momentarily hold boundary values only;
+        # treat it as ordinal until interior values return
+        return fit_marginal(vals, VariableType(ORDINAL), weights)
+
+
+def decayed_marginal(state, j):
+    """Column ``j``'s marginal under the stream's decay weights."""
+    window = state.buffers[j]
+    weights = decayed_weights(len(window), state.config.decay)[::-1]
+    return window_marginal(window, state.vartypes[j], weights)
+
+
+def encode_row(marginals, row):
+    """(p,) latent bounds of one row, each cell encoded as an array."""
+    pairs = [m.latent_bounds(np.array([x])) for m, x in zip(marginals, row)]
+    lower, upper = (np.concatenate(b) for b in zip(*pairs))
+    return lower, upper
+
+
+def impute_row(state, row):
+    """The imputed row that a step on ``row`` returns, from ``state`` as
+    it stands before that step."""
+    row = np.asarray(row, dtype=float)
+    missing = np.isnan(row)
+    if not missing.any():
+        return row.copy()
+    lower, upper = encode_row(state.marginals, row)
+    if np.isnan(lower).all():
+        latent = np.zeros(state.n_cols)
+    else:
+        latent = batch_posterior(state.corr, lower[None, :], upper[None, :],
+                                 sweeps=state.config.sweeps).mean[0]
+    out = row.copy()
+    for j in np.flatnonzero(missing):
+        if state.config.decay < 1.0:
+            marg = decayed_marginal(state, j)
+        else:
+            marg = state.marginals[j]
+        out[j] = marg.from_latent(latent[j])
+    return out

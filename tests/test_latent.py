@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulafill import latent
+from copulafill.evaluation import random_correlation
 from copulafill.latent import (
     batch_posterior,
     conditional_mvn,
     row_posterior,
+    row_posterior_mean,
     std_normal_cdf,
     std_normal_quantile,
     truncnorm_moments,
@@ -296,6 +298,109 @@ class TestTruncmomentsMatchesOracle:
             latent._truncmoments(0.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="lower <= upper"):
             latent._truncmoments(0.0, 1.0, 1.0, -1.0)
+
+
+def _scalar_vs_array(args):
+    """The scalar kernel and the array kernel on one cell."""
+    got = latent._truncmoments_scalar(*args)
+    assert all(type(x) is float for x in got)
+    want = latent._truncmoments(*(np.array([a]) for a in args))
+    np.testing.assert_allclose(got, [want[0][0], want[1][0]], rtol=1e-13, atol=1e-14)
+    return want[2][0]
+
+
+class TestScalarTruncmoments:
+    """The single-row posterior's kernel against the array kernel."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_cell)
+    def test_matches_array_kernel(self, cell):
+        _scalar_vs_array([float(a[0]) for a in _cells_to_args([cell])])
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, -np.inf, np.inf),       # untruncated
+        (0.3, 2.0, -np.inf, 1.0),          # upper half-line: reflected
+        (2.0, 0.5, -1.0, 0.5),             # left of mu: reflected
+        (0.0, 1.0, 1.0, 1.0 + 1e-13),      # needle in the tail
+        (0.1, 1.0, 0.1 - 1e-13, 0.1),      # needle ending at mu
+        (0.0, 1.0, -1e-13, 2e-13),         # needles straddling mu
+        (1.0, 4.0, 1.0 - 2e-12, 1.0 + 4e-12),
+        (0.0, 1.0, 40.0, 41.0),            # far tail
+        (300.0, 0.5, -np.inf, -40.0),      # beyond range: sanitized
+        (-300.0, 1e-6, 40.0, np.inf),      # beyond range, one-sided
+        (0.0, 1.0, 2.0, 2.0),              # a point: sanitized
+    ])
+    def test_branches(self, args):
+        _scalar_vs_array(args)
+
+    def test_many_random_cells_cover_every_branch(self):
+        rng = np.random.default_rng(21)
+        n = 20_000
+        mu = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
+        var = 10.0 ** rng.uniform(-4, 1.5, n)
+        lo = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 2, n)
+        hi = lo + np.where(rng.random(n) < 0.05, 0.0, 10.0 ** rng.uniform(-14, 1.5, n))
+        lo[rng.random(n) < 0.15] = -np.inf
+        hi[rng.random(n) < 0.15] = np.inf
+        masses = [_scalar_vs_array(args)
+                  for args in zip(*(c.tolist() for c in (mu, var, lo, hi)))]
+        sd = np.sqrt(var)
+        a, b = (lo - mu) / sd, (hi - mu) / sd
+        with np.errstate(invalid="ignore"):
+            assert ((a == -np.inf) & (b != np.inf) | (a + b < 0)).any()
+        assert (np.array(masses) == 0.0).any()                  # sanitized
+        assert (np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+                & (hi - lo < 1e-12 * sd)).any()                 # needles
+
+    def test_invalid_arguments_raise(self):
+        with pytest.raises(ValueError, match="var > 0"):
+            latent._truncmoments_scalar(0.0, 0.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="lower <= upper"):
+            latent._truncmoments_scalar(0.0, 1.0, 1.0, -1.0)
+
+
+def _mixed_row(p, seed):
+    """A random correlation and a latent row encoded as a mix of points,
+    finite intervals, half-lines and missing cells (at least one observed)."""
+    rng = np.random.default_rng(seed)
+    sigma = random_correlation(p, seed=seed)
+    z = rng.multivariate_normal(np.zeros(p), sigma)
+    kind = rng.integers(0, 4, p)
+    kind[rng.integers(p)] = rng.integers(0, 3)
+    lo, hi = z.copy(), z.copy()
+    cut = np.floor(z * 2.0) / 2.0
+    lo[kind == 1], hi[kind == 1] = cut[kind == 1], cut[kind == 1] + 0.5
+    half = kind == 2
+    lo[half] = np.where(z[half] > 0, 0.0, -np.inf)
+    hi[half] = np.where(z[half] > 0, np.inf, 0.0)
+    lo[kind == 3] = hi[kind == 3] = np.nan
+    return sigma, lo, hi
+
+
+class TestRowPosteriorMean:
+    """The single-row solver against the batch path on the same row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 3))
+    def test_matches_batch_posterior(self, p, seed, sweeps):
+        sigma, lo, hi = _mixed_row(p, seed)
+        want = batch_posterior(sigma, lo[None, :], hi[None, :], sweeps).mean[0]
+        got = row_posterior_mean(sigma, lo, hi, sweeps)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_singular_block_falls_back_to_the_batch_path(self):
+        # two identical columns: the observed block does not factor
+        sigma = np.array([[1.0, 1.0, 0.4], [1.0, 1.0, 0.4], [0.4, 0.4, 1.0]])
+        lo = np.array([0.3, 0.0, np.nan])
+        hi = np.array([0.3, np.inf, np.nan])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma[:2, :2])
+        want = batch_posterior(sigma, lo[None, :], hi[None, :]).mean[0]
+        assert np.array_equal(row_posterior_mean(sigma, lo, hi), want)
+
+    def test_rejects_fully_missing_row(self):
+        with pytest.raises(ValueError, match="no observed"):
+            row_posterior_mean(np.eye(2), [np.nan, np.nan], [np.nan, np.nan])
 
 
 class TestPatternGrouping:

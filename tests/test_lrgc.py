@@ -10,7 +10,15 @@ from copulafill.data_model import CONTINUOUS, DataTable, VariableType
 from copulafill.evaluation import mae, mask_mcar, ordinal_spec, sample_gc
 from copulafill.imputer import impute_multiple, impute_single
 from copulafill.latent import batch_posterior
-from copulafill.lrgc import LowRankParams, _lowrank_posterior, fit_lrgc, implied_corr
+from copulafill.lrgc import (
+    LowRankParams,
+    _FactorMoments,
+    _lowrank_posterior,
+    _mstep_lowrank,
+    _project_unit_diag,
+    fit_lrgc,
+    implied_corr,
+)
 from copulafill.marginals import fit_marginal
 
 
@@ -202,3 +210,27 @@ def test_imputation_keeps_no_per_pattern_state_at_p3000():
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak <= 12.5e6
+
+
+def _mstep_per_column(moments, k):
+    """The low-rank M-step with one solve per column."""
+    p = moments.s1.shape[0]
+    w_new = np.empty((p, k))
+    for j in range(p):
+        w_new[j] = np.linalg.solve(moments.s1[j] + 1e-10 * np.eye(k), moments.s2[j])
+    resid = moments.q - 2.0 * np.einsum("jk,jk->j", w_new, moments.s2) + np.einsum(
+        "jk,jkl,jl->j", w_new, moments.s1, w_new)
+    return _project_unit_diag(w_new, float(max(resid.sum() / moments.n_cells, 1e-6)))
+
+
+@pytest.mark.parametrize("p,k", [(200, 5), (12, 1), (30, 3)])
+def test_stacked_mstep_matches_per_column_solves(p, k):
+    params = random_lowrank(p, k, 0.3, seed=p)
+    table = sample_gc(150, [norm.ppf] * p, lowrank=params, seed=k)
+    z = mask_mcar(table, 0.3, seed=1).values
+    moments = _FactorMoments(p, k)
+    _lowrank_posterior(params, z, z.copy(), 2, moments.add)
+    w_got, s2_got = _mstep_lowrank(moments, k)
+    w_want, s2_want = _mstep_per_column(moments, k)
+    assert np.array_equal(w_got, w_want)
+    assert s2_got == s2_want

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from copulafill.data_model import (
     CONTINUOUS,
     LOWER_TRUNCATED,
     ORDINAL,
     TWOSIDED_TRUNCATED,
+    UPPER_TRUNCATED,
     VariableType,
 )
 from copulafill.marginals import (
@@ -46,6 +49,12 @@ class TestFit:
     def test_no_interior_values_errors(self):
         with pytest.raises(ValueError, match="interior"):
             fit_marginal([0, 0, 1, 1], VariableType(TWOSIDED_TRUNCATED, 0.0, 1.0))
+
+    def test_boundary_only_weighted_sample_errors(self):
+        # weighted boundary masses 1/7 + 2/7 + 4/7 add up to just under 1
+        with pytest.raises(ValueError, match="no interior values"):
+            fit_marginal([2.5, 3.0, 1.0], VariableType(UPPER_TRUNCATED, upper=1.0),
+                         weights=[0.125, 0.25, 0.5])
 
     def test_requires_observations(self):
         with pytest.raises(ValueError, match="no observed"):
@@ -97,6 +106,54 @@ class TestToLatent:
         lo, hi = m.latent_bounds([1.0, np.nan])
         assert np.isnan(lo[1]) and np.isnan(hi[1])
         assert np.isfinite(lo[0])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_TYPES = st.sampled_from([
+    CONT, ORD,
+    VariableType(LOWER_TRUNCATED, lower=0.0),
+    VariableType(LOWER_TRUNCATED),               # bound taken from the data
+    VariableType(UPPER_TRUNCATED, upper=3.0),
+    VariableType(TWOSIDED_TRUNCATED, lower=0.0, upper=3.0),
+])
+# repeated grid values, the truncation bounds 0 and 3, and free values
+_SAMPLE = st.lists(st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0]),
+                             st.floats(-2.0, 5.0)), min_size=1, max_size=30)
+
+
+class TestPointBounds:
+    """``latent_bounds`` of one float against the same value as an array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TYPES, _SAMPLE, st.lists(st.floats(-10.0, 10.0), max_size=5))
+    def test_same_bits_as_one_element_array(self, vartype, sample, free):
+        try:
+            m = fit_marginal(sample, vartype)
+        except ValueError:
+            assume(False)      # a truncated sample with no interior value
+        vals = m.values
+        probes = [np.nan, -np.inf, np.inf, vals[0] - 1.0, vals[-1] + 1.0,
+                  0.0, 3.0, 0.25, 1.7, 100.0,           # bounds, unseen levels
+                  *vals, *((vals[1:] + vals[:-1]) / 2.0), *free]
+        for x in map(float, probes):
+            got = m.latent_bounds(x)
+            assert all(type(b) is float for b in got)
+            want = m.latent_bounds(np.array([x]))
+            assert np.array_equal(_bits(got), _bits([want[0][0], want[1][0]])), x
+            if not np.isnan(got[0]):
+                iv = to_latent_interval(m, x)
+                assert np.array_equal(_bits([iv.lower, iv.upper]), _bits(got))
+
+
+    def test_infinite_value_snaps_as_the_array_path(self):
+        # the array path snaps +-inf as the largest finite floats
+        m = fit_marginal([1e308, 1.5e308, 1.5e308], ORD)
+        for x in (np.inf, -np.inf):
+            want = m.latent_bounds(np.array([x]))
+            assert m.latent_bounds(x) == (want[0][0], want[1][0])
 
 
 class TestFromLatent:

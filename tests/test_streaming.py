@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import expon, norm
 
+import stream_oracle as oracle
+from copulafill import latent
 from copulafill.copula_em import CopulaModel
-from copulafill.data_model import DataTable
-from copulafill.evaluation import random_correlation, sample_gc
+from copulafill.data_model import (
+    CONTINUOUS,
+    LOWER_TRUNCATED,
+    ORDINAL,
+    TWOSIDED_TRUNCATED,
+    UPPER_TRUNCATED,
+    DataTable,
+    VariableType,
+)
+from copulafill.evaluation import ordinal_spec, random_correlation, sample_gc, truncated_spec
 from copulafill.imputer import impute_single
-from copulafill.marginals import Marginal
-from copulafill.streaming import StreamConfig, init_stream, step
+from copulafill.marginals import Marginal, decayed_weights
+from copulafill.streaming import StreamConfig, _Window, init_stream, step
 
 
 def make_stream(n=500, p=4, seed=0, hide=None):
@@ -244,3 +256,161 @@ class TestStep:
         for t in range(60, 700):
             _, state = step(state, stream[t])
         assert abs(state.corr[0, 1] - 0.85) < 0.15
+
+
+# continuous, two duplicate-heavy ordinals, and lower (bound left to the
+# data), upper and two-sided truncated columns
+MIXED_TYPES = [
+    VariableType(CONTINUOUS),
+    VariableType(ORDINAL),
+    VariableType(ORDINAL),
+    VariableType(LOWER_TRUNCATED),
+    VariableType(UPPER_TRUNCATED, upper=1.0),
+    VariableType(TWOSIDED_TRUNCATED, lower=0.0, upper=2.0),
+]
+
+
+def mixed_stream(n, seed, missing=0.3):
+    specs = [
+        norm.ppf,
+        ordinal_spec([0.7, 0.2, 0.1]),
+        ordinal_spec([0.5, 0.5]),
+        truncated_spec(lambda u: expon.ppf(np.clip(u, 0.0, 0.999)), p_alpha=0.3,
+                       alpha=0.0),
+        truncated_spec(lambda u: np.clip(u, 0.0, 0.99) - 1.0, p_beta=0.3, beta=1.0),
+        truncated_spec(lambda u: 0.1 + 1.8 * u, p_alpha=0.2, p_beta=0.2,
+                       alpha=0.0, beta=2.0),
+    ]
+    corr = random_correlation(len(specs), seed=seed)
+    # two decimals: repeated values in every column, not only the ordinals
+    truth = np.round(sample_gc(n, specs, corr=corr, seed=seed).values, 2)
+    rng = np.random.default_rng(seed + 100)
+    masked = np.where(rng.random(truth.shape) < missing, np.nan, truth)
+    return truth, masked
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def assert_same_marginal(got, want):
+    assert got.vartype == want.vartype
+    assert got.n_obs == want.n_obs
+    assert np.array_equal(bits(got.values), bits(want.values))
+    assert np.array_equal(bits(got.masses), bits(want.masses))
+
+
+def assert_marginals_match_oracle(state):
+    for j, window in enumerate(state.windows):
+        assert_same_marginal(state.marginals[j],
+                             oracle.window_marginal(window.buffer, state.vartypes[j]))
+        if state.config.decay < 1.0:
+            weights = decayed_weights(len(window.buffer), state.config.decay)[::-1]
+            assert_same_marginal(window.marginal(state.vartypes[j], weights),
+                                 oracle.decayed_marginal(state, j))
+
+
+class TestMatchesOracle:
+    """Incremental windows, the scalar encode and the single-row posterior
+    against the direct per-row path of ``stream_oracle``."""
+
+    @pytest.mark.parametrize("decay", [0.95, 1.0])
+    def test_replay_mixed_stream(self, decay):
+        truth, masked = mixed_stream(260, seed=3)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=20, decay=decay)
+        state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
+        assert_marginals_match_oracle(state)
+        for t in range(30, len(truth)):
+            # every third row reveals its hidden cells after imputation
+            revealed = truth[t] if t % 3 == 0 else None
+            want = oracle.impute_row(state, masked[t])
+            got, state = step(state, masked[t], revealed)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+            assert_marginals_match_oracle(state)
+        assert {m.vartype.tag for m in state.marginals} >= {
+            CONTINUOUS, ORDINAL, LOWER_TRUNCATED, UPPER_TRUNCATED,
+            TWOSIDED_TRUNCATED}
+
+    def test_encoded_row_matches_cellwise_arrays(self):
+        from copulafill.copula_em import encode_table
+
+        truth, masked = mixed_stream(80, seed=4)
+        state = init_stream(truth[:40], StreamConfig(window_size=25, n_train=40),
+                            types=MIXED_TYPES)
+        for row in masked[40:]:
+            got = encode_table(state.marginals, row[None, :])
+            want = oracle.encode_row(state.marginals, row)
+            for g, w in zip(got, want):
+                assert np.array_equal(bits(g[0]), bits(w))
+
+    def test_boundary_only_window_falls_back_to_ordinal(self):
+        rng = np.random.default_rng(5)
+        warm = np.column_stack([rng.standard_normal(6),
+                                [0.0, 0.4, 1.3, 0.0, 2.2, 0.7]])
+        trunc = VariableType(LOWER_TRUNCATED, lower=0.0)
+        cfg = StreamConfig(window_size=4, n_train=6, decay=0.9, batch_size=10**6)
+        state = init_stream(warm, cfg, types=[VariableType(CONTINUOUS), trunc])
+        assert state.marginals[1].vartype == trunc
+        for _ in range(4):
+            step(state, [rng.standard_normal(), 0.0])
+        # the window holds the boundary value only: both the marginal and
+        # the decayed marginal of a hidden cell fall back to ordinal
+        assert list(state.buffers[1]) == [0.0] * 4
+        assert state.marginals[1].vartype == VariableType(ORDINAL)
+        assert_marginals_match_oracle(state)
+        hidden = [rng.standard_normal(), np.nan]
+        want = oracle.impute_row(state, hidden)
+        got, state = step(state, hidden)
+        assert got[1] == want[1] == 0.0
+        # an interior value brings the truncated marginal back
+        step(state, [rng.standard_normal(), 0.9])
+        assert state.marginals[1].vartype == trunc
+        assert_marginals_match_oracle(state)
+
+    def test_singular_block_takes_the_jitter_ladder(self, monkeypatch):
+        truth, _ = mixed_stream(40, seed=6)
+        state = init_stream(truth[:30], StreamConfig(window_size=25, n_train=30),
+                            types=MIXED_TYPES)
+        # columns 0 and 1 become identical: their 2 x 2 block is singular
+        corr = state.corr.copy()
+        corr[1], corr[:, 1] = corr[0], corr[:, 0]
+        state.corr = corr
+        calls, real = [], latent.batch_posterior
+        monkeypatch.setattr(latent, "batch_posterior",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        row = truth[30].copy()
+        row[3:] = np.nan
+        want = oracle.impute_row(state, row)
+        got, _ = step(state, row)
+        assert calls == [1]
+        assert np.array_equal(got, want)
+
+
+_levels = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.5, 3.0])
+
+
+class TestWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_levels, min_size=1, max_size=40), st.integers(2, 9),
+           st.sampled_from(MIXED_TYPES + [VariableType(LOWER_TRUNCATED, lower=0.0)]),
+           st.sampled_from([1.0, 0.9, 0.5]))
+    def test_every_append_matches_a_refit(self, values, size, vartype, decay):
+        window = _Window([], size)
+        for x in values:
+            window.append(x)
+            assert_same_marginal(window.marginal(vartype),
+                                 oracle.window_marginal(window.buffer, vartype))
+            weights = decayed_weights(len(window.buffer), decay)[::-1]
+            assert_same_marginal(window.marginal(vartype, weights),
+                                 oracle.window_marginal(window.buffer, vartype, weights))
+        assert sorted(set(window.buffer)) == window.distinct
+        assert window.counts == [list(window.buffer).count(v) for v in window.distinct]
+
+    def test_underflowed_weights_fail_as_a_refit_does(self):
+        window = _Window([0.5, 1.0, 2.5], 3)
+        weights = np.array([0.0, 0.1, 1.0])     # decay**m underflows to 0
+        for fit in (lambda: window.marginal(VariableType(CONTINUOUS), weights),
+                    lambda: oracle.window_marginal(window.buffer,
+                                                   VariableType(CONTINUOUS), weights)):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                fit()
