@@ -213,7 +213,7 @@ def _truncmoments_scalar(mu: float, var: float, lower: float, upper: float):
         if math.isinf(near):
             near = b if math.isinf(a) else a
         m, v = near, 0.0
-    # np.maximum / np.minimum on scalars: the first argument wins ties and NaN
+    # np.maximum / np.minimum: NaN propagates and the first argument wins ties
     m = m if m >= a or m != m else a
     m = m if m <= b or m != m else b
     v = 0.0 if 0.0 >= v else v

@@ -261,13 +261,12 @@ def marginal_from_sums(vartype: VariableType, values: np.ndarray,
 
 def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
     lower, upper = vartype.lower, vartype.upper
-    if not ((vartype.has_lower_bound and lower is None)
-            or (vartype.has_upper_bound and upper is None)):
-        return vartype
     if vartype.has_lower_bound and lower is None:
         lower = float(values.min())
     if vartype.has_upper_bound and upper is None:
         upper = float(values.max())
+    if (lower, upper) == (vartype.lower, vartype.upper):
+        return vartype
     return VariableType(vartype.tag, lower=lower, upper=upper)
 
 
