@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .copula_em import FitConfig, fit_minibatch_offline, fit_standard
+from .copula_em import FitConfig, _prepare_fit, fit_minibatch_offline, fit_standard
 from .data_model import (
     DataTable,
     format_row,
@@ -174,19 +174,19 @@ def _cmd_impute(args) -> int:
         raise CliError(str(err)) from None
 
     try:
+        # the table is encoded once: the fit and the imputation share it
+        prep = _prepare_fit(table, types, args.min_ord_ratio)
         if args.rank > 0:
-            model = fit_lrgc(table, args.rank, config, types=types,
-                             min_ord_ratio=args.min_ord_ratio)
+            model = fit_lrgc(prep, args.rank, config)
         elif args.mode == "minibatch-offline":
-            model = fit_minibatch_offline(table, config, types=types,
-                                          min_ord_ratio=args.min_ord_ratio)
+            model = fit_minibatch_offline(prep, config)
         else:
-            model = fit_standard(table, config, types=types,
-                                 min_ord_ratio=args.min_ord_ratio)
+            model = fit_standard(prep, config)
         # one solve gives the imputation, the analytic bounds and the draws
         result, draws = _impute(model, table.values,
                                 alpha=args.alpha if args.ci == "analytic" else None,
-                                num=args.multiple, seed=args.seed)
+                                num=args.multiple, seed=args.seed,
+                                bounds=(prep.lower, prep.upper))
     except (ValueError, np.linalg.LinAlgError) as err:
         print(f"copulafill: fit failed: {err}", file=sys.stderr)
         return 3

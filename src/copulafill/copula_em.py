@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_model import DataTable, VariableType, detect_variable_types
 from .latent import _truncmoments, batch_posterior
-from .marginals import Marginal, fit_marginal
+from .marginals import Marginal, fit_and_encode
 
 def default_stepsize(t: int, c: float = 5.0) -> float:
     return c / (c + t)
@@ -227,7 +227,46 @@ def initial_corr(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return _ensure_psd(corr, floor=1e-4)
 
 
-def _prepare_fit(table, types, min_ord_ratio):
+@dataclass
+class _FitInput:
+    """A table ready to fit: its marginals and the latent bounds of every
+    row under them (NaN where missing), all-missing rows included."""
+
+    table: DataTable
+    marginals: list[Marginal]
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def vartypes(self) -> list[VariableType]:
+        return [m.vartype for m in self.marginals]
+
+    @property
+    def single(self) -> list[int]:
+        """Columns with one observed level, pinned in the correlation."""
+        return [j for j, m in enumerate(self.marginals) if len(m.values) == 1]
+
+    def fitted_bounds(self):
+        """The latent bounds of the rows with an observed cell: the grids
+        themselves when that is every row, which a fit only reads."""
+        keep = ~np.isnan(self.lower).all(axis=1)
+        if keep.all():
+            return self.lower, self.upper
+        return self.lower[keep], self.upper[keep]
+
+
+def _prepare_fit(table, types, min_ord_ratio) -> _FitInput:
+    """Fit each column's marginal and encode the table with it.
+
+    Each column is encoded from the same ``np.unique`` that fits its
+    marginal (:func:`copulafill.marginals.fit_and_encode`), bit for bit
+    what :func:`encode_table` gives. The imputation of the same table can
+    take the bounds from here instead of encoding it again, as the CLI
+    does: it prepares the table once and passes the result as ``table`` to
+    a fit, which then uses it as it is.
+    """
+    if isinstance(table, _FitInput):
+        return table
     if not isinstance(table, DataTable):
         table = DataTable(np.asarray(table, dtype=float))
     if table.n_rows == 0 or table.n_cols == 0:
@@ -237,20 +276,20 @@ def _prepare_fit(table, types, min_ord_ratio):
         if len(types) != table.n_cols:
             raise ValueError(f"{len(types)} type overrides for {table.n_cols} columns")
         detected = [t if t is not None else d for t, d in zip(types, detected)]
-    marginals = [
-        fit_marginal(table.values[:, j], detected[j]) for j in range(table.n_cols)
-    ]
-    vartypes = [m.vartype for m in marginals]
-    lower, upper = encode_table(marginals, table.values)
-    keep = ~np.isnan(lower).all(axis=1)
-    if not keep.all():
-        dropped = np.flatnonzero(~keep)
+    marginals = []
+    lower = np.empty(table.values.shape)
+    upper = np.empty(table.values.shape)
+    for j in range(table.n_cols):
+        marg, lower[:, j], upper[:, j] = fit_and_encode(table.values[:, j],
+                                                        detected[j])
+        marginals.append(marg)
+    dropped = np.flatnonzero(np.isnan(lower).all(axis=1))
+    if dropped.size:
         warnings.warn(
             f"{dropped.size} rows with no observed cells excluded from fitting "
             f"(first: row {dropped[0]})"
         )
-    single = [j for j, m in enumerate(marginals) if len(m.values) == 1]
-    return table, marginals, vartypes, lower[keep], upper[keep], single
+    return _FitInput(table, marginals, lower, upper)
 
 
 def blend_step(corr, lower, upper, eta: float, sweeps: int = 2,
@@ -315,9 +354,9 @@ def fit_minibatch_offline(
 
 
 def _fit_corr(table, config, types, min_ord_ratio, minibatch) -> CopulaModel:
-    table, marginals, vartypes, lower, upper, single = _prepare_fit(
-        table, types, min_ord_ratio
-    )
+    prep = _prepare_fit(table, types, min_ord_ratio)
+    lower, upper = prep.fitted_bounds()
+    single = prep.single
     n, p = lower.shape
     if n == 0:
         raise ValueError("no rows with observed cells to fit on")
@@ -339,8 +378,9 @@ def _fit_corr(table, config, types, min_ord_ratio, minibatch) -> CopulaModel:
 
     corr = _pin_single_level(initial_corr(lower, upper), single)
     corr, trace, converged = run_em(corr, em_step, config, batches)
-    return CopulaModel(corr, marginals, vartypes, list(table.col_names),
-                       fit_trace=trace, converged=converged, sweeps=config.sweeps)
+    return CopulaModel(corr, prep.marginals, prep.vartypes,
+                       list(prep.table.col_names), fit_trace=trace,
+                       converged=converged, sweeps=config.sweeps)
 
 
 def approx_loglik(model: CopulaModel, table) -> float:

@@ -4,6 +4,13 @@ Every operation builds the per-row latent posterior under the fitted
 correlation, fills missing coordinates, and maps back through the fitted
 marginals. Rows without any observed cell fall back to latent zero, i.e.
 each marginal's median-type value.
+
+A table is encoded into latent bounds once: the library functions encode
+it here, while ``copulafill impute`` hands over the encoding its fit made
+(:func:`copulafill.copula_em._prepare_fit`). Multiple imputations are
+drawn while the posterior is solved, a chunk of rows at a time. Each row
+keeps its own RNG stream, so its draws do not depend on the rows drawn
+with it; all other sampling work is done over the chunk at once.
 """
 
 from __future__ import annotations
@@ -16,8 +23,13 @@ from scipy.special import ndtr, ndtri
 
 from .copula_em import CopulaModel, encode_table
 from .data_model import DataTable
-from .latent import _DenseStack, batch_posterior
+from .latent import _DenseStack, _row_pieces, batch_posterior
 from .lrgc import _LowRankStack, _lowrank_posterior
+
+
+# a piece of drawn rows holds a few (rows, num, p) arrays at once, each of
+# at most 1/_DRAW_SHARE of the posterior's element budget
+_DRAW_SHARE = 16
 
 
 @dataclass
@@ -57,33 +69,35 @@ def _model_kernel(model: CopulaModel):
             partial(_LowRankStack, model.lowrank))
 
 
-def _decode_missing(model: CopulaModel, values: np.ndarray, latent: np.ndarray):
+def _decode_missing(model: CopulaModel, values: np.ndarray, latent: np.ndarray,
+                    out=None):
     """``values`` with each missing cell decoded from ``latent``, which is
     (n, p) or a (num, n, p) stack of draws; each column's missing cells of
-    every draw go through one ``from_latent`` call."""
-    out = np.broadcast_to(values, latent.shape).copy()
+    every draw go through one ``from_latent`` call. The result is written
+    to ``out``, which may be ``latent`` itself, or to a new array."""
+    out = np.empty(latent.shape) if out is None else out
     missing = np.isnan(values)
     for j, marg in enumerate(model.marginals):
         cells = missing[:, j]
         if cells.any():
             z = latent[..., cells, j]
             out[..., cells, j] = marg.from_latent(z.ravel()).reshape(z.shape)
+    np.copyto(out, values, where=~missing)
     return out
 
 
 def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
-                     seed: int = 0):
+                     seed: int = 0, bounds=None):
     """(latent mean, missing-coordinate variance) grids for all rows, from
-    one encode and one posterior solve.
+    one posterior solve of the latent ``bounds`` of ``values``, which are
+    encoded here when None.
 
     Given a (num, n, p) ``latent``, the solve also fills it with ``num``
     latent draws of every row, the RNG split per row from ``seed``.
     All-missing rows get the prior: mean 0, variance 1.
     """
-    lower, upper = encode_table(model.marginals, values)
+    lower, upper = bounds or encode_table(model.marginals, values)
     n, p = lower.shape
-    mean = np.zeros((n, p))
-    mvar = np.where(np.isnan(values), 1.0, 0.0)
     has_obs = ~np.isnan(lower).all(axis=1)
     posterior, make_stack = _model_kernel(model)
     visit = None
@@ -93,36 +107,54 @@ def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
                 for s in np.random.SeedSequence(seed).spawn(n)]
         visit = partial(_sample_chunk, np.flatnonzero(has_obs), lower, upper,
                         latent, rngs, num)
+    if has_obs.all():
+        post = posterior(lower, upper, visit=visit)
+        return post.mean, post.mvar
     post = posterior(lower[has_obs], upper[has_obs], visit=visit)
+    mean = np.zeros((n, p))
+    mvar = np.where(np.isnan(values), 1.0, 0.0)
     mean[has_obs] = post.mean
     mvar[has_obs] = post.mvar
-    if latent is not None and not has_obs.all():
+    if latent is not None:
         prior = make_stack(np.ones((1, p), dtype=bool))
-        for i in np.flatnonzero(~has_obs):
-            latent[:, i, :] = prior.draw_missing(np.zeros((num, p)), 0, rngs[i])
+        ids = np.flatnonzero(~has_obs)
+        for rows in _row_pieces(len(ids), _DRAW_SHARE * num * p):
+            draw = np.zeros((len(rows), num, p))
+            _draw_rows(prior, np.zeros(len(rows), dtype=int), draw,
+                       [rngs[i] for i in ids[rows]])
+            latent[:, ids[rows]] = np.swapaxes(draw, 0, 1)
     return mean, mvar
 
 
 def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
-            num: int = 0, seed: int = 0):
+            num: int = 0, seed: int = 0, bounds=None):
     """Impute ``values`` from one posterior solve.
 
     Returns the :class:`ImputationResult`, holding the analytic bounds at
     level 1 - ``alpha`` when ``alpha`` is given, and ``num`` sampled tables,
-    shape (num, n, p), or None when ``num`` is 0.
+    shape (num, n, p), or None when ``num`` is 0. ``bounds`` are the
+    latent (lower, upper) grids of ``values`` under the model's marginals,
+    as the fit has them; without them the table is encoded here.
     """
-    latent = np.zeros((num, *values.shape)) if num else None
-    mean, mvar = _model_posterior(model, values, latent, seed)
-    result = ImputationResult(_decode_missing(model, values, mean), mean)
+    # the mean, the bounds and the draws as one stack of tables, decoded in
+    # place, each column by one from_latent call
+    first = 1 if alpha is None else 3
+    tables = np.zeros((first + num, *values.shape))
+    mean, mvar = _model_posterior(model, values, tables[first:] if num else None,
+                                  seed, bounds)
+    tables[0] = mean
     if alpha is not None:
-        missing = np.isnan(values)
         margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
-        result.ci_lower = _decode_missing(model, values, mean - margin)
-        result.ci_upper = _decode_missing(model, values, mean + margin)
-        result.ci_lower[~missing] = np.nan
-        result.ci_upper[~missing] = np.nan
-    draws = None if latent is None else _decode_missing(model, values, latent)
-    return result, draws
+        tables[1] = mean - margin
+        tables[2] = mean + margin
+    _decode_missing(model, values, tables, out=tables)
+    result = ImputationResult(tables[0], mean)
+    if alpha is not None:
+        observed = ~np.isnan(values)
+        result.ci_lower, result.ci_upper = tables[1], tables[2]
+        result.ci_lower[observed] = np.nan
+        result.ci_upper[observed] = np.nan
+    return result, tables[first:] if num else None
 
 
 def impute_single(model: CopulaModel, table) -> ImputationResult:
@@ -179,27 +211,64 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     return _impute(model, _coerce_values(model, table), num=num, seed=seed)[1]
 
 
-def _truncnorm_draws(rng, mu, sd, lo, hi, num):
-    """Inverse-CDF truncated normal draws, shape (num,)."""
-    u_lo = ndtr((lo - mu) / sd)
-    u_hi = ndtr((hi - mu) / sd)
-    u = rng.uniform(u_lo, u_hi, size=num)
-    return mu + sd * ndtri(np.clip(u, 1e-15, 1 - 1e-15))
-
-
 def _sample_chunk(row_ids, lower, upper, latent, rngs, num, chunk):
     """Draw the rows of one solved posterior chunk into ``latent``;
-    ``row_ids`` maps the posterior's batch rows to table rows."""
+    ``row_ids`` maps the posterior's batch rows to table rows. The rows go
+    in pieces of at most ``_CHUNK_ELEMS // (_DRAW_SHARE num p)`` rows, each
+    drawn by :func:`_draw_rows`."""
     stack, z, pat = chunk.stack, chunk.z, chunk.pat
     state = stack.start(z, pat)  # fresh, without the sweep's rounding
-    for r, i in enumerate(row_ids[chunk.rows]):
-        rng, u = rngs[i], pat[r]
-        z_obs = np.tile(z[r], (num, 1))
-        for c in np.flatnonzero(upper[i] > lower[i]):
-            z_obs[:, c] = _truncnorm_draws(
-                rng, stack.cond_mean(z, state, r, u, c), np.sqrt(stack.cvar[u, c]),
-                lower[i, c], upper[i, c], num)
-        latent[:, i] = z_obs
-        mis = stack.missing[u]
-        if mis.any():
-            latent[:, i, mis] = stack.draw_missing(z_obs, u, rng)
+    ids = row_ids[chunk.rows]
+    for rows in _row_pieces(len(ids), _DRAW_SHARE * num * z.shape[1]):
+        lo, hi = lower[ids[rows]], upper[ids[rows]]
+        r, c = np.nonzero(hi > lo)
+        mu = stack.cond_mean(z, state, rows[r], pat[rows[r]], c)
+        cells = (r, c, mu, np.sqrt(stack.cvar[pat[rows[r]], c]), lo[r, c], hi[r, c])
+        draw = np.repeat(z[rows, None, :], num, axis=1)
+        _draw_rows(stack, pat[rows], draw, [rngs[i] for i in ids[rows]], cells)
+        latent[:, ids[rows]] = np.swapaxes(draw, 0, 1)
+
+
+def _draw_rows(stack, pat, draw, rngs, cells=None):
+    """Draw r rows of patterns ``pat`` in place into ``draw``, (r, num, p)
+    copies of their latent means.
+
+    Each interval cell ``cells`` = (row, column, conditional mean and sd,
+    lower, upper), sorted by row and then column, is drawn by inverse CDF
+    from its truncated normal; then each row's missing block is drawn given
+    its drawn cells. Row i draws from ``rngs[i]`` alone: one call for the
+    uniforms of its interval cells, in column order, then one for the
+    normals of its missing block. So a row's draws do not depend on the
+    rows drawn with it, and everything but those calls is done over all
+    rows at once.
+    """
+    n, num, _ = draw.shape
+    if cells is None:
+        cells = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 4
+    r, c, mu, sd, lo, hi = cells
+    missing = stack.missing[pat]
+    with_missing = missing.any(axis=1)
+    n_normals = num * stack.draw_width[pat] * with_missing
+    n_cells = np.bincount(r, minlength=n)
+    u_lo = ndtr((lo - mu) / sd)[:, None]
+    u_hi = ndtr((hi - mu) / sd)[:, None]
+    uniform = np.empty((len(u_lo), num))
+    normals = np.empty(n_normals.sum())
+    for rng, a, b, g, h in zip(rngs, *_spans(n_cells), *_spans(n_normals)):
+        if b > a:
+            uniform[a:b] = rng.uniform(u_lo[a:b], u_hi[a:b], size=(b - a, num))
+        if h > g:
+            rng.standard_normal(out=normals[g:h])
+    if len(uniform):
+        draw[r, :, c] = mu[:, None] + sd[:, None] * ndtri(
+            np.clip(uniform, 1e-15, 1 - 1e-15))
+    if with_missing.any():
+        sel = np.flatnonzero(with_missing)
+        draw[np.broadcast_to(missing[:, None, :], draw.shape)] = stack.draw_missing(
+            draw[sel], pat[sel], normals)
+
+
+def _spans(sizes):
+    """(starts, ends) of consecutive blocks of ``sizes``, as lists."""
+    ends = np.cumsum(sizes)
+    return (ends - sizes).tolist(), ends.tolist()

@@ -259,6 +259,13 @@ def _chol_inverse(chol):
     return np.swapaxes(linv, -1, -2) @ linv
 
 
+def _row_pieces(n: int, width: int) -> list:
+    """Consecutive row index ranges over ``n`` rows, each of at most
+    ``_CHUNK_ELEMS // width`` rows."""
+    step = max(1, _CHUNK_ELEMS // width)
+    return [np.arange(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _diag(stack):
     return np.diagonal(stack, axis1=-2, axis2=-1)
 
@@ -342,11 +349,33 @@ class _DenseStack:
         p = self.cov.shape[1]
         return np.linalg.cholesky(self.cov + np.eye(p) * (~self.missing[:, None, :] + 1e-10))
 
-    def draw_missing(self, z_obs, u, rng):
-        mis = self.missing[u]
-        eps = rng.standard_normal((len(z_obs), mis.sum()))
-        return (z_obs @ self.coef[u][:, mis]
-                + eps @ self._chol_missing[u][np.ix_(mis, mis)].T)
+    @cached_property
+    def draw_width(self):
+        """Standard normals one draw of each pattern takes."""
+        return self.missing.sum(axis=1)
+
+    def draw_missing(self, z_obs, pat, normals):
+        """Missing-coordinate draws of rows with drawn observed coordinates
+        ``z_obs`` (r, num, p) and patterns ``pat``, each row with a missing
+        cell. ``normals`` holds each row's (num, m) normals in row order.
+        Returns the draws in the order of the rows' missing cells in
+        ``z_obs``. The rows of a pattern share its blocks in one stacked
+        product, each row's with the shapes it has when drawn alone."""
+        num = z_obs.shape[1]
+        size = num * self.draw_width[pat]
+        start = np.cumsum(size) - size
+        out = np.empty(len(normals))
+        order = np.argsort(pat, kind="stable")
+        bounds = np.flatnonzero(np.diff(pat[order])) + 1
+        for rows in np.split(order, bounds):
+            u = pat[rows[0]]
+            mis = self.missing[u]
+            cells = (start[rows, None] + np.arange(size[rows[0]])).ravel()
+            eps = normals[cells].reshape(len(rows), num, -1)
+            draw = (z_obs[rows] @ self.coef[u][:, mis]
+                    + eps @ self._chol_missing[u][np.ix_(mis, mis)].T)
+            out[cells] = draw.ravel()
+        return out
 
 
 def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):

@@ -5,7 +5,7 @@ against :class:`_LowRankStack`: every missingness pattern's observed block
 of Sigma is replaced by a k x k Woodbury gram, all of them factored
 together as one (U, k, k) stack, so no p x p or U x p x p array is formed.
 A fit folds each solved chunk of patterns into the M-step sums with one
-batched contraction and drops it. Because the implied
+matrix product and drops it. Because the implied
 correlation must have a unit diagonal with isotropic noise, every row of W
 carries the same norm sqrt(1 - s2); the M-step keeps the fitted row
 directions and projects the scales back onto that constraint.
@@ -93,7 +93,12 @@ class _LowRankStack:
         return (self.ginv[pat] @ (z @ self.w)[:, :, None])[:, :, 0]
 
     def cond_mean(self, z, ft, rows, pats, c):
-        jz_c = (z[rows, c] - ft[rows] @ self.w[c]) / self.s2
+        if np.ndim(c):
+            # one column per row: a dot per row, as for a row drawn alone
+            fw = (ft[rows, None, :] @ self.w[c, :, None])[:, 0, 0]
+        else:
+            fw = ft[rows] @ self.w[c]
+        jz_c = (z[rows, c] - fw) / self.s2
         return z[rows, c] - jz_c * self.cvar[pats, c]
 
     def update(self, ft, rows, pats, c, delta):
@@ -123,13 +128,31 @@ class _LowRankStack:
     def _chol_t(self):
         return np.linalg.cholesky(self.cov_t + 1e-12 * np.eye(self.cov_t.shape[1]))
 
-    def draw_missing(self, z_obs, u, rng):
-        mis = self.missing[u]
-        num, k = len(z_obs), self.cov_t.shape[1]
-        t_draw = (z_obs @ self.w @ self.ginv[u]
-                  + rng.standard_normal((num, k)) @ self._chol_t[u].T)
-        noise = rng.standard_normal((num, mis.sum())) * np.sqrt(self.s2)
-        return t_draw @ self.w[mis].T + noise
+    @cached_property
+    def draw_width(self):
+        """Standard normals one draw of each pattern takes: k for the
+        factors, then one noise term per missing coordinate."""
+        return self.missing.sum(axis=1) + self.w.shape[1]
+
+    def draw_missing(self, z_obs, pat, normals):
+        """Missing-coordinate draws of rows with drawn observed coordinates
+        ``z_obs`` (r, num, p) and patterns ``pat``, each row with a missing
+        cell. ``normals`` holds each row's num * ``draw_width`` normals in
+        row order: its (num, k) factor draws, then its (num, m) noise.
+        Returns the draws in the order of the rows' missing cells in
+        ``z_obs``. The products are stacked per row."""
+        r, num, p = z_obs.shape
+        k = self.w.shape[1]
+        mis = self.missing[pat]
+        size = num * self.draw_width[pat]
+        factor = (np.arange(len(normals)) - np.repeat(np.cumsum(size) - size, size)
+                  < num * k)
+        t_draw = (z_obs @ self.w @ self.ginv[pat]
+                  + normals[factor].reshape(r, num, k)
+                  @ np.swapaxes(self._chol_t[pat], 1, 2))
+        noise = normals[~factor] * np.sqrt(self.s2)
+        cells = np.broadcast_to(mis[:, None, :], z_obs.shape)
+        return (t_draw @ self.w.T)[cells] + noise
 
 
 class _FactorMoments:
@@ -145,7 +168,9 @@ class _FactorMoments:
         obs = ~chunk.stack.missing[chunk.pat]
         z, ft = chunk.z, chunk.state
         e_tt = chunk.stack.cov_t[chunk.pat] + ft[:, :, None] * ft[:, None, :]
-        self.s1 += np.einsum("ij,ikl->jkl", obs, e_tt)
+        # one product over the chunk's rows: (p, r) @ (r, k^2)
+        self.s1 += (obs.T.astype(float) @ e_tt.reshape(len(e_tt), -1)).reshape(
+            self.s1.shape)
         self.s2 += z.T @ ft
         self.q += np.einsum("ij,ij->j", z, z) + chunk.ivar.sum(axis=0)
         self.n_cells += int(obs.sum())
@@ -201,9 +226,8 @@ def fit_lrgc(
     :func:`implied_corr`.
     """
     config = config or FitConfig()
-    table, marginals, vartypes, lower, upper, _ = _prepare_fit(
-        table, types, min_ord_ratio
-    )
+    prep = _prepare_fit(table, types, min_ord_ratio)
+    lower, upper = prep.fitted_bounds()
     n, p = lower.shape
     if not 1 <= rank < p:
         raise ValueError(f"rank must satisfy 1 <= rank < n_cols, got {rank} (p={p})")
@@ -220,6 +244,6 @@ def fit_lrgc(
 
     params, trace, converged = run_em(_init_lowrank(lower, upper, rank),
                                       em_step, config)
-    return CopulaModel(None, marginals, vartypes, list(table.col_names),
-                       fit_trace=trace, converged=converged, lowrank=params,
-                       sweeps=config.sweeps)
+    return CopulaModel(None, prep.marginals, prep.vartypes,
+                       list(prep.table.col_names), fit_trace=trace,
+                       converged=converged, lowrank=params, sweeps=config.sweeps)

@@ -10,7 +10,6 @@ truncation boundaries map to intervals.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -232,6 +231,29 @@ def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
     NaN entries are dropped (with their weights). Weights default to uniform;
     uniform weights reproduce the unweighted fit exactly.
     """
+    return _fit_marginal(values, vartype, weights)[0]
+
+
+def fit_and_encode(values, vartype: VariableType):
+    """:func:`fit_marginal` of a column with uniform weights, plus the
+    column's latent lower/upper bounds (NaN where missing).
+
+    The bounds come from one :meth:`Marginal.latent_bounds` call on the
+    marginal's distinct values, gathered through the inverse indices of the
+    fit's ``np.unique``. That map is elementwise, so the bounds equal
+    ``latent_bounds(values)`` bit for bit, without a search per cell.
+    """
+    marg, observed, inverse = _fit_marginal(values, vartype)
+    lo, hi = marg.latent_bounds(marg.values)
+    lower = np.full(observed.shape, np.nan)
+    upper = lower.copy()
+    lower[observed], upper[observed] = lo[inverse], hi[inverse]
+    return marg, lower, upper
+
+
+def _fit_marginal(values, vartype, weights=None):
+    """The marginal of :func:`fit_marginal`, the mask of the non-NaN
+    entries of ``values`` and the index of each in the marginal's values."""
     values = np.asarray(values, dtype=float).ravel()
     if weights is None:
         weights = np.ones_like(values)
@@ -246,8 +268,9 @@ def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
     if (weights <= 0).any():
         raise ValueError("weights must be positive")
     uniq, inv = np.unique(values, return_inverse=True)
-    return marginal_from_sums(vartype, uniq, np.bincount(inv, weights=weights),
+    marg = marginal_from_sums(vartype, uniq, np.bincount(inv, weights=weights),
                               int(values.size))
+    return marg, keep, inv
 
 
 def marginal_from_sums(vartype: VariableType, values: np.ndarray,
@@ -282,12 +305,15 @@ def from_latent(marginal: Marginal, z):
 
 
 def decayed_weights(m: int, decay: float) -> np.ndarray:
-    """Weights decay**t for time lags t = 1..m, most recent first."""
+    """Weights decay**t for time lags t = 1..m, most recent first, each at
+    least the smallest normal float, so that a long window at a small decay
+    keeps every weight positive instead of underflowing to 0."""
     if m < 1:
         raise ValueError(f"window length must be >= 1, got {m}")
     if not 0 < decay <= 1:
         raise ValueError(f"decay must be in (0, 1], got {decay}")
-    return decay ** np.arange(1, m + 1, dtype=float)
+    return np.maximum(decay ** np.arange(1, m + 1, dtype=float),
+                      np.finfo(float).tiny)
 
 
 def _interp_exact(x, xp, yp):
@@ -317,20 +343,21 @@ def _interp_point(x: float, xs: list, xp, yp):
 
 def _nearest_level(x: float, grid: list) -> int:
     """:func:`_nearest_index` of one non-NaN value on a grid list."""
-    if math.isinf(x):
-        x = math.copysign(sys.float_info.max, x)     # as np.nan_to_num
-    i = min(bisect_left(grid, x), len(grid) - 1)
-    left = max(i - 1, 0)
-    if i > 0 and abs(x - grid[left]) <= abs(grid[i] - x):
-        return left
+    if x >= grid[-1]:
+        return len(grid) - 1
+    i = bisect_left(grid, x)
+    if i > 0 and abs(x - grid[i - 1]) <= abs(grid[i] - x):
+        return i - 1
     return i
 
 
 def _nearest_index(x, grid):
-    """Index of the nearest grid value, ties resolved to the lower one."""
+    """Index of the nearest grid value, ties resolved to the lower one; a
+    value at or beyond an end of the grid snaps to that end, even where
+    both distances round to the same float."""
     x = np.nan_to_num(np.asarray(x, dtype=float))
     idx = np.searchsorted(grid, x)
     idx = np.clip(idx, 0, len(grid) - 1)
     left = np.clip(idx - 1, 0, len(grid) - 1)
     pick_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
-    return np.where(pick_left & (idx > 0), left, idx)
+    return np.where(pick_left & (idx > 0) & (x < grid[-1]), left, idx)

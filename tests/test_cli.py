@@ -11,6 +11,7 @@ from copulafill.data_model import read_csv, write_csv
 from copulafill.evaluation import mask_mcar, ordinal_spec, random_correlation, sample_gc
 from copulafill.imputer import confidence_intervals, impute_multiple, impute_single
 from copulafill.lrgc import fit_lrgc
+from copulafill.marginals import Marginal
 
 import csv_oracle
 
@@ -211,6 +212,19 @@ class TestStreamCommand:
         assert np.isnan(got.values[:25, 2]).all()
         assert not np.isnan(got.values[25:, :4]).any()
 
+    def test_small_decay_over_a_long_window(self, tmp_path):
+        # 0.01**t underflows to 0 from t = 162 on, within the default
+        # window of 200; every weight must stay positive
+        corr = random_correlation(4, seed=31, n_factors=2, noise=0.5)
+        specs = [norm.ppf, ordinal_spec([0.2, 0.3, 0.3, 0.2]), norm.ppf, norm.ppf]
+        masked = mask_mcar(sample_gc(260, specs, corr=corr, seed=8), 0.3, seed=9)
+        in_path, out = tmp_path / "long.csv", tmp_path / "out.csv"
+        write_csv(in_path, masked.values, masked.col_names)
+        assert main(["stream", str(in_path), "-o", str(out), "--decay", "0.01"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 260
+        assert all("" not in row.split(",") for row in rows if row.endswith(",0"))
+
     def test_decay_zero_rejected(self, stream_files, tmp_path):
         in_path, truth_path = stream_files
         code = main(["stream", str(in_path), "-o", str(tmp_path / "x.csv"),
@@ -382,7 +396,19 @@ class TestOneSolvePerJob:
         assert main(["impute", str(mixed_csv), "-o", str(tmp_path / "o.csv"),
                      "--ci", "analytic", "--multiple", "3", *flags]) == 0
         assert events.count("fitted") == 1
-        assert events[events.index("fitted") + 1:] == ["encode", "solve"]
+        assert events[events.index("fitted") + 1:] == ["solve"]
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_one_latent_bounds_call_per_column(self, mixed_csv, tmp_path,
+                                               monkeypatch, rank):
+        # the fit encodes the table, and the imputation takes its encoding
+        seen, real = [], Marginal.latent_bounds
+        monkeypatch.setattr(Marginal, "latent_bounds",
+                            lambda self, x: seen.append(self) or real(self, x))
+        flags = ["--rank", str(rank)] if rank else []
+        assert main(["impute", str(mixed_csv), "-o", str(tmp_path / "o.csv"),
+                     "--ci", "analytic", "--multiple", "3", *flags]) == 0
+        assert len(seen) == len({id(m) for m in seen}) == 6
 
 
 class TestStreamRejectsInfiniteCells:

@@ -101,6 +101,16 @@ class TestToLatent:
         assert to_latent_interval(m, -7.0) == to_latent_interval(m, 1)
         assert to_latent_interval(m, 9.0) == to_latent_interval(m, 3)
 
+    @pytest.mark.parametrize("x,level", [(np.inf, 2), (1e308, 2), (-np.inf, 0),
+                                         (-1e308, 0)])
+    def test_values_beyond_an_end_level_snap_to_it(self, x, level):
+        # both distances to the top two levels round to the same float
+        m = fit_marginal([0, 1, 2, 2], ORD)
+        want = (m._zcuts[level], m._zcuts[level + 1])
+        assert m.latent_bounds(x) == want
+        lo, hi = m.latent_bounds(np.array([x, 1.0]))
+        assert (lo[0], hi[0]) == want
+
     def test_nan_propagates(self):
         m = fit_marginal([1.0, 2.0, 3.0], CONT)
         lo, hi = m.latent_bounds([1.0, np.nan])
@@ -219,6 +229,14 @@ class TestWeights:
     def test_decayed_examples(self):
         assert np.array_equal(decayed_weights(5, 1.0), np.ones(5))
         assert np.allclose(decayed_weights(3, 0.5), [0.5, 0.25, 0.125])
+
+    def test_decayed_weights_stay_positive(self):
+        w = decayed_weights(400, 0.01)
+        tiny = np.finfo(float).tiny
+        assert (w > 0).all() and w[-1] == tiny
+        # weights above the floor keep their bits
+        exact = 0.01 ** np.arange(1, 401, dtype=float)
+        assert np.array_equal(w[exact >= tiny], exact[exact >= tiny])
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
