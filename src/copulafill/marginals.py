@@ -319,11 +319,16 @@ def decayed_weights(m: int, decay: float) -> np.ndarray:
 def _interp_exact(x, xp, yp):
     """np.interp with exact lookup at the nodes.
 
-    Guarantees bitwise-exact values at xp (interp arithmetic may round) so
-    that rank-derived encodings and round trips are exact at sample points.
+    Guarantees bitwise-exact values at xp, so that rank-derived encodings
+    and round trips are exact at sample points. np.interp already returns
+    yp[j] at x == xp[j] when the nodes are distinct; where a node repeats,
+    as the quantile nodes of a weighted fit can, it would take the last
+    repeat, and a search per value takes the first.
     """
     x = np.asarray(x, dtype=float)
     out = np.interp(x, xp, yp)
+    if (xp[1:] > xp[:-1]).all():
+        return out if out.ndim else float(out)
     idx = np.searchsorted(xp, x)
     idx = np.clip(idx, 0, len(xp) - 1)
     hit = xp[idx] == x

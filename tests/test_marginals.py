@@ -13,6 +13,7 @@ from copulafill.data_model import (
 )
 from copulafill.marginals import (
     LatentInterval,
+    _interp_exact,
     decayed_weights,
     fit_marginal,
     from_latent,
@@ -164,6 +165,30 @@ class TestPointBounds:
         for x in (np.inf, -np.inf):
             want = m.latent_bounds(np.array([x]))
             assert m.latent_bounds(x) == (want[0][0], want[1][0])
+
+
+class TestInterpExact:
+    def test_exact_at_distinct_nodes(self):
+        # the first slope overflows: the nodes must still map exactly
+        xp, yp = np.array([0.0, 1e-300, 1.0]), np.array([0.0, 1e300, 1e301])
+        assert np.array_equal(_interp_exact(xp, xp, yp), yp)
+        assert [_interp_exact(x, xp, yp) for x in xp] == yp.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40, unique=True),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_nodes_and_free_values_as_a_search(self, nodes, free):
+        xp = np.sort(nodes)
+        yp = np.sort(np.random.default_rng(len(xp)).standard_normal(len(xp)))
+        x = np.concatenate([xp, free])
+        want = np.interp(x, xp, yp)
+        want[: len(xp)] = yp
+        assert np.array_equal(_interp_exact(x, xp, yp), want)
+
+    def test_repeated_node_takes_its_first_value(self):
+        xp, yp = np.array([0.1, 0.1, 0.1, 0.5]), np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(_interp_exact(np.array([0.1, 0.5]), xp, yp), [1.0, 4.0])
+        assert _interp_exact(0.1, xp, yp) == 1.0
 
 
 class TestFromLatent:
