@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     imp.add_argument("input", help="input CSV (header required; missing = empty or NaN)")
     imp.add_argument("-o", "--output", required=True, help="imputed CSV path")
     imp.add_argument("--mode", default="standard",
-                     choices=["standard", "minibatch-offline", "minibatch-online"],
+                     choices=["standard", "minibatch-offline"],
                      help="training mode")
     imp.add_argument("--tol", type=float, default=0.01, help="EM convergence tolerance")
     imp.add_argument("--max-iter", type=int, default=50, help="maximum EM iterations")
@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also write N sampled imputations <output>_impK.csv")
     imp.add_argument("--corr-out", default="", help="write the fitted correlation CSV")
     imp.add_argument("--seed", type=int, default=0, help="random seed")
-    imp.add_argument("--workers", type=int, default=1, help="E-step worker processes")
     imp.add_argument("--verbose", action="store_true", help="print per-iteration lines")
 
     st = sub.add_parser("stream", formatter_class=fmt,
@@ -132,8 +131,6 @@ def _write(path, values, names) -> None:
 
 
 def _cmd_impute(args) -> int:
-    if args.mode == "minibatch-online":
-        raise CliError("use the 'stream' command for minibatch-online mode")
     if args.multiple < 0:
         raise CliError("--multiple must be nonnegative")
     if not 0 < args.alpha < 1:
@@ -146,7 +143,6 @@ def _cmd_impute(args) -> int:
             num_pass=args.num_pass,
             stepsize=lambda t, c=args.stepsize_c: c / (c + t),
             seed=args.seed,
-            n_workers=args.workers,
             verbose=args.verbose,
         )
     except ValueError as err:
@@ -313,9 +309,14 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    truth = _read_table(args.truth)
-    masked = _read_table(args.masked)
-    imputed = _read_table(args.imputed)
+    paths = [args.truth, args.masked, args.imputed]
+    if args.ci_lower and args.ci_upper:
+        paths += [args.ci_lower, args.ci_upper]
+    tables = [_read_table(path) for path in paths]
+    if len({t.values.shape for t in tables}) > 1:
+        raise ParseError("tables differ in shape: " + ", ".join(
+            f"{path} {t.n_rows}x{t.n_cols}" for path, t in zip(paths, tables)))
+    truth, masked, imputed, *bounds = tables
     scores = smae(imputed, truth, masked)
     print(f"{'column':<20} {'smae':>8}")
     for name, s in zip(truth.col_names, scores):
@@ -324,10 +325,8 @@ def _cmd_evaluate(args) -> int:
     mean_smae = np.nanmean(scores) if np.isfinite(scores).any() else float("nan")
     print(f"{'mean smae':<20} {mean_smae:>8.3f}")
     print(f"{'pooled mae':<20} {mae(imputed, truth, masked):>8.3f}")
-    if args.ci_lower and args.ci_upper:
-        lo = _read_table(args.ci_lower)
-        hi = _read_table(args.ci_upper)
-        print(f"coverage: {coverage(lo, hi, truth, masked):.3f}")
+    if bounds:
+        print(f"coverage: {coverage(*bounds, truth, masked):.3f}")
     return 0
 
 

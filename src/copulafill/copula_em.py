@@ -33,8 +33,6 @@ class FitConfig:
     num_pass: int = 2
     stepsize: Callable[[int], float] = default_stepsize
     seed: int = 0
-    n_workers: int = 1
-    sweeps: int = 2
     verbose: bool = False
 
     def __post_init__(self):
@@ -46,10 +44,8 @@ class FitConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_pass < 1:
             raise ValueError(f"num_pass must be >= 1, got {self.num_pass}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.sweeps < 0:
-            raise ValueError(f"sweeps must be >= 0, got {self.sweeps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         validate_stepsize(self.stepsize, self.max_iter)
 
 
@@ -77,7 +73,6 @@ class CopulaModel:
     fit_trace: list[tuple[float, float]] = field(default_factory=list)
     converged: bool = True
     lowrank: object | None = None
-    sweeps: int = 2
 
     @property
     def n_cols(self) -> int:
@@ -114,50 +109,22 @@ def encode_table(marginals: list[Marginal], values: np.ndarray):
     return lower, upper
 
 
-def _estep_chunk(corr, lower, upper, sweeps):
-    s = np.zeros_like(corr)   # each solved chunk adds its missing covariance
-    post = batch_posterior(
-        corr, lower, upper, sweeps,
-        visit=lambda ch: np.add(s, ch.stack.cov_sum(ch.pat, ch.ivar), out=s))
-    s += post.mean.T @ post.mean
-    s[np.diag_indices(corr.shape[0])] += post.ivar.sum(axis=0)
-    return s, post.mean.sum(axis=0), post.loglik, post.mean
-
-
-def estep(corr, lower, upper, sweeps: int = 2, n_workers: int = 1) -> EStepResult:
-    """Expected latent moments of an encoded batch under ``corr``.
-
-    Rows are split across ``n_workers`` processes; the partial sums merge by
-    addition, so results agree with the serial path up to summation order.
-    """
+def estep(corr, lower, upper) -> EStepResult:
+    """Expected latent moments of an encoded batch under ``corr``, from one
+    batched posterior solve of all its rows."""
     corr = np.asarray(corr, dtype=float)
     lower = np.atleast_2d(np.asarray(lower, dtype=float))
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     n = lower.shape[0]
     if n == 0:
         raise ValueError("estep requires at least one row")
-    if n_workers == 1 or n < 2 * n_workers:
-        s, m, ll, zimp = _estep_chunk(corr, lower, upper, sweeps)
-        return EStepResult(s, m, ll / n, zimp)
-    bounds = np.linspace(0, n, n_workers + 1).astype(int)
-    args = [
-        (corr, lower[a:b], upper[a:b], sweeps)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    s = np.zeros_like(corr)
-    m = np.zeros(corr.shape[0])
-    ll = 0.0
-    parts = []
-    # imported here, so that a serial run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for s_c, m_c, ll_c, z_c in pool.map(_estep_chunk, *zip(*args)):
-            s += s_c
-            m += m_c
-            ll += ll_c
-            parts.append(z_c)
-    return EStepResult(s, m, ll / n, np.concatenate(parts, axis=0))
+    s = np.zeros_like(corr)   # each solved chunk adds its missing covariance
+    post = batch_posterior(
+        corr, lower, upper,
+        visit=lambda ch: np.add(s, ch.stack.cov_sum(ch.pat, ch.ivar), out=s))
+    s += post.mean.T @ post.mean
+    s[np.diag_indices(corr.shape[0])] += post.ivar.sum(axis=0)
+    return EStepResult(s, post.mean.sum(axis=0), post.loglik / n, post.mean)
 
 
 def mstep(s_sum: np.ndarray, n: int) -> np.ndarray:
@@ -292,11 +259,10 @@ def _prepare_fit(table, types, min_ord_ratio) -> _FitInput:
     return _FitInput(table, marginals, lower, upper)
 
 
-def blend_step(corr, lower, upper, eta: float, sweeps: int = 2,
-               n_workers: int = 1, single=()):
+def blend_step(corr, lower, upper, eta: float, single=()):
     """(1 - eta) corr + eta M(E(corr)), with the ``single`` columns pinned
     in M(E(corr)); also returns the relative change and batch loglik."""
-    res = estep(corr, lower, upper, sweeps=sweeps, n_workers=n_workers)
+    res = estep(corr, lower, upper)
     target = _pin_single_level(mstep(res.s_sum, len(lower)), single)
     new_corr = (1.0 - eta) * corr + eta * target
     return new_corr, _rel_change(corr, new_corr), res.loglik
@@ -373,14 +339,13 @@ def _fit_corr(table, config, types, min_ord_ratio, minibatch) -> CopulaModel:
         batches = np.array_split(perm, n_batches) * config.num_pass
 
     def em_step(corr, rows, eta):
-        return blend_step(corr, lower[rows], upper[rows], eta, config.sweeps,
-                          config.n_workers, single)
+        return blend_step(corr, lower[rows], upper[rows], eta, single)
 
     corr = _pin_single_level(initial_corr(lower, upper), single)
     corr, trace, converged = run_em(corr, em_step, config, batches)
     return CopulaModel(corr, prep.marginals, prep.vartypes,
                        list(prep.table.col_names), fit_trace=trace,
-                       converged=converged, sweeps=config.sweeps)
+                       converged=converged)
 
 
 def approx_loglik(model: CopulaModel, table) -> float:

@@ -63,9 +63,9 @@ def _model_kernel(model: CopulaModel):
     ``make_stack(missing patterns)``: the one place the dense and the
     low-rank model part ways."""
     if model.lowrank is None:
-        return (partial(batch_posterior, model.corr, sweeps=model.sweeps),
+        return (partial(batch_posterior, model.corr),
                 partial(_DenseStack, model.corr))
-    return (partial(_lowrank_posterior, model.lowrank, sweeps=model.sweeps),
+    return (partial(_lowrank_posterior, model.lowrank),
             partial(_LowRankStack, model.lowrank))
 
 

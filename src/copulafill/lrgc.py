@@ -176,7 +176,7 @@ class _FactorMoments:
         self.n_cells += int(obs.sum())
 
 
-def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps,
+def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps: int = 2,
                        visit=None) -> BatchPosterior:
     """Posterior of an encoded batch under the low-rank model; ``visit`` as
     in :func:`copulafill.latent.batch_posterior`. A fit passes
@@ -237,7 +237,7 @@ def fit_lrgc(
     def em_step(params, rows, eta):
         moments = _FactorMoments(p, rank)
         post = _lowrank_posterior(params, lower[rows], upper[rows],
-                                  config.sweeps, moments.add)
+                                  visit=moments.add)
         w_new, s2_new = _mstep_lowrank(moments, rank)
         return (LowRankParams(w_new, s2_new), _rel_change(params.w, w_new),
                 post.loglik / n)
@@ -246,4 +246,4 @@ def fit_lrgc(
                                       em_step, config)
     return CopulaModel(None, prep.marginals, prep.vartypes,
                        list(prep.table.col_names), fit_trace=trace,
-                       converged=converged, lowrank=params, sweeps=config.sweeps)
+                       converged=converged, lowrank=params)

@@ -37,7 +37,6 @@ class StreamConfig:
     batch_size: int = 40
     decay: float = 1.0
     n_train: int = 25
-    sweeps: int = 2
 
     def __post_init__(self):
         if self.window_size < 2:
@@ -162,8 +161,7 @@ def _impute_row(state: StreamState, lower, upper, row) -> np.ndarray:
     if np.isnan(lower).all():
         latent = np.zeros(state.n_cols)
     else:
-        latent = row_posterior_mean(state.corr, lower, upper,
-                                    sweeps=state.config.sweeps)
+        latent = row_posterior_mean(state.corr, lower, upper)
     out = row.copy()
     decay = state.config.decay
     for j in np.flatnonzero(missing):
@@ -234,8 +232,7 @@ def step(state: StreamState, row, revealed=None):
     if len(state.pending_lower) >= state.config.batch_size:
         state.corr, _, _ = blend_step(
             state.corr, np.vstack(state.pending_lower),
-            np.vstack(state.pending_upper), state.config.const_stepsize,
-            sweeps=state.config.sweeps)
+            np.vstack(state.pending_upper), state.config.const_stepsize)
         state.pending_lower.clear()
         state.pending_upper.clear()
     return imputed, state

@@ -55,7 +55,7 @@ def impute_row(state, row):
         latent = np.zeros(state.n_cols)
     else:
         latent = batch_posterior(state.corr, lower[None, :], upper[None, :],
-                                 sweeps=state.config.sweeps).mean[0]
+                                 sweeps=2).mean[0]
     out = row.copy()
     for j in np.flatnonzero(missing):
         if state.config.decay < 1.0:

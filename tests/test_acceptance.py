@@ -309,7 +309,7 @@ def test_criterion_10_streaming_limits():
 def test_criterion_11_rank_invariance():
     _, truth, masked = make_mixed_dataset(n=1500, seed=58, mask_fraction=0.1)
     cont_cols = [0, 1, 2]
-    cfg = FitConfig(max_iter=6, tol=1e-12, n_workers=1)
+    cfg = FitConfig(max_iter=6, tol=1e-12)
     model_a = fit_standard(masked, cfg)
     mapped = masked.values.copy()
     for j in cont_cols:

@@ -120,15 +120,6 @@ class TestImputeCommand:
                      "--types", "continuous,continuous,continuous"])
         assert code == 0
 
-    def test_workers_flag_matches_serial(self, toy_csv, tmp_path):
-        _, masked_path = toy_csv
-        a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-        assert main(["impute", str(masked_path), "-o", str(a)]) == 0
-        assert main(["impute", str(masked_path), "-o", str(b),
-                     "--workers", "2"]) == 0
-        va, vb = read_csv(a).values, read_csv(b).values
-        assert np.allclose(va, vb, atol=1e-6)
-
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,zzz\n")
@@ -149,6 +140,23 @@ class TestImputeCommand:
                      "--types", "widget,a,b"]) == 1
         assert main(["impute", str(masked_path), "-o", out,
                      "--mode", "minibatch-online"]) == 1
+
+    def test_removed_workers_flag_exit_1(self, toy_csv, tmp_path):
+        _, masked_path = toy_csv
+        assert main(["impute", str(masked_path), "-o", str(tmp_path / "x.csv"),
+                     "--workers", "2"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--multiple", "2"],
+                                       ["--mode", "minibatch-offline"],
+                                       ["--ci", "quantile"]])
+    def test_negative_seed_exit_1_before_output(self, toy_csv, tmp_path, capsys,
+                                                flags):
+        _, masked_path = toy_csv
+        out = tmp_path / "x.csv"
+        assert main(["impute", str(masked_path), "-o", str(out),
+                     "--seed", "-1", *flags]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_unwritable_output_exit_1(self, toy_csv, tmp_path, capsys):
         _, masked_path = toy_csv
@@ -336,6 +344,24 @@ class TestEvaluateCommand:
         import re
 
         assert any(re.fullmatch(r"coverage: 0\.\d{3}", ln) for ln in lines)
+
+    @pytest.mark.parametrize("which", ["--imputed", "--ci-upper"])
+    def test_shape_mismatch_exit_2(self, toy_csv, tmp_path, capsys, which):
+        truth_path, masked_path = toy_csv
+        truth = read_csv(truth_path)
+        short = tmp_path / "short.csv"
+        write_csv(short, truth.values[:50], truth.col_names)
+        files = {"--imputed": truth_path, "--ci-lower": truth_path,
+                 "--ci-upper": truth_path, which: short}
+        code = main(["evaluate", "--truth", str(truth_path),
+                     "--masked", str(masked_path),
+                     *[arg for kv in files.items() for arg in map(str, kv)]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse failure" in captured.err and "differ in shape" in captured.err
+        assert f"{short} 50x3" in captured.err
+        assert f"{truth_path} 200x3" in captured.err
 
 
 @pytest.fixture()

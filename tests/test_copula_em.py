@@ -55,21 +55,6 @@ class TestEstep:
         with pytest.raises(ValueError):
             estep(np.eye(2), np.empty((0, 2)), np.empty((0, 2)))
 
-    def test_two_workers_match_serial(self):
-        rng = np.random.default_rng(1)
-        sigma = random_correlation(3, seed=5)
-        lower = rng.standard_normal((40, 3))
-        upper = lower.copy()
-        upper[:, 1] = lower[:, 1] + 0.8
-        lower[rng.random(40) < 0.3, 2] = np.nan
-        upper[np.isnan(lower)] = np.nan
-        serial = estep(sigma, lower, upper, n_workers=1)
-        par = estep(sigma, lower, upper, n_workers=2)
-        assert np.allclose(serial.s_sum, par.s_sum, atol=1e-8)
-        assert np.allclose(serial.m_sum, par.m_sum, atol=1e-8)
-        assert serial.loglik == pytest.approx(par.loglik, abs=1e-8)
-        assert np.allclose(serial.latent_mean, par.latent_mean, atol=1e-8)
-
 
 class TestMstep:
     def test_idempotent_on_correlation(self):
@@ -302,3 +287,14 @@ class TestFitConfig:
             FitConfig(tol=0.0)
         with pytest.raises(ValueError):
             FitConfig(batch_size=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FitConfig(seed=-1)
+        assert FitConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("field", ["n_workers", "sweeps"])
+    def test_removed_fields_rejected(self, field):
+        # the E-step is serial and always runs two sweeps
+        with pytest.raises(TypeError):
+            FitConfig(**{field: 2})

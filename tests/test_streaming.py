@@ -44,6 +44,11 @@ class TestConfig:
             StreamConfig(n_train=1)
         assert StreamConfig(decay=1.0).decay == 1.0
 
+    @pytest.mark.parametrize("field", ["n_workers", "sweeps"])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(TypeError):
+            StreamConfig(**{field: 2})
+
 
 class TestInit:
     def test_buffers_hold_recent_observations(self):
