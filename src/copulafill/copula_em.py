@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data_model import DataTable, VariableType, detect_variable_types
-from .latent import _truncmoments, batch_posterior
+from .latent import _interval_means, batch_posterior
 from .marginals import Marginal, fit_and_encode
 
 def default_stepsize(t: int, c: float = 5.0) -> float:
@@ -171,11 +171,7 @@ def initial_corr(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     nearest positive-definite correlation matrix. Entries with fewer than
     two complete pairs fall back to zero.
     """
-    z = lower.copy()
-    interval = ~np.isnan(lower) & (upper > lower)
-    if interval.any():
-        m0, _, _ = _truncmoments(0.0, 1.0, lower[interval], upper[interval])
-        z[interval] = m0
+    z = _interval_means(lower, upper)
     obs = ~np.isnan(z)
     x = np.where(obs, z, 0.0)
     w = obs.astype(float)

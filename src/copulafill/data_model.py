@@ -43,10 +43,6 @@ class VariableType:
                 raise ValueError(f"truncation bound {name}={val} must be finite")
 
     @property
-    def is_truncated(self) -> bool:
-        return self.tag in (LOWER_TRUNCATED, UPPER_TRUNCATED, TWOSIDED_TRUNCATED)
-
-    @property
     def has_lower_bound(self) -> bool:
         return self.tag in (LOWER_TRUNCATED, TWOSIDED_TRUNCATED)
 

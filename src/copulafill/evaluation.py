@@ -95,8 +95,8 @@ def mae(imputed, truth, masked_input) -> float:
 
 def coverage(ci_lower, ci_upper, truth, masked_input) -> float:
     """Fraction of evaluation cells whose truth lies inside the interval."""
+    upper = _eval_cells(ci_upper, truth, masked_input)[0]
     lower, truth, _, cells = _eval_cells(ci_lower, truth, masked_input)
-    upper = _values(ci_upper)
     hit = (lower[cells] <= truth[cells]) & (truth[cells] <= upper[cells])
     return float(hit.mean()) if cells.any() else float("nan")
 

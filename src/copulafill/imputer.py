@@ -90,40 +90,21 @@ def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
                      seed: int = 0, bounds=None):
     """(latent mean, missing-coordinate variance) grids for all rows, from
     one posterior solve of the latent ``bounds`` of ``values``, which are
-    encoded here when None.
+    encoded here when None. A row with no observed cell gets its prior:
+    mean 0, variance Sigma_jj.
 
     Given a (num, n, p) ``latent``, the solve also fills it with ``num``
     latent draws of every row, the RNG split per row from ``seed``.
-    All-missing rows get the prior: mean 0, variance 1.
     """
     lower, upper = bounds or encode_table(model.marginals, values)
-    n, p = lower.shape
-    has_obs = ~np.isnan(lower).all(axis=1)
-    posterior, make_stack = _model_kernel(model)
     visit = None
     if latent is not None:
-        num = len(latent)
         rngs = [np.random.default_rng(s)
-                for s in np.random.SeedSequence(seed).spawn(n)]
-        visit = partial(_sample_chunk, np.flatnonzero(has_obs), lower, upper,
-                        latent, rngs, num)
-    if has_obs.all():
-        post = posterior(lower, upper, visit=visit)
-        return post.mean, post.mvar
-    post = posterior(lower[has_obs], upper[has_obs], visit=visit)
-    mean = np.zeros((n, p))
-    mvar = np.where(np.isnan(values), 1.0, 0.0)
-    mean[has_obs] = post.mean
-    mvar[has_obs] = post.mvar
-    if latent is not None:
-        prior = make_stack(np.ones((1, p), dtype=bool))
-        ids = np.flatnonzero(~has_obs)
-        for rows in _row_pieces(len(ids), _DRAW_SHARE * num * p):
-            draw = np.zeros((len(rows), num, p))
-            _draw_rows(prior, np.zeros(len(rows), dtype=int), draw,
-                       [rngs[i] for i in ids[rows]])
-            latent[:, ids[rows]] = np.swapaxes(draw, 0, 1)
-    return mean, mvar
+                for s in np.random.SeedSequence(seed).spawn(len(lower))]
+        visit = partial(_sample_chunk, lower, upper, latent, rngs, len(latent))
+    posterior, _ = _model_kernel(model)
+    post = posterior(lower, upper, visit=visit)
+    return post.mean, post.mvar
 
 
 def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
@@ -211,14 +192,14 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     return _impute(model, _coerce_values(model, table), num=num, seed=seed)[1]
 
 
-def _sample_chunk(row_ids, lower, upper, latent, rngs, num, chunk):
-    """Draw the rows of one solved posterior chunk into ``latent``;
-    ``row_ids`` maps the posterior's batch rows to table rows. The rows go
-    in pieces of at most ``_CHUNK_ELEMS // (_DRAW_SHARE num p)`` rows, each
-    drawn by :func:`_draw_rows`."""
+def _sample_chunk(lower, upper, latent, rngs, num, chunk):
+    """Draw the table rows of one solved posterior chunk into ``latent``,
+    a row with no observed cell from its prior. The rows go in pieces of at
+    most ``_CHUNK_ELEMS // (_DRAW_SHARE num p)`` rows, each drawn by
+    :func:`_draw_rows`."""
     stack, z, pat = chunk.stack, chunk.z, chunk.pat
     state = stack.start(z, pat)  # fresh, without the sweep's rounding
-    ids = row_ids[chunk.rows]
+    ids = np.arange(len(lower))[chunk.rows]
     for rows in _row_pieces(len(ids), _DRAW_SHARE * num * z.shape[1]):
         lo, hi = lower[ids[rows]], upper[ids[rows]]
         r, c = np.nonzero(hi > lo)
@@ -229,7 +210,7 @@ def _sample_chunk(row_ids, lower, upper, latent, rngs, num, chunk):
         latent[:, ids[rows]] = np.swapaxes(draw, 0, 1)
 
 
-def _draw_rows(stack, pat, draw, rngs, cells=None):
+def _draw_rows(stack, pat, draw, rngs, cells):
     """Draw r rows of patterns ``pat`` in place into ``draw``, (r, num, p)
     copies of their latent means.
 
@@ -243,8 +224,6 @@ def _draw_rows(stack, pat, draw, rngs, cells=None):
     rows at once.
     """
     n, num, _ = draw.shape
-    if cells is None:
-        cells = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 4
     r, c, mu, sd, lo, hi = cells
     missing = stack.missing[pat]
     with_missing = missing.any(axis=1)

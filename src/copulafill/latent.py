@@ -223,6 +223,16 @@ def _truncmoments_scalar(mu: float, var: float, lower: float, upper: float):
     return mu + sd * m, var * v
 
 
+def _interval_means(lower, upper):
+    """``lower`` with each interval cell replaced by its N(0, 1) truncated
+    mean: the point encoding the warm starts begin from."""
+    z = lower.copy()
+    interval = upper > lower
+    if interval.any():
+        z[interval] = _truncmoments(0.0, 1.0, lower[interval], upper[interval])[0]
+    return z
+
+
 class _SingularBlock(LinAlgError):
     """A stack could not factor the block of pattern ``index``."""
 
@@ -459,7 +469,8 @@ def batch_posterior(sigma, lower, upper, sweeps: int = 2,
 
     ``lower``/``upper`` are (n, p) latent bounds: NaN in both marks a
     missing cell, equal finite bounds a degenerate (continuous) cell, and a
-    proper interval an ordinal level or truncation boundary. Each
+    proper interval an ordinal level or truncation boundary. A row with no
+    observed cell gets its prior: mean 0, variance Sigma_jj. Each
     missingness pattern's observed block is factored once; ``visit``, if
     given, is called with each solved :class:`_Chunk`.
     """
@@ -482,9 +493,6 @@ def _solve(lower, upper, sweeps, make_stack, pattern_cost,
     upper = np.atleast_2d(np.asarray(upper, dtype=float))
     n, p = lower.shape
     missing = np.isnan(lower)
-    if np.any(missing.all(axis=1)):
-        row = int(np.flatnonzero(missing.all(axis=1))[0])
-        raise ValueError(f"row {row} has no observed coordinates")
     # each mask row as one p-byte key: its byte order is the row order of
     # np.unique(missing, axis=0), without the p-field record dtype
     keys = np.ascontiguousarray(missing).view(np.dtype((np.void, p)))
@@ -624,6 +632,8 @@ def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     """Posterior of a single row; see :func:`batch_posterior` for encoding."""
     lower = np.asarray(lower, dtype=float).reshape(1, -1)
     upper = np.asarray(upper, dtype=float).reshape(1, -1)
+    if np.isnan(lower).all():
+        raise ValueError("row 0 has no observed coordinates")
     cov = []
     post = batch_posterior(
         sigma, lower, upper, sweeps,

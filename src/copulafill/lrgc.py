@@ -20,8 +20,8 @@ import numpy as np
 from scipy.sparse.linalg import svds
 
 from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change, run_em
-from .latent import (BatchPosterior, _chol_inverse, _chol_stack, _diag, _solve,
-                     _truncmoments)
+from .latent import (BatchPosterior, _chol_inverse, _chol_stack, _diag,
+                     _interval_means, _solve)
 
 
 @dataclass
@@ -196,12 +196,7 @@ def _mstep_lowrank(moments: _FactorMoments, k: int) -> tuple[np.ndarray, float]:
 
 
 def _init_lowrank(lower, upper, k) -> LowRankParams:
-    z = lower.copy()
-    interval = ~np.isnan(lower) & (upper > lower)
-    if interval.any():
-        m0, _, _ = _truncmoments(0.0, 1.0, lower[interval], upper[interval])
-        z[interval] = m0
-    z = np.nan_to_num(z, nan=0.0)
+    z = np.nan_to_num(_interval_means(lower, upper), nan=0.0)
     n = z.shape[0]
     u, s, vt = svds(z, k=k, random_state=0)
     w = vt.T * (s / np.sqrt(n))[None, :]

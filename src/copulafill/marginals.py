@@ -364,5 +364,6 @@ def _nearest_index(x, grid):
     idx = np.searchsorted(grid, x)
     idx = np.clip(idx, 0, len(grid) - 1)
     left = np.clip(idx - 1, 0, len(grid) - 1)
-    pick_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
+    with np.errstate(over="ignore"):    # an infinite distance still compares
+        pick_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
     return np.where(pick_left & (idx > 0) & (x < grid[-1]), left, idx)

@@ -156,6 +156,44 @@ class TestMatchesOracle:
         assert got.n_cells == n_cells
 
 
+def with_all_missing_row(lower, upper):
+    blank = np.full((1, lower.shape[1]), np.nan)
+    return np.vstack([lower, blank]), np.vstack([upper, blank])
+
+
+class TestAllMissingRow:
+    """A row with no observed cell is one more pattern: it gets its prior,
+    N(0, Sigma), and leaves every other row's bits alone."""
+
+    def assert_prior_row(self, got, want, var, atol):
+        assert np.array_equal(got.mean[-1], np.zeros(len(var)))
+        assert np.array_equal(got.ivar[-1], np.zeros(len(var)))
+        np.testing.assert_allclose(got.mvar[-1], var, rtol=0, atol=atol)
+        for name in ("mean", "ivar", "mvar"):
+            np.testing.assert_array_equal(getattr(got, name)[:-1],
+                                          getattr(want, name), err_msg=name)
+
+    def test_dense(self):
+        sigma, lower, upper = dense_case(60, 7, 1)
+        got = batch_posterior(sigma, *with_all_missing_row(lower, upper))
+        self.assert_prior_row(got, batch_posterior(sigma, lower, upper),
+                              np.diag(sigma), 0.0)
+
+    def test_lowrank(self):
+        params, lower, upper = lowrank_case(60, 9, 2, 4)
+        got = _lowrank_posterior(params, *with_all_missing_row(lower, upper), 2)
+        self.assert_prior_row(got, _lowrank_posterior(params, lower, upper, 2),
+                              (params.w ** 2).sum(axis=1) + params.sigma2, 1e-12)
+
+    def test_estep_adds_sigma(self):
+        sigma, lower, upper = dense_case(120, 8, 9)
+        got = estep(sigma, *with_all_missing_row(lower, upper))
+        want = estep(sigma, lower, upper)
+        np.testing.assert_allclose(got.s_sum, want.s_sum + sigma, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(got.m_sum, want.m_sum)
+
+
 class TestTruncmomentsCalls:
     """One call for the start, one per interval column in each Gauss-Seidel
     pass, and one for every log-mass of a chunk."""

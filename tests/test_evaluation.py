@@ -119,6 +119,12 @@ class TestCoverage:
         hi = np.array([[1.0, 7.0]])
         assert coverage(lo, hi, truth, masked) == 0.5
 
+    def test_rejects_upper_bounds_of_another_shape(self):
+        t = np.zeros((4, 2))
+        m = np.full((4, 2), np.nan)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            coverage(t, t[:2], t, m)
+
 
 class TestSampleGc:
     def test_independent_columns_uncorrelated(self):
