@@ -28,7 +28,7 @@ from .data_model import (
     write_csv,
 )
 from .evaluation import coverage, mae, smae
-from .imputer import _impute, confidence_intervals
+from .imputer import _QUANTILE_DRAWS, _impute, _quantile_bounds
 from .lrgc import fit_lrgc
 from .streaming import StreamConfig, init_stream, step
 
@@ -178,10 +178,12 @@ def _cmd_impute(args) -> int:
             model = fit_minibatch_offline(prep, config)
         else:
             model = fit_standard(prep, config)
-        # one solve gives the imputation, the analytic bounds and the draws
+        # one solve gives the imputation, the analytic bounds and the draws;
+        # the quantile bounds take the first _QUANTILE_DRAWS of those draws
+        quantile_draws = _QUANTILE_DRAWS if args.ci == "quantile" else 0
         result, draws = _impute(model, table.values,
                                 alpha=args.alpha if args.ci == "analytic" else None,
-                                num=args.multiple, seed=args.seed,
+                                num=max(args.multiple, quantile_draws), seed=args.seed,
                                 bounds=(prep.lower, prep.upper))
     except (ValueError, np.linalg.LinAlgError) as err:
         print(f"copulafill: fit failed: {err}", file=sys.stderr)
@@ -190,9 +192,8 @@ def _cmd_impute(args) -> int:
     _write(args.output, result.imputed, table.col_names)
     if args.ci:
         lo, hi = result.ci_lower, result.ci_upper
-        if args.ci == "quantile":
-            lo, hi = confidence_intervals(model, table, alpha=args.alpha,
-                                          kind="quantile", seed=args.seed)
+        if quantile_draws:
+            lo, hi = _quantile_bounds(draws[:quantile_draws], table.values, args.alpha)
         _write(_derived_path(args.output, "_ci_lower"), lo, table.col_names)
         _write(_derived_path(args.output, "_ci_upper"), hi, table.col_names)
     if args.multiple:

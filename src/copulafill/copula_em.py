@@ -349,13 +349,16 @@ def approx_loglik(model: CopulaModel, table) -> float:
 
     Exact for all-continuous rows; interval coordinates enter at their
     conditional means plus their per-coordinate conditional interval
-    log-masses. A monitoring quantity, not a convergence criterion.
+    log-masses. A monitoring quantity, not a convergence criterion. Rows
+    without an observed cell are left out; a table with none at all, or of
+    another column count than the model's, raises ``ValueError``.
     """
-    values = table.values if isinstance(table, DataTable) else np.asarray(table, float)
-    lower, upper = encode_table(model.marginals, values)
-    keep = ~np.isnan(lower).all(axis=1)
-    from .imputer import _model_kernel
+    from .imputer import _coerce_values, _model_kernel
 
+    lower, upper = encode_table(model.marginals, _coerce_values(model, table))
+    keep = ~np.isnan(lower).all(axis=1)
+    if not keep.any():
+        raise ValueError("table has no observed cell; its log-likelihood is undefined")
     posterior, _ = _model_kernel(model)
     post = posterior(lower[keep], upper[keep])
     return float((post.gauss_ll + post.log_mass).mean())

@@ -8,9 +8,16 @@ each marginal's median-type value.
 A table is encoded into latent bounds once: the library functions encode
 it here, while ``copulafill impute`` hands over the encoding its fit made
 (:func:`copulafill.copula_em._prepare_fit`). Multiple imputations are
-drawn while the posterior is solved, a chunk of rows at a time. Each row
-keeps its own RNG stream, so its draws do not depend on the rows drawn
-with it; all other sampling work is done over the chunk at once.
+drawn while the posterior is solved, a chunk of rows at a time, from one
+draw-major array of standard normals ``eps``, (num, n, p + k), filled in C
+order from ``seed``: draw d of cell (i, j) reads ``eps[d, i, j]``, and a
+low-rank model of rank k draws row i's factors from ``eps[d, i, p:]`` (k
+is 0 for a dense model). Each product of a draw is one vector-matrix
+product, so the first draws of a longer run are bitwise a shorter run's,
+and ``copulafill impute`` takes its sampled tables and its quantile
+intervals from one solve. A row's draws do not depend on the rows drawn
+with it or on the chunking, but on the table's row count, which sets
+where each draw starts in ``eps``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ from .lrgc import _LowRankStack, _lowrank_posterior
 # a piece of drawn rows holds a few (rows, num, p) arrays at once, each of
 # at most 1/_DRAW_SHARE of the posterior's element budget
 _DRAW_SHARE = 16
+
+# multiple imputations behind the percentiles of ``--ci quantile``
+_QUANTILE_DRAWS = 200
 
 
 @dataclass
@@ -94,14 +104,16 @@ def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
     mean 0, variance Sigma_jj.
 
     Given a (num, n, p) ``latent``, the solve also fills it with ``num``
-    latent draws of every row, the RNG split per row from ``seed``.
+    latent draws of every row, from the normals ``eps`` of ``seed`` laid
+    out as the module docstring says.
     """
     lower, upper = bounds or encode_table(model.marginals, values)
     visit = None
     if latent is not None:
-        rngs = [np.random.default_rng(s)
-                for s in np.random.SeedSequence(seed).spawn(len(lower))]
-        visit = partial(_sample_chunk, lower, upper, latent, rngs, len(latent))
+        k = 0 if model.lowrank is None else model.lowrank.rank
+        eps = np.random.default_rng(seed).standard_normal((*latent.shape[:2],
+                                                           latent.shape[2] + k))
+        visit = partial(_sample_chunk, lower, upper, latent, eps)
     posterior, _ = _model_kernel(model)
     post = posterior(lower, upper, visit=visit)
     return post.mean, post.mvar
@@ -153,7 +165,7 @@ def confidence_intervals(
     table,
     alpha: float = 0.05,
     kind: str = "analytic",
-    num_samples: int = 200,
+    num_samples: int = _QUANTILE_DRAWS,
     seed: int = 0,
 ):
     """Per-missing-cell confidence bounds at level 1 - alpha.
@@ -171,12 +183,15 @@ def confidence_intervals(
         result = _impute(model, values, alpha=alpha)[0]
         return result.ci_lower, result.ci_upper
     draws = impute_multiple(model, values, num=num_samples, seed=seed)
-    lower = np.quantile(draws, alpha / 2, axis=0)
-    upper = np.quantile(draws, 1 - alpha / 2, axis=0)
-    observed = ~np.isnan(values)
-    lower[observed] = np.nan
-    upper[observed] = np.nan
-    return lower, upper
+    return _quantile_bounds(draws, values, alpha)
+
+
+def _quantile_bounds(draws, values, alpha: float):
+    """Percentile bounds at level 1 - ``alpha`` over the sampled tables
+    ``draws``, NaN at the observed cells of ``values``."""
+    bounds = np.quantile(draws, [alpha / 2, 1 - alpha / 2], axis=0)
+    bounds[:, ~np.isnan(values)] = np.nan
+    return bounds[0], bounds[1]
 
 
 def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.ndarray:
@@ -184,70 +199,36 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
 
     Interval-valued observed coordinates are sampled from their independent
     truncated-normal conditionals, missing coordinates from the Gaussian
-    conditional given the sampled observed latent values. The RNG is split
-    per row, so draws are independent of evaluation order.
+    conditional given the sampled observed latent values. Draw d reads the
+    d-th slice of one normal array of ``seed``, so the first draws of a
+    longer run equal a shorter run's bit for bit; they depend on the
+    table's row count, not on ``num`` or on the order rows are solved in.
     """
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
     return _impute(model, _coerce_values(model, table), num=num, seed=seed)[1]
 
 
-def _sample_chunk(lower, upper, latent, rngs, num, chunk):
-    """Draw the table rows of one solved posterior chunk into ``latent``,
-    a row with no observed cell from its prior. The rows go in pieces of at
-    most ``_CHUNK_ELEMS // (_DRAW_SHARE num p)`` rows, each drawn by
-    :func:`_draw_rows`."""
+def _sample_chunk(lower, upper, latent, eps, chunk):
+    """Draw the table rows of one solved posterior chunk into ``latent``
+    from ``eps``, laid out as the module docstring says (so a row's draws
+    depend on the table's row count), a row with no observed cell from its
+    prior: each interval cell by inverse CDF, its uniform ``ndtr(eps)``
+    mapped onto the interval's CDF range, then each row's missing block
+    given its drawn cells. The rows go in pieces of at most
+    ``_CHUNK_ELEMS // (_DRAW_SHARE num (p + k))`` rows."""
     stack, z, pat = chunk.stack, chunk.z, chunk.pat
     state = stack.start(z, pat)  # fresh, without the sweep's rounding
     ids = np.arange(len(lower))[chunk.rows]
-    for rows in _row_pieces(len(ids), _DRAW_SHARE * num * z.shape[1]):
-        lo, hi = lower[ids[rows]], upper[ids[rows]]
-        r, c = np.nonzero(hi > lo)
+    for rows in _row_pieces(len(ids), _DRAW_SHARE * eps[:, 0].size):
+        i = ids[rows]
+        r, c = np.nonzero(upper[i] > lower[i])
         mu = stack.cond_mean(z, state, rows[r], pat[rows[r]], c)
-        cells = (r, c, mu, np.sqrt(stack.cvar[pat[rows[r]], c]), lo[r, c], hi[r, c])
-        draw = np.repeat(z[rows, None, :], num, axis=1)
-        _draw_rows(stack, pat[rows], draw, [rngs[i] for i in ids[rows]], cells)
-        latent[:, ids[rows]] = np.swapaxes(draw, 0, 1)
-
-
-def _draw_rows(stack, pat, draw, rngs, cells):
-    """Draw r rows of patterns ``pat`` in place into ``draw``, (r, num, p)
-    copies of their latent means.
-
-    Each interval cell ``cells`` = (row, column, conditional mean and sd,
-    lower, upper), sorted by row and then column, is drawn by inverse CDF
-    from its truncated normal; then each row's missing block is drawn given
-    its drawn cells. Row i draws from ``rngs[i]`` alone: one call for the
-    uniforms of its interval cells, in column order, then one for the
-    normals of its missing block. So a row's draws do not depend on the
-    rows drawn with it, and everything but those calls is done over all
-    rows at once.
-    """
-    n, num, _ = draw.shape
-    r, c, mu, sd, lo, hi = cells
-    missing = stack.missing[pat]
-    with_missing = missing.any(axis=1)
-    n_normals = num * stack.draw_width[pat] * with_missing
-    n_cells = np.bincount(r, minlength=n)
-    u_lo = ndtr((lo - mu) / sd)[:, None]
-    u_hi = ndtr((hi - mu) / sd)[:, None]
-    uniform = np.empty((len(u_lo), num))
-    normals = np.empty(n_normals.sum())
-    for rng, a, b, g, h in zip(rngs, *_spans(n_cells), *_spans(n_normals)):
-        if b > a:
-            uniform[a:b] = rng.uniform(u_lo[a:b], u_hi[a:b], size=(b - a, num))
-        if h > g:
-            rng.standard_normal(out=normals[g:h])
-    if len(uniform):
-        draw[r, :, c] = mu[:, None] + sd[:, None] * ndtri(
-            np.clip(uniform, 1e-15, 1 - 1e-15))
-    if with_missing.any():
-        sel = np.flatnonzero(with_missing)
-        draw[np.broadcast_to(missing[:, None, :], draw.shape)] = stack.draw_missing(
-            draw[sel], pat[sel], normals)
-
-
-def _spans(sizes):
-    """(starts, ends) of consecutive blocks of ``sizes``, as lists."""
-    ends = np.cumsum(sizes)
-    return (ends - sizes).tolist(), ends.tolist()
+        sd = np.sqrt(stack.cvar[pat[rows[r]], c])
+        u_lo, u_hi = (ndtr((b[i[r], c] - mu) / sd)[:, None] for b in (lower, upper))
+        e = np.swapaxes(eps[:, i], 0, 1)             # (rows, num, p + k)
+        u = u_lo + (u_hi - u_lo) * ndtr(e[r, :, c])
+        draw = np.repeat(z[rows, None, :], len(latent), axis=1)
+        draw[r, :, c] = mu[:, None] + sd[:, None] * ndtri(np.clip(u, 1e-15, 1 - 1e-15))
+        stack.draw_missing(draw, pat[rows], e)
+        latent[:, i] = np.swapaxes(draw, 0, 1)

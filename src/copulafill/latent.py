@@ -359,33 +359,21 @@ class _DenseStack:
         p = self.cov.shape[1]
         return np.linalg.cholesky(self.cov + np.eye(p) * (~self.missing[:, None, :] + 1e-10))
 
-    @cached_property
-    def draw_width(self):
-        """Standard normals one draw of each pattern takes."""
-        return self.missing.sum(axis=1)
-
-    def draw_missing(self, z_obs, pat, normals):
-        """Missing-coordinate draws of rows with drawn observed coordinates
-        ``z_obs`` (r, num, p) and patterns ``pat``, each row with a missing
-        cell. ``normals`` holds each row's (num, m) normals in row order.
-        Returns the draws in the order of the rows' missing cells in
-        ``z_obs``. The rows of a pattern share its blocks in one stacked
-        product, each row's with the shapes it has when drawn alone."""
-        num = z_obs.shape[1]
-        size = num * self.draw_width[pat]
-        start = np.cumsum(size) - size
-        out = np.empty(len(normals))
+    def draw_missing(self, draw, pat, eps):
+        """Fill the missing cells of ``draw`` (r, num, p), rows of patterns
+        ``pat`` holding their drawn observed cells, from the normals ``eps``
+        (r, num, p) at those cells, one vector-matrix product a draw, so a
+        draw does not depend on the draws or rows made with it."""
         order = np.argsort(pat, kind="stable")
         bounds = np.flatnonzero(np.diff(pat[order])) + 1
         for rows in np.split(order, bounds):
             u = pat[rows[0]]
             mis = self.missing[u]
-            cells = (start[rows, None] + np.arange(size[rows[0]])).ravel()
-            eps = normals[cells].reshape(len(rows), num, -1)
-            draw = (z_obs[rows] @ self.coef[u][:, mis]
-                    + eps @ self._chol_missing[u][np.ix_(mis, mis)].T)
-            out[cells] = draw.ravel()
-        return out
+            rows_draw = draw[rows]
+            chol = self._chol_missing[u][np.ix_(mis, mis)]
+            rows_draw[..., mis] = (rows_draw[..., None, :] @ self.coef[u][:, mis]
+                                   + eps[rows][..., None, mis] @ chol.T)[..., 0, :]
+            draw[rows] = rows_draw
 
 
 def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):

@@ -128,31 +128,19 @@ class _LowRankStack:
     def _chol_t(self):
         return np.linalg.cholesky(self.cov_t + 1e-12 * np.eye(self.cov_t.shape[1]))
 
-    @cached_property
-    def draw_width(self):
-        """Standard normals one draw of each pattern takes: k for the
-        factors, then one noise term per missing coordinate."""
-        return self.missing.sum(axis=1) + self.w.shape[1]
-
-    def draw_missing(self, z_obs, pat, normals):
-        """Missing-coordinate draws of rows with drawn observed coordinates
-        ``z_obs`` (r, num, p) and patterns ``pat``, each row with a missing
-        cell. ``normals`` holds each row's num * ``draw_width`` normals in
-        row order: its (num, k) factor draws, then its (num, m) noise.
-        Returns the draws in the order of the rows' missing cells in
-        ``z_obs``. The products are stacked per row."""
-        r, num, p = z_obs.shape
-        k = self.w.shape[1]
-        mis = self.missing[pat]
-        size = num * self.draw_width[pat]
-        factor = (np.arange(len(normals)) - np.repeat(np.cumsum(size) - size, size)
-                  < num * k)
-        t_draw = (z_obs @ self.w @ self.ginv[pat]
-                  + normals[factor].reshape(r, num, k)
-                  @ np.swapaxes(self._chol_t[pat], 1, 2))
-        noise = normals[~factor] * np.sqrt(self.s2)
-        cells = np.broadcast_to(mis[:, None, :], z_obs.shape)
-        return (t_draw @ self.w.T)[cells] + noise
+    def draw_missing(self, draw, pat, eps):
+        """Fill the missing cells of ``draw`` (r, num, p), rows of patterns
+        ``pat`` holding their drawn observed cells, from the normals
+        ``eps`` (r, num, p + k) laid out as :mod:`copulafill.imputer` says:
+        the noise at those same cells, the factors past column p. Each draw
+        of a row is a chain of vector-matrix products, so it does not
+        depend on the draws or rows made with it."""
+        p = len(self.w)
+        t_draw = (draw[..., None, :] @ self.w @ self.ginv[pat, None]
+                  + eps[..., None, p:] @ np.swapaxes(self._chol_t[pat, None], 2, 3))
+        cells = np.broadcast_to(self.missing[pat][:, None, :], draw.shape)
+        draw[cells] = ((t_draw @ self.w.T)[..., 0, :][cells]
+                       + eps[..., :p][cells] * np.sqrt(self.s2))
 
 
 class _FactorMoments:

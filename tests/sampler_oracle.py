@@ -1,7 +1,10 @@
 """The per-row sampler that ``imputer._sample_chunk`` replaced, kept as a
 test oracle: each row is drawn on its own, with one truncated-normal draw
-call per interval cell and one missing-block draw per row, and every
-all-missing row is drawn alone from the prior."""
+per interval cell and one missing-block draw per row, and every
+all-missing row is drawn alone from the prior. Row i reads its normals
+from ``eps[:, i]`` of the table's one draw-major normal array: a cell's
+normal at its own column, a low-rank row's k factor normals past the p
+columns."""
 
 from __future__ import annotations
 
@@ -15,44 +18,44 @@ from copulafill.imputer import _model_kernel
 from copulafill.lrgc import _LowRankStack
 
 
-def truncnorm_draws(rng, mu, sd, lo, hi, num):
-    """Inverse-CDF truncated normal draws, shape (num,)."""
+def truncnorm_draws(eps, mu, sd, lo, hi):
+    """Inverse-CDF truncated normal draws from the normals ``eps``."""
     u_lo = ndtr((lo - mu) / sd)
     u_hi = ndtr((hi - mu) / sd)
-    u = rng.uniform(u_lo, u_hi, size=num)
+    u = u_lo + (u_hi - u_lo) * ndtr(eps)
     return mu + sd * ndtri(np.clip(u, 1e-15, 1 - 1e-15))
 
 
-def draw_missing(stack, z_obs, u, rng):
-    """One row's missing block given its (num, p) drawn coordinates."""
+def draw_missing(stack, z_obs, u, eps):
+    """One row's missing block given its (num, p) drawn coordinates and
+    its (num, p + k) normals, one vector-matrix product a draw."""
     mis = stack.missing[u]
+    z_obs, eps = z_obs[:, None, :], eps[:, None, :]
     if isinstance(stack, _LowRankStack):
-        num, k = len(z_obs), stack.cov_t.shape[1]
-        t_draw = (z_obs @ stack.w @ stack.ginv[u]
-                  + rng.standard_normal((num, k)) @ stack._chol_t[u].T)
-        noise = rng.standard_normal((num, mis.sum())) * np.sqrt(stack.s2)
-        return t_draw @ stack.w[mis].T + noise
-    eps = rng.standard_normal((len(z_obs), mis.sum()))
+        p = len(stack.w)
+        t_draw = z_obs @ stack.w @ stack.ginv[u] + eps[..., p:] @ stack._chol_t[u].T
+        noise = eps[..., :p][..., mis] * np.sqrt(stack.s2)
+        return (t_draw @ stack.w[mis].T + noise)[:, 0]
     return (z_obs @ stack.coef[u][:, mis]
-            + eps @ stack._chol_missing[u][np.ix_(mis, mis)].T)
+            + eps[..., mis] @ stack._chol_missing[u][np.ix_(mis, mis)].T)[:, 0]
 
 
-def sample_chunk(row_ids, lower, upper, latent, rngs, num, chunk):
+def sample_chunk(row_ids, lower, upper, latent, eps, chunk):
     """Draw the rows of one solved posterior chunk into ``latent``, one
     row at a time."""
     stack, z, pat = chunk.stack, chunk.z, chunk.pat
     state = stack.start(z, pat)
     for r, i in enumerate(row_ids[chunk.rows]):
-        rng, u = rngs[i], pat[r]
-        z_obs = np.tile(z[r], (num, 1))
+        u = pat[r]
+        z_obs = np.tile(z[r], (len(latent), 1))
         for c in np.flatnonzero(upper[i] > lower[i]):
             z_obs[:, c] = truncnorm_draws(
-                rng, stack.cond_mean(z, state, r, u, c), np.sqrt(stack.cvar[u, c]),
-                lower[i, c], upper[i, c], num)
+                eps[:, i, c], stack.cond_mean(z, state, r, u, c),
+                np.sqrt(stack.cvar[u, c]), lower[i, c], upper[i, c])
         latent[:, i] = z_obs
         mis = stack.missing[u]
         if mis.any():
-            latent[:, i, mis] = draw_missing(stack, z_obs, u, rng)
+            latent[:, i, mis] = draw_missing(stack, z_obs, u, eps[:, i])
 
 
 def latent_draws(model, values, num: int, seed: int = 0) -> np.ndarray:
@@ -64,11 +67,12 @@ def latent_draws(model, values, num: int, seed: int = 0) -> np.ndarray:
     latent = np.zeros((num, n, p))
     has_obs = ~np.isnan(lower).all(axis=1)
     posterior, make_stack = _model_kernel(model)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    k = 0 if model.lowrank is None else model.lowrank.rank
+    eps = np.random.default_rng(seed).standard_normal((num, n, p + k))
     posterior(lower[has_obs], upper[has_obs],
               visit=partial(sample_chunk, np.flatnonzero(has_obs), lower, upper,
-                            latent, rngs, num))
+                            latent, eps))
     prior = make_stack(np.ones((1, p), dtype=bool))
     for i in np.flatnonzero(~has_obs):
-        latent[:, i, :] = draw_missing(prior, np.zeros((num, p)), 0, rngs[i])
+        latent[:, i, :] = draw_missing(prior, np.zeros((num, p)), 0, eps[:, i])
     return latent

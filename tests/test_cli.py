@@ -436,6 +436,58 @@ class TestOneSolvePerJob:
                      "--ci", "analytic", "--multiple", "3", *flags]) == 0
         assert len(seen) == len({id(m) for m in seen}) == 6
 
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_quantile_bounds_come_from_the_one_solve(self, mixed_csv, tmp_path,
+                                                     monkeypatch, rank):
+        # the 200 draws behind --ci quantile are drawn in the job's solve,
+        # from the fit's encoding
+        events, seen, real = [], [], Marginal.latent_bounds
+
+        def record(owner, name, event, after=False):
+            func = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if not after:
+                    events.append(event)
+                result = func(*args, **kwargs)
+                if after:
+                    events.append(event)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for fit in ("fit_standard", "fit_lrgc"):
+            record(cli, fit, "fitted", after=True)
+        for owner in (copula_em, imputer):
+            record(owner, "encode_table", "encode")
+        for owner in (latent, lrgc):
+            record(owner, "_solve", "solve")
+        monkeypatch.setattr(Marginal, "latent_bounds",
+                            lambda self, x: seen.append(self) or real(self, x))
+        flags = ["--rank", str(rank)] if rank else []
+        assert main(["impute", str(mixed_csv), "-o", str(tmp_path / "o.csv"),
+                     "--ci", "quantile", *flags]) == 0
+        assert events.count("fitted") == 1
+        assert events[events.index("fitted") + 1:] == ["solve"]
+        assert len(seen) == len({id(m) for m in seen}) == 6
+
+    def test_quantile_bounds_and_draws_share_their_first_draws(self, mixed_csv,
+                                                               tmp_path):
+        # 300 draws: the _imp files take all of them, the bounds the first 200
+        out = tmp_path / "out.csv"
+        assert main(["impute", str(mixed_csv), "-o", str(out), "--ci", "quantile",
+                     "--multiple", "300", "--seed", "3"]) == 0
+        table = read_csv(mixed_csv)
+        model = fit_standard(table)
+        names = table.col_names
+        lower, upper = confidence_intervals(model, table, kind="quantile", seed=3)
+        want = {"_ci_lower": lower, "_ci_upper": upper}
+        for k, draw in enumerate(impute_multiple(model, table, num=300, seed=3),
+                                 start=1):
+            want[f"_imp{k}"] = draw
+        for suffix, values in want.items():
+            got = (tmp_path / f"out{suffix}.csv").read_text(encoding="utf-8")
+            assert got == csv_oracle.write_csv(values, names), suffix
+
 
 class TestStreamRejectsInfiniteCells:
     @staticmethod

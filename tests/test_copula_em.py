@@ -264,6 +264,19 @@ class TestApproxLoglik:
         expect = norm.logpdf(lower).sum(axis=1).mean()
         assert approx_loglik(model, vals) == pytest.approx(expect, abs=1e-10)
 
+    def test_table_with_no_observed_cell_raises(self):
+        model = continuous_model(np.random.default_rng(24).standard_normal((30, 4)))
+        with pytest.raises(ValueError, match="no observed cell"):
+            approx_loglik(model, np.full((3, 4), np.nan))
+
+    @pytest.mark.parametrize("n_cols", [3, 5])
+    def test_column_count_is_checked(self, n_cols):
+        model = continuous_model(np.random.default_rng(25).standard_normal((30, 4)))
+        table = np.random.default_rng(26).standard_normal((6, n_cols))
+        with pytest.raises(ValueError, match=f"table has {n_cols} columns, "
+                                             f"model expects 4"):
+            approx_loglik(model, table)
+
 
 class TestInitialCorr:
     def test_identity_fallback_without_complete_pairs(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import chisquare, norm
 
 from copulafill.copula_em import CopulaModel, FitConfig, fit_standard
@@ -119,10 +120,11 @@ class TestTransformOutOfSample:
 
 
 class TestImputeMultiple:
-    def test_mean_of_draws_matches_single_imputation(self):
-        # uniform margins keep the quantile map near-linear, so the
-        # observed-space draw mean is an unbiased estimate of the single
-        # imputation (a curved map would add a Jensen gap)
+    def test_mean_of_draws_matches_posterior_expectation(self):
+        # z -> F^-1(Phi(z)) is curved even for uniform margins, so the
+        # draw mean estimates E[F^-1(Phi(Z))] under the latent posterior,
+        # not the single imputation F^-1(Phi(mu)); the expectation is
+        # taken on a K-point quantile grid of N(mu, sigma^2)
         rng = np.random.default_rng(7)
         train = np.column_stack([rng.normal(size=3000),
                                  rng.uniform(0, 100, 3000),
@@ -132,10 +134,13 @@ class TestImputeMultiple:
         row = np.array([[0.21, np.nan, np.nan]])
         num = 4000
         draws = impute_multiple(model, row, num=num, seed=1)
-        single = impute_single(model, row).imputed
+        mean, mvar = _model_posterior(model, row)
+        grid = ndtri((np.arange(100_000) + 0.5) / 100_000)
         for j in (1, 2):
+            z = mean[0, j] + np.sqrt(mvar[0, j]) * grid
+            expected = model.marginals[j].from_latent(z).mean()
             sd = draws[:, 0, j].std()
-            assert abs(draws[:, 0, j].mean() - single[0, j]) < 4 * sd / np.sqrt(num)
+            assert abs(draws[:, 0, j].mean() - expected) < 4 * sd / np.sqrt(num)
 
     def test_ordinal_frequencies_match_masses(self):
         rng = np.random.default_rng(8)

@@ -21,7 +21,7 @@ from copulafill.data_model import (
     VariableType,
 )
 from copulafill.evaluation import mask_mcar, sample_gc
-from copulafill.imputer import _model_posterior
+from copulafill.imputer import _model_posterior, impute_multiple
 from copulafill.lrgc import LowRankParams, _FactorMoments, _lowrank_posterior, fit_lrgc
 
 import sampler_oracle
@@ -109,6 +109,40 @@ class TestBatchedDrawsMatchPerRow:
         monkeypatch.setattr(latent, "_CHUNK_ELEMS", elems)
         check_draws(dense, values, 3)
         check_draws(lowrank, values, 3, lowrank=True)
+
+
+class TestFirstDrawsDoNotDependOnTheirCount:
+    """A 3-draw run is bitwise the first 3 draws of a 7-draw run."""
+
+    @staticmethod
+    def check_prefix(model, values):
+        short = impute_multiple(model, values, num=3, seed=6)
+        np.testing.assert_array_equal(
+            short.view(np.uint64),
+            impute_multiple(model, values, num=7, seed=6)[:3].view(np.uint64))
+
+    def test_dense_with_interval_cells(self, mixed_models):
+        values, dense, _ = mixed_models
+        lower, upper = encode_table(dense.marginals, values)
+        assert (upper > lower).any()
+        self.check_prefix(dense, values)
+
+    def test_lowrank(self, mixed_models):
+        values, _, lowrank = mixed_models
+        self.check_prefix(lowrank, values)
+        model = quiet(fit_lrgc, continuous_lowrank_table(), 3, FitConfig(max_iter=3))
+        self.check_prefix(model, continuous_lowrank_table())
+
+    def test_all_missing_rows(self, mixed_models):
+        values, dense, lowrank = mixed_models
+        for model in (dense, lowrank):
+            self.check_prefix(model, with_empty_rows(values))
+
+    def test_small_chunks(self, mixed_models, monkeypatch):
+        values, dense, lowrank = mixed_models
+        monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)
+        for model in (dense, lowrank):
+            self.check_prefix(model, with_empty_rows(values))
 
 
 _TYPES = st.sampled_from([
