@@ -27,8 +27,8 @@ class VariableType:
 
     ``lower`` is the truncation value alpha of lower/two-sided truncated
     columns, ``upper`` the value beta of upper/two-sided truncated columns.
-    The bounds may be left as None for user-specified types; they are then
-    filled from the observed data when the marginal is fitted.
+    Unset (None) bounds of user-specified types are filled from the observed
+    data when the marginal is fitted; set bounds must have lower < upper.
     """
 
     tag: str
@@ -41,6 +41,9 @@ class VariableType:
         for name, val in (("lower", self.lower), ("upper", self.upper)):
             if val is not None and not np.isfinite(val):
                 raise ValueError(f"truncation bound {name}={val} must be finite")
+        if self.lower is not None and self.upper is not None and self.lower >= self.upper:
+            raise ValueError(f"truncation bounds cross: lower={self.lower} is not "
+                             f"below upper={self.upper}")
 
     @property
     def has_lower_bound(self) -> bool:

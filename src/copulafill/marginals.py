@@ -10,7 +10,7 @@ truncation boundaries map to intervals.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,22 +38,25 @@ class LatentInterval:
 class Marginal:
     """One column's fitted empirical distribution.
 
-    Built by :func:`fit_marginal`. Evaluation methods are pure and accept
+    Built by :func:`fit_marginal`, or from sorted distinct ``values`` and
+    their normalized weights ``masses``; a truncated type's unset bounds
+    are taken from the values. Evaluation methods are pure and accept
     scalars or arrays; instances are immutable after fitting.
     """
 
-    def __init__(self, vartype, values, masses, n_obs):
-        self.vartype = vartype
+    def __init__(self, vartype, values, masses, n_obs, value_list=None):
+        self.vartype = _resolve_bounds(vartype, values)
         self.values = values        # sorted unique observed values
         self.masses = masses        # normalized aggregated weights, sum to 1
         self.n_obs = n_obs          # observation count behind the fit
+        # ``values`` as a list, for bisection; a caller may pass its own copy
+        self._value_list = values.tolist() if value_list is None else value_list
         self._build()
 
     def _build(self):
-        cum = np.cumsum(self.masses)
+        cum = self.masses.cumsum()
         cum[-1] = 1.0
         self._cum = cum
-        self._value_list = self.values.tolist()   # for bisection
         n = self.n_obs
         tag = self.vartype.tag
         if tag == ORDINAL:
@@ -63,29 +66,23 @@ class Marginal:
         if tag == CONTINUOUS:
             self._nodes = np.maximum(cum * n / (n + 1), 1.0 / (n + 1))
             return
-        # truncated: split boundary masses from the interior distribution
-        vt = self.vartype
-        self.p_alpha = 0.0
-        self.p_beta = 0.0
-        inner = np.ones(len(self.values), dtype=bool)
-        if vt.has_lower_bound:
-            at = self.values <= vt.lower
-            self.p_alpha = float(self.masses[at].sum())
-            inner &= ~at
-        if vt.has_upper_bound:
-            at = self.values >= vt.upper
-            self.p_beta = float(self.masses[at].sum())
-            inner &= ~at
+        # truncated: split boundary masses from the interior distribution; the
+        # sorted values at or past each bound are a prefix and a suffix
+        vt, vals = self.vartype, self._value_list
+        lo = bisect_right(vals, vt.lower) if vt.has_lower_bound else 0
+        hi = bisect_left(vals, vt.upper) if vt.has_upper_bound else len(vals)
+        self.p_alpha = float(self.masses[:lo].sum())
+        self.p_beta = float(self.masses[hi:].sum())
         # weighted boundary masses may sum to just under 1 with no interior left
-        if self.p_alpha + self.p_beta >= 1.0 or not inner.any():
+        if self.p_alpha + self.p_beta >= 1.0 or lo >= hi:
             raise ValueError(
                 "truncated column has no interior values; boundary masses "
                 f"p_alpha={self.p_alpha:.3f}, p_beta={self.p_beta:.3f}"
             )
-        self._inner_values = self.values[inner]
-        self._inner_list = self._inner_values.tolist()
-        w = self.masses[inner]
-        icum = np.cumsum(w) / w.sum()
+        self._inner_values = self.values[lo:hi]
+        self._inner_list = vals[lo:hi]
+        w = self.masses[lo:hi]
+        icum = w.cumsum() / w.sum()
         icum[-1] = 1.0
         # scale by the interior observation count so the interior CDF stays
         # inside (0, 1)
@@ -199,6 +196,8 @@ class Marginal:
 
     def from_latent(self, z):
         """Map latent values back to the observed space (Table transforms)."""
+        if np.ndim(z) == 0:
+            return self._point_from_latent(float(z))
         z = np.asarray(z, dtype=float)
         tag = self.vartype.tag
         if tag == CONTINUOUS:
@@ -206,23 +205,35 @@ class Marginal:
         if tag == ORDINAL:
             # cell k is [zcut_k, zcut_{k+1}): the upper boundary belongs to
             # the next level
-            idx = np.searchsorted(self._zcuts[1:-1], z, side="right")
-            out = self.values[np.clip(idx, 0, len(self.values) - 1)]
-            return out if out.ndim else float(out)
-        return self._trunc_from_latent(z)
-
-    def _trunc_from_latent(self, z):
-        vt = self.vartype
-        u = ndtr(z)
-        out = np.atleast_1d(np.asarray(self._trunc_quantile(u), dtype=float))
-        flat_z = np.atleast_1d(z)
+            return self.values[np.searchsorted(self._zcuts[1:-1], z, side="right")]
+        out = self._trunc_quantile(ndtr(z))
         if self.p_alpha > 0:
-            out[flat_z <= self._z_alpha] = vt.lower
+            out[z <= self._z_alpha] = self.vartype.lower
         if self.p_beta > 0:
-            out[flat_z >= self._z_beta] = vt.upper
-        if np.ndim(z) == 0:
-            return float(out[0])
+            out[z >= self._z_beta] = self.vartype.upper
         return out
+
+    def _point_from_latent(self, z: float) -> float:
+        """:meth:`from_latent` of one value, bit for bit, without arrays."""
+        tag = self.vartype.tag
+        if tag == ORDINAL:
+            return float(self.values[np.searchsorted(self._zcuts[1:-1], z, "right")])
+        u = float(ndtr(z))
+        if tag == CONTINUOUS:
+            return float(_interp_point(u, self._nodes, self._nodes, self.values))
+        # the array path overwrites in this order: the u-space lower and
+        # upper boundary cells, then the z-space ones; the last to hold wins
+        vt, pa, pb = self.vartype, self.p_alpha, self.p_beta
+        if pb > 0 and z >= self._z_beta:
+            return float(vt.upper)
+        if pa > 0 and z <= self._z_alpha:
+            return float(vt.lower)
+        if pb > 0 and u >= 1.0 - pb:
+            return float(vt.upper)
+        if pa > 0 and u <= pa:
+            return float(vt.lower)
+        return float(_interp_point((u - pa) / (1.0 - pa - pb), self._inner_nodes,
+                                   self._inner_nodes, self._inner_values))
 
 
 def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
@@ -268,26 +279,16 @@ def _fit_marginal(values, vartype, weights=None):
     if (weights <= 0).any():
         raise ValueError("weights must be positive")
     uniq, inv = np.unique(values, return_inverse=True)
-    marg = marginal_from_sums(vartype, uniq, np.bincount(inv, weights=weights),
-                              int(values.size))
-    return marg, keep, inv
-
-
-def marginal_from_sums(vartype: VariableType, values: np.ndarray,
-                       sums: np.ndarray, n_obs: int) -> Marginal:
-    """The marginal of sorted distinct ``values`` whose weights sum to
-    ``sums``, behind ``n_obs`` observations: what :func:`fit_marginal`
-    builds once it has aggregated its input."""
-    return Marginal(_resolve_bounds(vartype, values), values, sums / sums.sum(),
-                    n_obs)
+    sums = np.bincount(inv, weights=weights)
+    return Marginal(vartype, uniq, sums / sums.sum(), int(values.size)), keep, inv
 
 
 def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
     lower, upper = vartype.lower, vartype.upper
     if vartype.has_lower_bound and lower is None:
-        lower = float(values.min())
+        lower = float(values[0])
     if vartype.has_upper_bound and upper is None:
-        upper = float(values.max())
+        upper = float(values[-1])
     if (lower, upper) == (vartype.lower, vartype.upper):
         return vartype
     return VariableType(vartype.tag, lower=lower, upper=upper)
@@ -338,8 +339,8 @@ def _interp_exact(x, xp, yp):
     return out
 
 
-def _interp_point(x: float, xs: list, xp, yp):
-    """:func:`_interp_exact` of one value; ``xs`` is ``xp`` as a list."""
+def _interp_point(x: float, xs, xp, yp):
+    """:func:`_interp_exact` of one value; ``xs`` is ``xp`` or ``xp`` as a list."""
     i = bisect_left(xs, x)
     if i < len(xs) and xs[i] == x:
         return yp[i]

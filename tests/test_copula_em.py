@@ -7,6 +7,7 @@ from scipy.stats import norm
 from copulafill.copula_em import (
     CopulaModel,
     FitConfig,
+    _ensure_psd,
     approx_loglik,
     encode_table,
     estep,
@@ -82,6 +83,24 @@ class TestMstep:
         s[1, 1] = 0.0
         with pytest.raises(ValueError, match="column 1"):
             mstep(s, 1)
+
+
+class TestEnsurePsd:
+    """The eigenvalue clip behind every M-step, the stream's included."""
+
+    def test_non_psd_input_is_repaired(self):
+        corr = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        assert np.linalg.eigvalsh(corr).min() < 0
+        for floor in (0.0, 1e-4):
+            out = _ensure_psd(corr, floor=floor)
+            assert np.array_equal(out, out.T)
+            assert np.array_equal(np.diag(out), np.ones(3))
+            assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_psd_input_is_returned_as_is(self):
+        corr = random_correlation(4, seed=2)
+        assert _ensure_psd(corr) is corr
+        assert _ensure_psd(corr, floor=1e-4) is corr
 
 
 class TestFitStandard:

@@ -150,6 +150,12 @@ class TestVariableType:
         with pytest.raises(ValueError):
             VariableType(LOWER_TRUNCATED, lower=np.inf)
 
+    @pytest.mark.parametrize("lower, upper", [(2.0, 1.0), (1.5, 1.5)])
+    def test_crossed_bounds_name_both(self, lower, upper):
+        with pytest.raises(ValueError, match=rf"lower={lower} is not below upper={upper}"):
+            VariableType(TWOSIDED_TRUNCATED, lower=lower, upper=upper)
+        assert VariableType(TWOSIDED_TRUNCATED, lower=upper - 1.0, upper=upper).lower < upper
+
 
 class TestCsv:
     def test_round_trip_missing_tokens(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from copulafill.data_model import (
     CONTINUOUS,
@@ -56,6 +57,14 @@ class TestFit:
         with pytest.raises(ValueError, match="no interior values"):
             fit_marginal([2.5, 3.0, 1.0], VariableType(UPPER_TRUNCATED, upper=1.0),
                          weights=[0.125, 0.25, 0.5])
+
+    def test_crossed_bounds_rejected_before_fitting(self):
+        with pytest.raises(ValueError, match="lower=2 is not below upper=1"):
+            fit_marginal([0, 1, 1, 1.5, 2, 2, 3, 4],
+                         VariableType(TWOSIDED_TRUNCATED, lower=2, upper=1))
+        # an upper bound taken from the data may cross a lower bound set below it
+        with pytest.raises(ValueError, match="lower=2.0 is not below upper=1.0"):
+            fit_marginal([0.0, 0.5, 1.0], VariableType(TWOSIDED_TRUNCATED, lower=2.0))
 
     def test_requires_observations(self):
         with pytest.raises(ValueError, match="no observed"):
@@ -165,6 +174,47 @@ class TestPointBounds:
         for x in (np.inf, -np.inf):
             want = m.latent_bounds(np.array([x]))
             assert m.latent_bounds(x) == (want[0][0], want[1][0])
+
+
+class TestPointFromLatent:
+    """``from_latent`` of one float against the same value as an array,
+    on plain and decay-weighted fits (whose quantile nodes may repeat)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TYPES, _SAMPLE, st.sampled_from([None, 0.9, 0.3]),
+           st.lists(st.floats(-10.0, 10.0), max_size=5))
+    def test_same_bits_as_one_element_array(self, vartype, sample, decay, free):
+        # window order, as the stream weights them: the oldest values weigh least
+        weights = None if decay is None else decayed_weights(len(sample), decay)[::-1]
+        try:
+            m = fit_marginal(sample, vartype, weights)
+        except ValueError:
+            assume(False)      # a truncated sample with no interior value
+        cuts = [getattr(m, name, 0.0) for name in ("_z_alpha", "_z_beta")]
+        nodes = getattr(m, "_nodes", getattr(m, "_inner_nodes", m._cum))
+        # latent points within 6 ulps of each node's, some of which map onto
+        # the node exactly, where a repeated node must take its first value
+        near = [ndtri(nodes)]
+        for to in (np.inf, -np.inf):
+            for _ in range(6):
+                near.append(np.nextafter(near[-1], to))
+            near.append(near[0])
+        probes = [np.nan, -np.inf, np.inf, 0.0, *cuts, *free,
+                  *np.nextafter(cuts, np.inf), *np.concatenate(near),
+                  *(m._zcuts[1:-1] if m.vartype == ORD else [])]
+        for z in map(float, probes):
+            got = m.from_latent(z)
+            assert type(got) is float
+            want = m.from_latent(np.array([z]))
+            assert np.array_equal(_bits(got), _bits(want[0])), z
+
+    def test_repeated_node_takes_its_first_value(self):
+        # decay weights clamp the two oldest values' quantile nodes to 1/4
+        m = fit_marginal([0.0, 0.5, 1.0], CONT, decayed_weights(3, 0.3)[::-1])
+        assert m._nodes[0] == m._nodes[1] == 0.25
+        zs = ndtri(0.25) + np.arange(-8, 9) * np.spacing(ndtri(0.25))
+        z = zs[ndtr(zs) == 0.25][0]         # a latent point that maps onto 1/4
+        assert m.from_latent(float(z)) == m.from_latent(np.array([z]))[0] == 0.0
 
 
 class TestInterpExact:

@@ -372,6 +372,56 @@ class TestMatchesOracle:
         assert state.marginals[1].vartype == trunc
         assert_marginals_match_oracle(state)
 
+    def test_window_of_one_value_falls_back_to_ordinal(self):
+        # two-sided bounds left to the data meet when the window holds a
+        # single value, which VariableType rejects as crossed bounds
+        rng = np.random.default_rng(8)
+        warm = np.column_stack([rng.standard_normal(6),
+                                [1.5, 0.2, 1.5, 0.9, 3.0, 3.0]])
+        twosided = VariableType(TWOSIDED_TRUNCATED)
+        cfg = StreamConfig(window_size=4, n_train=6, decay=0.9, batch_size=10**6)
+        state = init_stream(warm, cfg, types=[VariableType(CONTINUOUS), twosided])
+        assert state.marginals[1].vartype == VariableType(TWOSIDED_TRUNCATED, 0.9, 3.0)
+        for _ in range(4):
+            step(state, [rng.standard_normal(), 1.5])
+        assert list(state.buffers[1]) == [1.5] * 4
+        assert state.marginals[1].vartype == VariableType(ORDINAL)
+        assert_marginals_match_oracle(state)
+        hidden = [rng.standard_normal(), np.nan]
+        want = oracle.impute_row(state, hidden)
+        got, state = step(state, hidden)
+        assert got[1] == want[1] == 1.5
+        for x in (0.5, 2.5):
+            step(state, [rng.standard_normal(), x])
+        assert state.marginals[1].vartype == VariableType(TWOSIDED_TRUNCATED, 0.5, 2.5)
+        assert_marginals_match_oracle(state)
+
+    def test_decayed_marginal_kept_until_its_window_changes(self, monkeypatch):
+        truth, _ = mixed_stream(40, seed=7)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=10**6, decay=0.9)
+        state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
+        builds, real = [], _Window.marginal
+
+        def record(window, vartype, weights=None, **kw):
+            if weights is not None:
+                builds.append(next(j for j, w in enumerate(state.windows)
+                                   if w is window))
+            return real(window, vartype, weights, **kw)
+
+        monkeypatch.setattr(_Window, "marginal", record)
+        # columns 0 (continuous) and 5 (two-sided truncated) stay hidden;
+        # the third row reveals them, so the fourth must rebuild both
+        hidden = [0, 5]
+        for t, reveal, want in ((30, False, hidden), (31, False, []),
+                                (32, True, []), (33, False, hidden)):
+            row = truth[t].copy()
+            row[hidden] = np.nan
+            expected = oracle.impute_row(state, row)
+            builds.clear()
+            got, state = step(state, row, truth[t] if reveal else None)
+            assert builds == want
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
     def test_singular_block_takes_the_jitter_ladder(self, monkeypatch):
         truth, _ = mixed_stream(40, seed=6)
         state = init_stream(truth[:30], StreamConfig(window_size=25, n_train=30),
