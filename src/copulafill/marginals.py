@@ -291,6 +291,11 @@ def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
         upper = float(values[-1])
     if (lower, upper) == (vartype.lower, vartype.upper):
         return vartype
+    if lower is not None and upper is not None and lower >= upper:
+        raise ValueError(
+            f"truncated column has no interior values: lower={lower}, "
+            f"upper={upper}, the unset bounds taken from the observed values"
+        )
     return VariableType(vartype.tag, lower=lower, upper=upper)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,11 +64,14 @@ class _Window:
     about 10 us for a plain marginal of 200 continuous values on 2 cores.
     """
 
-    def __init__(self, values, size: int):
+    def __init__(self, values, size: int, decay: float = 1.0):
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
         self._table = np.empty((2, size))   # ``distinct`` over its counts
-        self._decayed = None    # (key, marginal) until the next append
+        self.decay = decay
+        # the decay weights of a full window, oldest first
+        self._weights = decayed_weights(size, decay)[::-1] if decay < 1.0 else None
+        self._decayed = None    # the decayed marginal, until the next append
         for x in values:
             self.append(x)
 
@@ -98,18 +100,16 @@ class _Window:
             table[:, i + 1:k + 1] = table[:, i:k]
             table[:, i] = x, 1
 
-    def marginal(self, vartype: VariableType, weights=None,
-                 checked: bool = False) -> Marginal:
+    def marginal(self, vartype: VariableType, weights=None) -> Marginal:
         """``fit_marginal`` of the window, bit for bit; ``weights`` are in
-        window order, and their sums per value are taken in that order.
-        ``checked`` skips the positivity check of weights known to pass."""
+        window order, and their sums per value are taken in that order."""
         k, n = len(self.distinct), len(self.buffer)
         values = self._table[0, :k].copy()
         if weights is None:
             # integer counts sum exactly to n: these are sums / sums.sum()
             masses = self._table[1, :k] / n
         else:
-            if not checked and (weights <= 0).any():
+            if (weights <= 0).any():
                 raise ValueError("weights must be positive")
             at = np.searchsorted(values, np.fromiter(self.buffer, float, n))
             sums = np.bincount(at, weights=weights, minlength=k)
@@ -122,24 +122,15 @@ class _Window:
             # a single value; treat it as ordinal until interior values return
             return Marginal(VariableType(ORDINAL), *fitted)
 
-    def decayed(self, vartype: VariableType, decay: float) -> Marginal:
+    def decayed(self, vartype: VariableType) -> Marginal:
         """:meth:`marginal` under the decay weights of the window's length,
         kept until the window next changes."""
-        key = (vartype, decay)
-        if self._decayed is None or self._decayed[0] != key:
-            weights = _reversed_weights(len(self.buffer), decay)
-            self._decayed = key, self.marginal(vartype, weights, checked=True)
-        return self._decayed[1]
-
-
-@lru_cache(maxsize=256)
-def _reversed_weights(m: int, decay: float) -> np.ndarray:
-    """``decayed_weights`` in window order (oldest first), checked once."""
-    weights = decayed_weights(m, decay)[::-1].copy()
-    if (weights <= 0).any():
-        raise ValueError("weights must be positive")
-    weights.flags.writeable = False
-    return weights
+        if self._decayed is None:
+            m = len(self.buffer)
+            weights = (self._weights if m == self.buffer.maxlen
+                       else decayed_weights(m, self.decay)[::-1])
+            self._decayed = self.marginal(vartype, weights)
+        return self._decayed
 
 
 @dataclass
@@ -181,7 +172,7 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
     detected = detect_variable_types(table, min_ord_ratio=min_ord_ratio)
     if types is not None:
         detected = [t if t is not None else d for t, d in zip(types, detected)]
-    windows = [_Window(col[~np.isnan(col)], config.window_size)
+    windows = [_Window(col[~np.isnan(col)], config.window_size, config.decay)
                for col in table.values.T]
     state = StreamState(config, detected, list(table.col_names), windows,
                         corr=np.eye(table.n_cols))
@@ -201,10 +192,10 @@ def _impute_row(state: StreamState, lower, upper, row) -> np.ndarray:
     else:
         latent = row_posterior_mean(state.corr, lower, upper)
     out = row.copy()
-    decay = state.config.decay
+    decayed = state.config.decay < 1.0
     for j in np.flatnonzero(missing):
-        if decay < 1.0:
-            marg = state.windows[j].decayed(state.vartypes[j], decay)
+        if decayed:
+            marg = state.windows[j].decayed(state.vartypes[j])
         else:
             marg = state.marginals[j]
         out[j] = marg.from_latent(latent[j])

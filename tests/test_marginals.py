@@ -62,9 +62,19 @@ class TestFit:
         with pytest.raises(ValueError, match="lower=2 is not below upper=1"):
             fit_marginal([0, 1, 1, 1.5, 2, 2, 3, 4],
                          VariableType(TWOSIDED_TRUNCATED, lower=2, upper=1))
-        # an upper bound taken from the data may cross a lower bound set below it
-        with pytest.raises(ValueError, match="lower=2.0 is not below upper=1.0"):
-            fit_marginal([0.0, 0.5, 1.0], VariableType(TWOSIDED_TRUNCATED, lower=2.0))
+
+    @pytest.mark.parametrize("values, vartype, bounds", [
+        # an upper bound taken from the data below a lower bound that was set
+        ([0.0, 0.5, 1.0], VariableType(TWOSIDED_TRUNCATED, lower=2.0),
+         "lower=2.0, upper=1.0"),
+        # both bounds taken from data of one value
+        ([1.5, 1.5, 1.5], VariableType(TWOSIDED_TRUNCATED), "lower=1.5, upper=1.5"),
+    ])
+    def test_bounds_from_the_data_that_meet_leave_no_interior(self, values, vartype,
+                                                              bounds):
+        with pytest.raises(ValueError, match=f"no interior values: {bounds}, the "
+                                             "unset bounds taken from the observed"):
+            fit_marginal(values, vartype)
 
     def test_requires_observations(self):
         with pytest.raises(ValueError, match="no observed"):
