@@ -12,9 +12,9 @@ posterior mean comes from one o x o factorization of the observed block
 (:func:`copulafill.latent.row_posterior_mean`); only a block that fails
 to factor takes the batch path and its jitter ladder. A window keeps its
 values sorted (see ``_Window``), and under decay a missing cell's weighted
-marginal is kept until its window changes. A ``stream_replay`` benchmark
-row (15 mixed columns, 30% missing, decay 0.95) takes about 0.6 ms on 2
-cores, round trip included.
+marginal is kept until its window changes. The median ``stream_replay``
+benchmark row (15 mixed columns, 30% missing, decay 0.95) takes 0.55-0.75
+ms on 2 cores, round trip included.
 """
 
 from __future__ import annotations

@@ -402,11 +402,11 @@ class TestMatchesOracle:
         state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
         builds, real = [], _Window.marginal
 
-        def record(window, vartype, weights=None, **kw):
+        def record(window, vartype, weights=None):
             if weights is not None:
                 builds.append(next(j for j, w in enumerate(state.windows)
                                    if w is window))
-            return real(window, vartype, weights, **kw)
+            return real(window, vartype, weights)
 
         monkeypatch.setattr(_Window, "marginal", record)
         # columns 0 (continuous) and 5 (two-sided truncated) stay hidden;
