@@ -18,11 +18,9 @@ from .data_model import (
     ORDINAL,
     TWOSIDED_TRUNCATED,
     UPPER_TRUNCATED,
-    ColumnSummary,
     DataTable,
     VariableType,
     detect_variable_types,
-    mask_summary,
     read_csv,
     write_csv,
 )
@@ -53,11 +51,8 @@ from .latent import (
 )
 from .lrgc import LowRankParams, fit_lrgc, implied_corr
 from .marginals import (
-    LatentInterval,
     Marginal,
     decayed_weights,
     fit_marginal,
-    from_latent,
-    to_latent_interval,
 )
 from .streaming import StreamConfig, StreamState, init_stream, step

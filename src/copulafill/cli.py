@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -235,21 +234,12 @@ def _cmd_stream(args) -> int:
 
 def _csv_rows(fh, path: str, names=None):
     """Yield the header names of an open CSV file, then its rows parsed
-    against ``names`` or that header; parse failures, an infinite cell
-    among them, name the file."""
+    against ``names`` or that header; parse failures name the file."""
     reader = csv.reader(fh)
     try:
         header = read_header(reader)
         yield header
-        names = names or header
-        for row in iter_csv_rows(reader, names):
-            if math.inf in row or -math.inf in row:
-                j = next(j for j, x in enumerate(row) if abs(x) == math.inf)
-                # the reader is at the row's line; the header is line 1
-                raise ValueError(f"row {reader.line_num - 1}, column {names[j]!r}: "
-                                 f"{row[j]} is infinite; cells must be finite "
-                                 f"or missing")
-            yield row
+        yield from iter_csv_rows(reader, names or header)
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from None
 

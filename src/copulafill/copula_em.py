@@ -36,7 +36,7 @@ class FitConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:    # NaN included
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -51,7 +51,10 @@ class FitConfig:
 
 def validate_stepsize(stepsize, horizon: int) -> None:
     """Step sizes must lie in (0, 1) and decrease monotonically."""
-    vals = [stepsize(t) for t in range(1, horizon + 1)]
+    try:
+        vals = [stepsize(t) for t in range(1, horizon + 1)]
+    except ArithmeticError:     # e.g. c/(c+t) at t = -c: no step size at all
+        vals = [float("nan")]
     if any(not 0.0 < v < 1.0 for v in vals):
         raise ValueError("stepsize must lie in (0, 1) for every iteration")
     if any(b >= a for a, b in zip(vals, vals[1:])):

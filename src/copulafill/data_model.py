@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -87,25 +88,6 @@ class DataTable:
 
     def observed_mask(self) -> np.ndarray:
         return ~np.isnan(self.values)
-
-
-@dataclass(frozen=True)
-class ColumnSummary:
-    name: str
-    n_observed: int
-    n_missing: int
-    missing_fraction: float
-
-
-def mask_summary(table: DataTable) -> list[ColumnSummary]:
-    """Per-column observed counts and missing fractions."""
-    obs = table.observed_mask()
-    n = table.n_rows
-    out = []
-    for j, name in enumerate(table.col_names):
-        k = int(obs[:, j].sum())
-        out.append(ColumnSummary(name, k, n - k, (n - k) / n if n else 0.0))
-    return out
 
 
 def _is_continuous_counts(counts: np.ndarray, min_ord_ratio: float) -> bool:
@@ -212,7 +194,8 @@ def read_header(reader) -> list[str]:
 
 def iter_csv_rows(reader, names):
     """Lazily parse the data rows of a ``csv.reader`` to lists of floats.
-    Blank lines are skipped; errors name the row and any bad column."""
+    Blank lines are skipped; a bad or infinite cell raises ValueError
+    naming its row and column, a row of the wrong width its row."""
     nan = float("nan")
     for i, rec in enumerate(reader):
         if not rec:
@@ -225,6 +208,10 @@ def iter_csv_rows(reader, names):
             vals = [nan if t == "" else float(t) for t in rec]
         except ValueError:   # a blank NA token, or a bad cell to name
             vals = [_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)]
+        if math.inf in vals or -math.inf in vals:
+            j = next(j for j, x in enumerate(vals) if abs(x) == math.inf)
+            raise ValueError(f"row {i + 1}, column {names[j]!r}: {vals[j]} is "
+                             f"infinite; cells must be finite or missing")
         yield vals
 
 

@@ -72,15 +72,12 @@ def truncnorm_moments(mu, var, interval):
     """Mean and variance of N(mu, var) truncated to an interval, plus the
     untruncated probability mass of the interval.
 
-    ``interval`` is a LatentInterval or a (lower, upper) pair; bounds may be
-    +-inf and all arguments broadcast. A returned mass of 0.0 flags an
-    interval beyond numeric range; the moments then degenerate to the
-    endpoint nearest mu with variance 0.
+    ``interval`` is a (lower, upper) pair; bounds may be +-inf and all
+    arguments broadcast. A returned mass of 0.0 flags an interval beyond
+    numeric range; the moments then degenerate to the endpoint nearest mu
+    with variance 0.
     """
-    if hasattr(interval, "lower"):
-        lower, upper = interval.lower, interval.upper
-    else:
-        lower, upper = interval
+    lower, upper = interval
     return _truncmoments(mu, var, lower, upper)
 
 

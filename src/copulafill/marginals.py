@@ -3,36 +3,22 @@
 Each fitted marginal exposes three maps: the (scaled) empirical CDF, the
 empirical quantile function, and the set-valued latent map that sends an
 observed value to the interval of latent standard-normal values consistent
-with it. Continuous values map to a single latent point, ordinal levels and
-truncation boundaries map to intervals.
+with it. A marginal is one of two kinds. An ordinal column maps each level
+to a latent interval. Any other column has a continuous interior, whose
+values map to single latent points, and a point mass at each truncation
+bound, whose values map to intervals; a continuous column is this kind with
+no boundary mass.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data_model import CONTINUOUS, ORDINAL, VariableType
-
-
-@dataclass(frozen=True)
-class LatentInterval:
-    """Closed latent interval [lower, upper]; lower == upper is a point."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
+from .data_model import ORDINAL, VariableType
 
 
 class Marginal:
@@ -40,9 +26,18 @@ class Marginal:
 
     Built by :func:`fit_marginal`, or from sorted distinct ``values`` and
     their normalized weights ``masses``; a truncated type's unset bounds
-    are taken from the values. Evaluation methods are pure and accept
-    scalars or arrays; instances are immutable after fitting.
+    are taken from the values. An ordinal marginal has one latent cell per
+    level. Every other marginal splits off the masses ``p_alpha`` and
+    ``p_beta`` of the values at or past its bounds and spreads the rest
+    over an interior CDF; a continuous column, or a truncated one whose
+    values all lie inside its bounds, has ``p_alpha = p_beta = 0``.
+    Evaluation methods are pure and accept scalars or arrays; instances are
+    immutable after fitting.
     """
+
+    # no boundary mass, and so no latent cutpoint, until _build sets one
+    p_alpha = p_beta = 0.0
+    _z_alpha, _z_beta = -math.inf, math.inf
 
     def __init__(self, vartype, values, masses, n_obs, value_list=None):
         self.vartype = _resolve_bounds(vartype, values)
@@ -57,41 +52,47 @@ class Marginal:
         cum = self.masses.cumsum()
         cum[-1] = 1.0
         self._cum = cum
-        n = self.n_obs
-        tag = self.vartype.tag
-        if tag == ORDINAL:
+        vt, vals, n = self.vartype, self._value_list, self.n_obs
+        if vt.tag == ORDINAL:
             # half-open latent cells per level, outermost cells unbounded
             self._zcuts = np.concatenate(([-np.inf], ndtri(cum[:-1]), [np.inf]))
             return
-        if tag == CONTINUOUS:
-            self._nodes = np.maximum(cum * n / (n + 1), 1.0 / (n + 1))
-            return
-        # truncated: split boundary masses from the interior distribution; the
-        # sorted values at or past each bound are a prefix and a suffix
-        vt, vals = self.vartype, self._value_list
-        lo = bisect_right(vals, vt.lower) if vt.has_lower_bound else 0
-        hi = bisect_left(vals, vt.upper) if vt.has_upper_bound else len(vals)
-        self.p_alpha = float(self.masses[:lo].sum())
-        self.p_beta = float(self.masses[hi:].sum())
-        # weighted boundary masses may sum to just under 1 with no interior left
-        if self.p_alpha + self.p_beta >= 1.0 or lo >= hi:
-            raise ValueError(
-                "truncated column has no interior values; boundary masses "
-                f"p_alpha={self.p_alpha:.3f}, p_beta={self.p_beta:.3f}"
-            )
-        self._inner_values = self.values[lo:hi]
-        self._inner_list = vals[lo:hi]
-        w = self.masses[lo:hi]
-        icum = w.cumsum() / w.sum()
-        icum[-1] = 1.0
+        # the sorted values at or past each bound are a prefix and a suffix;
+        # an unset bound spares a continuous column the has_*_bound calls
+        lo, hi = 0, len(vals)
+        if vt.lower is not None and vt.has_lower_bound:
+            lo = bisect_right(vals, vt.lower)
+        if vt.upper is not None and vt.has_upper_bound:
+            hi = bisect_left(vals, vt.upper)
+        if lo == 0 and hi == len(vals):
+            # no boundary mass: the interior is the whole sample, with the
+            # prefix sums as they are, not divided by a sum just off 1.0
+            self._inner_values, self._inner_list = self.values, vals
+            icum, m = cum, n
+        else:
+            self.p_alpha = float(self.masses[:lo].sum())
+            self.p_beta = float(self.masses[hi:].sum())
+            # weighted boundary masses may sum to just under 1 with no interior
+            if self.p_alpha + self.p_beta >= 1.0 or lo >= hi:
+                raise ValueError(
+                    "truncated column has no interior values; boundary masses "
+                    f"p_alpha={self.p_alpha:.3f}, p_beta={self.p_beta:.3f}"
+                )
+            self._inner_values = self.values[lo:hi]
+            self._inner_list = vals[lo:hi]
+            w = self.masses[lo:hi]
+            icum = w.cumsum() / w.sum()
+            icum[-1] = 1.0
+            m = max(int(round(n * (1.0 - self.p_alpha - self.p_beta))), 1)
+            # latent cutpoints of the boundary masses (z-space comparisons
+            # keep boundary round trips exact)
+            if self.p_alpha > 0:
+                self._z_alpha = ndtri(self.p_alpha)
+            if self.p_beta > 0:
+                self._z_beta = ndtri(1.0 - self.p_beta)
         # scale by the interior observation count so the interior CDF stays
         # inside (0, 1)
-        m = max(int(round(n * (1.0 - self.p_alpha - self.p_beta))), 1)
-        self._inner_nodes = np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
-        # latent cutpoints of the boundary masses (z-space comparisons keep
-        # boundary round trips exact)
-        self._z_alpha = ndtri(self.p_alpha) if self.p_alpha > 0 else -np.inf
-        self._z_beta = ndtri(1.0 - self.p_beta) if self.p_beta > 0 else np.inf
+        self._nodes = np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
 
     # -- CDF / quantile -----------------------------------------------------
 
@@ -101,35 +102,27 @@ class Marginal:
         Exact at observed sample points, linear in between, clamped outside
         the sample range.
         """
-        tag = self.vartype.tag
-        if tag == ORDINAL:
+        if self.vartype.tag == ORDINAL:
             idx = np.searchsorted(self.values, x, side="right") - 1
             return self._cum[np.clip(idx, 0, len(self._cum) - 1)]
-        if tag == CONTINUOUS:
-            return _interp_exact(x, self.values, self._nodes)
-        u_in = _interp_exact(x, self._inner_values, self._inner_nodes)
+        u_in = _interp_exact(x, self._inner_values, self._nodes)
         return self.p_alpha + (1.0 - self.p_alpha - self.p_beta) * u_in
 
     def quantile(self, p):
         """Empirical quantile; linear between order statistics, clamped at
         the sample extremes (imputations never extrapolate)."""
-        tag = self.vartype.tag
-        if tag == ORDINAL:
+        if self.vartype.tag == ORDINAL:
             idx = np.searchsorted(self._cum, p, side="left")
             return self.values[np.clip(idx, 0, len(self.values) - 1)]
-        if tag == CONTINUOUS:
-            return _interp_exact(p, self._nodes, self.values)
-        return self._trunc_quantile(np.asarray(p, dtype=float))
-
-    def _trunc_quantile(self, u):
-        vt = self.vartype
-        inner_u = (u - self.p_alpha) / (1.0 - self.p_alpha - self.p_beta)
-        out = _interp_exact(inner_u, self._inner_nodes, self._inner_values)
+        u = np.asarray(p, dtype=float)
+        vt, pa, pb = self.vartype, self.p_alpha, self.p_beta
+        out = _interp_exact((u - pa) / (1.0 - pa - pb), self._nodes,
+                            self._inner_values)
         out = np.asarray(out, dtype=float)
-        if self.p_alpha > 0:
-            out = np.where(u <= self.p_alpha, vt.lower, out)
-        if self.p_beta > 0:
-            out = np.where(u >= 1.0 - self.p_beta, vt.upper, out)
+        if pa > 0:
+            out = np.where(u <= pa, vt.lower, out)
+        if pb > 0:
+            out = np.where(u >= 1.0 - pb, vt.upper, out)
         return out if out.ndim else float(out)
 
     # -- latent maps ----------------------------------------------------------
@@ -140,17 +133,23 @@ class Marginal:
             return self._point_bounds(float(x))
         x = np.asarray(x, dtype=float)
         nan = np.isnan(x)
-        tag = self.vartype.tag
-        if tag == CONTINUOUS:
-            lo = ndtri(self.cdf(np.where(nan, self.values[0], x)))
-            hi = lo.copy()
-        elif tag == ORDINAL:
+        vt = self.vartype
+        if vt.tag == ORDINAL:
             # snap to the nearest observed level, then use its latent cell
             idx = _nearest_index(np.where(nan, self.values[0], x), self.values)
             lo = self._zcuts[idx].astype(float)
             hi = self._zcuts[idx + 1].astype(float)
         else:
-            lo, hi = self._trunc_bounds_arr(x, nan)
+            lo = ndtri(self.cdf(np.where(nan, self._inner_values[0], x)))
+            hi = lo.copy()
+            if self.p_alpha > 0:
+                at = x <= vt.lower
+                lo[at] = -np.inf
+                hi[at] = self._z_alpha
+            if self.p_beta > 0:
+                at = x >= vt.upper
+                lo[at] = self._z_beta
+                hi[at] = np.inf
         lo[nan] = np.nan
         hi[nan] = np.nan
         return lo, hi
@@ -161,52 +160,30 @@ class Marginal:
         ``ndtri``."""
         if x != x:
             return math.nan, math.nan
-        tag = self.vartype.tag
-        if tag == ORDINAL:
+        vt = self.vartype
+        if vt.tag == ORDINAL:
             i = _nearest_level(x, self._value_list)
             return float(self._zcuts[i]), float(self._zcuts[i + 1])
-        if tag == CONTINUOUS:
-            lo = float(ndtri(_interp_point(x, self._value_list, self.values,
-                                           self._nodes)))
-            return lo, lo
-        vt = self.vartype
+        pa, pb = self.p_alpha, self.p_beta
         # the array path sets the lower boundary cell first, so the upper wins
-        if vt.has_upper_bound and self.p_beta > 0 and x >= vt.upper:
+        if pb > 0 and x >= vt.upper:
             return float(self._z_beta), math.inf
-        if vt.has_lower_bound and self.p_alpha > 0 and x <= vt.lower:
+        if pa > 0 and x <= vt.lower:
             return -math.inf, float(self._z_alpha)
-        u_in = _interp_point(x, self._inner_list, self._inner_values,
-                             self._inner_nodes)
-        lo = float(ndtri(self.p_alpha + (1.0 - self.p_alpha - self.p_beta) * u_in))
+        u_in = _interp_point(x, self._inner_list, self._inner_values, self._nodes)
+        lo = float(ndtri(pa + (1.0 - pa - pb) * u_in))
         return lo, lo
-
-    def _trunc_bounds_arr(self, x, nan):
-        vt = self.vartype
-        lo = ndtri(self.cdf(np.where(nan, self._inner_values[0], x)))
-        hi = lo.copy()
-        if vt.has_lower_bound and self.p_alpha > 0:
-            at = x <= vt.lower
-            lo[at] = -np.inf
-            hi[at] = self._z_alpha
-        if vt.has_upper_bound and self.p_beta > 0:
-            at = x >= vt.upper
-            lo[at] = self._z_beta
-            hi[at] = np.inf
-        return lo, hi
 
     def from_latent(self, z):
         """Map latent values back to the observed space (Table transforms)."""
         if np.ndim(z) == 0:
             return self._point_from_latent(float(z))
         z = np.asarray(z, dtype=float)
-        tag = self.vartype.tag
-        if tag == CONTINUOUS:
-            return self.quantile(ndtr(z))
-        if tag == ORDINAL:
+        if self.vartype.tag == ORDINAL:
             # cell k is [zcut_k, zcut_{k+1}): the upper boundary belongs to
             # the next level
             return self.values[np.searchsorted(self._zcuts[1:-1], z, side="right")]
-        out = self._trunc_quantile(ndtr(z))
+        out = self.quantile(ndtr(z))
         if self.p_alpha > 0:
             out[z <= self._z_alpha] = self.vartype.lower
         if self.p_beta > 0:
@@ -215,15 +192,13 @@ class Marginal:
 
     def _point_from_latent(self, z: float) -> float:
         """:meth:`from_latent` of one value, bit for bit, without arrays."""
-        tag = self.vartype.tag
-        if tag == ORDINAL:
+        vt = self.vartype
+        if vt.tag == ORDINAL:
             return float(self.values[np.searchsorted(self._zcuts[1:-1], z, "right")])
         u = float(ndtr(z))
-        if tag == CONTINUOUS:
-            return float(_interp_point(u, self._nodes, self._nodes, self.values))
         # the array path overwrites in this order: the u-space lower and
         # upper boundary cells, then the z-space ones; the last to hold wins
-        vt, pa, pb = self.vartype, self.p_alpha, self.p_beta
+        pa, pb = self.p_alpha, self.p_beta
         if pb > 0 and z >= self._z_beta:
             return float(vt.upper)
         if pa > 0 and z <= self._z_alpha:
@@ -232,8 +207,8 @@ class Marginal:
             return float(vt.upper)
         if pa > 0 and u <= pa:
             return float(vt.lower)
-        return float(_interp_point((u - pa) / (1.0 - pa - pb), self._inner_nodes,
-                                   self._inner_nodes, self._inner_values))
+        return float(_interp_point((u - pa) / (1.0 - pa - pb), self._nodes,
+                                   self._nodes, self._inner_values))
 
 
 def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
@@ -297,17 +272,6 @@ def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
             f"upper={upper}, the unset bounds taken from the observed values"
         )
     return VariableType(vartype.tag, lower=lower, upper=upper)
-
-
-def to_latent_interval(marginal: Marginal, x: float) -> LatentInterval:
-    """Latent interval consistent with one observed value."""
-    lo, hi = marginal.latent_bounds(float(x))
-    return LatentInterval(float(lo), float(hi))
-
-
-def from_latent(marginal: Marginal, z):
-    """Observed-space value(s) of latent point(s) under the marginal."""
-    return marginal.from_latent(z)
 
 
 def decayed_weights(m: int, decay: float) -> np.ndarray:

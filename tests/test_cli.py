@@ -141,6 +141,18 @@ class TestImputeCommand:
         assert main(["impute", str(masked_path), "-o", out,
                      "--mode", "minibatch-online"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--stepsize-c", "-1"], "stepsize must lie in (0, 1) for every iteration"),
+        (["--stepsize-c", "-3"], "stepsize must lie in (0, 1) for every iteration"),
+        (["--tol", "nan"], "tol must be positive, got nan"),
+    ])
+    def test_bad_flag_value_exit_1_without_traceback(self, toy_csv, tmp_path, capsys,
+                                                     flags, message):
+        _, masked_path = toy_csv
+        assert main(["impute", str(masked_path), "-o", str(tmp_path / "x.csv"),
+                     *flags]) == 1
+        assert capsys.readouterr().err == f"copulafill: {message}\n"
+
     def test_removed_workers_flag_exit_1(self, toy_csv, tmp_path):
         _, masked_path = toy_csv
         assert main(["impute", str(masked_path), "-o", str(tmp_path / "x.csv"),
@@ -517,3 +529,16 @@ class TestStreamRejectsInfiniteCells:
                      "--truth", str(truth), "--n-train", "10"]) == 2
         err = capsys.readouterr().err
         assert "truth.csv" in err and "row 34, column 'c'" in err
+
+
+class TestImputeRejectsInfiniteCells:
+    @pytest.mark.parametrize("i, token", [(30, "inf"), (3, "-inf"), (39, "Infinity")])
+    def test_names_the_cell_as_stream_does(self, tmp_path, capsys, i, token):
+        path = TestStreamRejectsInfiniteCells.table(tmp_path, "in.csv", (i, 1, token))
+        out = tmp_path / "out.csv"
+        assert main(["impute", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"in.csv: row {i + 1}, column 'b': " in err and "is infinite" in err
+        assert "Traceback" not in err and not out.exists()
+        assert main(["stream", str(path), "-o", str(out), "--n-train", "10"]) == 2
+        assert capsys.readouterr().err == err

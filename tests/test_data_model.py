@@ -15,7 +15,6 @@ from copulafill.data_model import (
     DataTable,
     VariableType,
     detect_variable_types,
-    mask_summary,
     parse_type_overrides,
     _parse_cell,
     format_row,
@@ -115,16 +114,6 @@ class TestDetection:
         col = np.concatenate([np.zeros(30), np.random.default_rng(5).uniform(1, 2, 70),
                               [np.nan] * 40])
         assert detect_one(col).tag == LOWER_TRUNCATED
-
-
-class TestMaskSummary:
-    def test_counts(self):
-        vals = np.ones((10, 3))
-        vals[:, 1] = np.nan
-        vals[:3, 2] = np.nan
-        s = mask_summary(DataTable(vals, ["a", "b", "c"]))
-        assert [c.missing_fraction for c in s] == [0.0, 1.0, 0.3]
-        assert all(c.n_observed + c.n_missing == 10 for c in s)
 
 
 class TestDataTable:
@@ -297,7 +286,8 @@ class TestCsvReaderFastPath:
 
     def test_infinite_cell_is_rejected_by_the_table(self):
         with pytest.raises(ValueError,
-                           match=r"cell \(0, 0\) is infinite; cells must be finite"):
+                           match="row 1, column 'a': inf is infinite; cells must be "
+                                 "finite"):
             read_csv(io.StringIO("a\ninf\n"))
 
 

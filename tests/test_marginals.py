@@ -12,14 +12,7 @@ from copulafill.data_model import (
     UPPER_TRUNCATED,
     VariableType,
 )
-from copulafill.marginals import (
-    LatentInterval,
-    _interp_exact,
-    decayed_weights,
-    fit_marginal,
-    from_latent,
-    to_latent_interval,
-)
+from copulafill.marginals import _interp_exact, decayed_weights, fit_marginal
 
 CONT = VariableType(CONTINUOUS)
 ORD = VariableType(ORDINAL)
@@ -97,29 +90,28 @@ class TestFit:
 class TestToLatent:
     def test_binary_upper_level(self):
         m = fit_marginal([0, 1, 0, 1], ORD)
-        got = to_latent_interval(m, 1)
-        assert got.lower == 0.0 and got.upper == np.inf
+        assert m.latent_bounds(1) == (0.0, np.inf)
 
     def test_continuous_median_maps_to_zero(self):
         vals = np.arange(1, 22, dtype=float)  # odd count: median cdf is 1/2
         m = fit_marginal(vals, CONT)
-        got = to_latent_interval(m, 11.0)
-        assert got.is_point
-        assert got.lower == pytest.approx(0.0, abs=1e-12)
+        lo, hi = m.latent_bounds(11.0)
+        assert lo == hi
+        assert lo == pytest.approx(0.0, abs=1e-12)
 
     def test_truncated_boundary_interval(self):
         col = np.concatenate([np.zeros(4), np.linspace(0.5, 4, 6)])
         m = fit_marginal(col, VariableType(LOWER_TRUNCATED, lower=0.0))
-        got = to_latent_interval(m, 0.0)
-        assert got.lower == -np.inf
+        lo, hi = m.latent_bounds(0.0)
+        assert lo == -np.inf
         # standard-normal quantile oracle at 0.4
-        assert got.upper == pytest.approx(-0.2533471031357997, abs=1e-12)
+        assert hi == pytest.approx(-0.2533471031357997, abs=1e-12)
 
     def test_ordinal_out_of_sample_snaps_to_nearest_level(self):
         m = fit_marginal([1, 1, 2, 3], ORD)
-        assert to_latent_interval(m, 2.4) == to_latent_interval(m, 2)
-        assert to_latent_interval(m, -7.0) == to_latent_interval(m, 1)
-        assert to_latent_interval(m, 9.0) == to_latent_interval(m, 3)
+        assert m.latent_bounds(2.4) == m.latent_bounds(2)
+        assert m.latent_bounds(-7.0) == m.latent_bounds(1)
+        assert m.latent_bounds(9.0) == m.latent_bounds(3)
 
     @pytest.mark.parametrize("x,level", [(np.inf, 2), (1e308, 2), (-np.inf, 0),
                                          (-1e308, 0)])
@@ -173,10 +165,6 @@ class TestPointBounds:
             assert all(type(b) is float for b in got)
             want = m.latent_bounds(np.array([x]))
             assert np.array_equal(_bits(got), _bits([want[0][0], want[1][0]])), x
-            if not np.isnan(got[0]):
-                iv = to_latent_interval(m, x)
-                assert np.array_equal(_bits([iv.lower, iv.upper]), _bits(got))
-
 
     def test_infinite_value_snaps_as_the_array_path(self):
         # the array path snaps +-inf as the largest finite floats
@@ -201,7 +189,7 @@ class TestPointFromLatent:
         except ValueError:
             assume(False)      # a truncated sample with no interior value
         cuts = [getattr(m, name, 0.0) for name in ("_z_alpha", "_z_beta")]
-        nodes = getattr(m, "_nodes", getattr(m, "_inner_nodes", m._cum))
+        nodes = getattr(m, "_nodes", m._cum)
         # latent points within 6 ulps of each node's, some of which map onto
         # the node exactly, where a repeated node must take its first value
         near = [ndtri(nodes)]
@@ -225,6 +213,42 @@ class TestPointFromLatent:
         zs = ndtri(0.25) + np.arange(-8, 9) * np.spacing(ndtri(0.25))
         z = zs[ndtr(zs) == 0.25][0]         # a latent point that maps onto 1/4
         assert m.from_latent(float(z)) == m.from_latent(np.array([z]))[0] == 0.0
+
+
+class TestContinuousIsTheInteriorCase:
+    """A truncated fit whose set bounds lie outside its sample, as a stream
+    window whose boundary values have all been evicted, has no boundary
+    mass: every map equals the continuous fit's bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([LOWER_TRUNCATED, UPPER_TRUNCATED, TWOSIDED_TRUNCATED]),
+           _SAMPLE, st.sampled_from([None, 0.9, 0.3]), st.sampled_from([0.0, 1.0, 1e3]),
+           st.lists(st.floats(-10.0, 10.0), max_size=5))
+    def test_same_bits_as_the_continuous_fit(self, tag, sample, decay, gap, free):
+        weights = None if decay is None else decayed_weights(len(sample), decay)[::-1]
+        lo, hi = min(sample), max(sample)
+        # the nearest floats outside the sample when the gap is 0
+        lower = lo - gap if gap else float(np.nextafter(lo, -np.inf))
+        upper = hi + gap if gap else float(np.nextafter(hi, np.inf))
+        vartype = VariableType(tag, lower=lower if tag != UPPER_TRUNCATED else None,
+                               upper=upper if tag != LOWER_TRUNCATED else None)
+        cont = fit_marginal(sample, CONT, weights)
+        trunc = fit_marginal(sample, vartype, weights)
+        assert trunc.p_alpha == trunc.p_beta == 0.0
+        vals = cont.values
+        xs = [np.nan, -np.inf, np.inf, lower, upper, *vals, *free,
+              *((vals[1:] + vals[:-1]) / 2.0)]
+        us = [0.0, 1.0, 0.5, *cont._nodes, *np.nextafter(cont._nodes, 0.0),
+              *ndtr(free)]
+        zs = [np.nan, -np.inf, np.inf, 0.0, *free, *ndtri(cont._nodes),
+              *np.nextafter(ndtri(cont._nodes), np.inf)]
+        for name, probes in (("cdf", xs), ("quantile", us), ("latent_bounds", xs),
+                             ("from_latent", zs)):
+            want, got = getattr(cont, name), getattr(trunc, name)
+            for x in map(float, probes):
+                assert np.array_equal(_bits(want(x)), _bits(got(x))), (name, x)
+            probes = np.array(probes, dtype=float)
+            assert np.array_equal(_bits(want(probes)), _bits(got(probes))), name
 
 
 class TestInterpExact:
@@ -255,9 +279,9 @@ class TestFromLatent:
     def test_ordinal_cell_lookup(self):
         m = fit_marginal([1, 1, 2, 3], ORD)
         # Phi(0.1) = 0.5398 falls in the [0.5, 0.75) cell
-        assert from_latent(m, 0.1) == 2
-        assert from_latent(m, -0.1) == 1
-        assert from_latent(m, 10.0) == 3
+        assert m.from_latent(0.1) == 2
+        assert m.from_latent(-0.1) == 1
+        assert m.from_latent(10.0) == 3
 
     def test_continuous_round_trip(self):
         vals = np.random.default_rng(2).lognormal(size=25)
@@ -269,8 +293,8 @@ class TestFromLatent:
         col = np.concatenate([np.zeros(4), np.linspace(0.5, 4, 6)])
         m = fit_marginal(col, VariableType(LOWER_TRUNCATED, lower=0.0))
         # Phi(-1) = 0.1587 <= p_alpha = 0.4
-        assert from_latent(m, -1.0) == 0.0
-        assert from_latent(m, 2.0) > 0.0
+        assert m.from_latent(-1.0) == 0.0
+        assert m.from_latent(2.0) > 0.0
 
     def test_discrete_round_trip_within_cell(self):
         rng = np.random.default_rng(3)
@@ -280,12 +304,11 @@ class TestFromLatent:
         m_tr = fit_marginal(col, VariableType(LOWER_TRUNCATED, lower=0.0))
         for m, xs in ((m_ord, np.unique(ints)), (m_tr, [0.0])):
             for x in xs:
-                iv = to_latent_interval(m, x)
-                probes = [iv.lower, np.clip(iv.lower, -8, 8) / 2
-                          + np.clip(iv.upper, -8, 8) / 2]
+                lower, upper = m.latent_bounds(x)
+                probes = [lower, np.clip(lower, -8, 8) / 2 + np.clip(upper, -8, 8) / 2]
                 for z in probes:
                     if np.isfinite(z):
-                        assert from_latent(m, z) == x
+                        assert m.from_latent(z) == x
 
     def test_monotonicity(self):
         rng = np.random.default_rng(4)
@@ -336,12 +359,8 @@ class TestWeights:
         vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # oldest .. newest
         w = decayed_weights(5, 1e-6)[::-1]           # align to oldest-first
         m = fit_marginal(vals, ORD, weights=w)
-        assert from_latent(m, 0.0) == 5.0
+        assert m.from_latent(0.0) == 5.0
         # continuous: the median lands within one grid cell of the newest
         mc = fit_marginal(vals, CONT, weights=w)
         q = float(mc.quantile(0.5))
         assert 4.0 <= q <= 5.0
-
-    def test_interval_ordering(self):
-        with pytest.raises(ValueError):
-            LatentInterval(1.0, 0.0)
