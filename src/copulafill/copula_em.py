@@ -50,14 +50,19 @@ class FitConfig:
 
 
 def validate_stepsize(stepsize, horizon: int) -> None:
-    """Step sizes must lie in (0, 1) and decrease monotonically."""
-    try:
-        vals = [stepsize(t) for t in range(1, horizon + 1)]
-    except ArithmeticError:     # e.g. c/(c+t) at t = -c: no step size at all
-        vals = [float("nan")]
-    if any(not 0.0 < v < 1.0 for v in vals):
-        raise ValueError("stepsize must lie in (0, 1) for every iteration")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
+    """Step sizes must lie in (0, 1) and decrease monotonically; one pass,
+    in which a value out of range wins over an increase."""
+    prev, decreasing = float("inf"), True
+    for t in range(1, horizon + 1):
+        try:
+            v = stepsize(t)
+        except ArithmeticError:  # e.g. c/(c+t) at t = -c: no step size at all
+            v = float("nan")
+        if not 0.0 < v < 1.0:
+            raise ValueError("stepsize must lie in (0, 1) for every iteration")
+        decreasing = decreasing and v < prev
+        prev = v
+    if not decreasing:
         raise ValueError("stepsize must be monotonically decreasing")
 
 

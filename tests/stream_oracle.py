@@ -2,17 +2,19 @@
 
 The package keeps each window's distinct values sorted with their counts,
 encodes a streamed row with one scalar ``latent_bounds`` call per column and
-takes its posterior mean from a single-row solver. This module keeps the
-direct form: each marginal is refitted from the whole window with
-``fit_marginal``, each cell is encoded as a one-element array, and the
-posterior is ``batch_posterior`` on a one-row batch. Tests compare the
-package against it; nothing in ``src/`` imports it.
+takes its posterior mean and E-step terms from a single-row solver. This
+module keeps the direct form: each marginal is refitted from the whole
+window with ``fit_marginal``, each cell is encoded as a one-element array,
+the posterior is ``batch_posterior`` on a one-row batch, and a correlation
+update solves its rows again with ``copula_em.blend_step``. Tests compare
+the package against it; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from copulafill.copula_em import blend_step
 from copulafill.data_model import ORDINAL, VariableType
 from copulafill.latent import batch_posterior
 from copulafill.marginals import decayed_weights, fit_marginal
@@ -64,3 +66,30 @@ def impute_row(state, row):
             marg = state.marginals[j]
         out[j] = marg.from_latent(latent[j])
     return out
+
+
+class BatchUpdate:
+    """The stream's correlation update on the batch path: the encoded
+    bounds of each row with an observed cell are kept until ``batch_size``
+    rows are, then ``blend_step`` solves them all under the correlation."""
+
+    def __init__(self, state):
+        self.corr = state.corr.copy()
+        self.lower, self.upper = [], []
+
+    def add(self, state, row, revealed=None) -> bool:
+        """Fold in the row that a step on ``row`` (and ``revealed``) folds
+        in, from ``state`` as it stands before that step; True when the
+        correlation was updated."""
+        source = np.asarray(row if revealed is None else revealed, dtype=float)
+        lower, upper = encode_row(state.marginals, source)
+        if not np.isnan(lower).all():
+            self.lower.append(lower)
+            self.upper.append(upper)
+        if len(self.lower) < state.config.batch_size:
+            return False
+        self.corr = blend_step(self.corr, np.vstack(self.lower),
+                               np.vstack(self.upper), state.config.const_stepsize)[0]
+        self.lower.clear()
+        self.upper.clear()
+        return True

@@ -244,6 +244,24 @@ class TestMinibatch:
         with pytest.raises(ValueError, match="decreasing"):
             validate_stepsize(lambda t: t / (t + 10), 5)
 
+    @pytest.mark.parametrize("late", [lambda t: 1.5, lambda t: 1 / 0])
+    def test_out_of_range_wins_over_an_increase(self, late):
+        # increases at t = 2, leaves (0, 1) (or fails) only at t = 4
+        schedule = {1: 0.5, 2: 0.6, 3: 0.4}
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            validate_stepsize(lambda t: schedule[t] if t in schedule else late(t), 5)
+
+    def test_long_horizon_keeps_no_list(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            FitConfig(max_iter=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_batch_size_smaller_than_width_rejected(self):
         _, _, masked = make_mixed_dataset(n=300, seed=17)
         with pytest.raises(ValueError, match="batch size"):

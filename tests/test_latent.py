@@ -9,7 +9,6 @@ from copulafill.latent import (
     batch_posterior,
     conditional_mvn,
     row_posterior,
-    row_posterior_mean,
     std_normal_cdf,
     std_normal_quantile,
     truncnorm_moments,
@@ -377,16 +376,28 @@ def _mixed_row(p, seed):
     return sigma, lo, hi
 
 
+def _batch_row(sigma, lo, hi, sweeps=2):
+    """``batch_posterior`` of one row: its mean, interval variances and
+    missing-block covariance (``cov_sum`` through ``visit``)."""
+    cov = []
+    post = batch_posterior(sigma, lo[None, :], hi[None, :], sweeps,
+                           visit=lambda ch: cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
+    mis = np.flatnonzero(np.isnan(lo))
+    return post.mean[0], post.ivar[0], cov[0][np.ix_(mis, mis)]
+
+
 class TestRowPosteriorMean:
-    """The single-row solver against the batch path on the same row."""
+    """The single-row solver, :func:`row_posterior`, against the batch path
+    on the same row: means, interval variances and missing covariance."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 3))
     def test_matches_batch_posterior(self, p, seed, sweeps):
         sigma, lo, hi = _mixed_row(p, seed)
-        want = batch_posterior(sigma, lo[None, :], hi[None, :], sweeps).mean[0]
-        got = row_posterior_mean(sigma, lo, hi, sweeps)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        got = row_posterior(sigma, lo, hi, sweeps)
+        for g, w in zip((got.cond_mean, got.cond_var, got.cond_cov_missing),
+                        _batch_row(sigma, lo, hi, sweeps)):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
 
     def test_singular_block_falls_back_to_the_batch_path(self):
         # two identical columns: the observed block does not factor
@@ -395,12 +406,14 @@ class TestRowPosteriorMean:
         hi = np.array([0.3, np.inf, np.nan])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(sigma[:2, :2])
-        want = batch_posterior(sigma, lo[None, :], hi[None, :]).mean[0]
-        assert np.array_equal(row_posterior_mean(sigma, lo, hi), want)
+        got = row_posterior(sigma, lo, hi)
+        for g, w in zip((got.cond_mean, got.cond_var, got.cond_cov_missing),
+                        _batch_row(sigma, lo, hi)):
+            assert np.array_equal(g, w)
 
     def test_rejects_fully_missing_row(self):
         with pytest.raises(ValueError, match="no observed"):
-            row_posterior_mean(np.eye(2), [np.nan, np.nan], [np.nan, np.nan])
+            row_posterior(np.eye(2), [np.nan, np.nan], [np.nan, np.nan])
 
 
 class TestPatternGrouping:

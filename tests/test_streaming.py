@@ -168,7 +168,7 @@ class TestStep:
             assert np.array_equal(state.corr, corr0)
         _, state = step(state, truth[44])
         assert not np.array_equal(state.corr, corr0)
-        assert len(state.pending_lower) == 0
+        assert len(state.pending_means) == 0
 
     def test_blend_is_convex_combination(self):
         _, truth, _ = make_stream(n=60, seed=8)
@@ -189,7 +189,7 @@ class TestStep:
         for t in range(30, 400):
             _, state = step(state, truth[t])
         assert all(len(b) <= 25 for b in state.buffers)
-        assert len(state.pending_lower) < 10
+        assert len(state.pending_means) < 10
 
     def test_replay_is_bitwise_identical(self):
         _, truth, masked = make_stream(n=120, seed=10, hide=2)
@@ -325,13 +325,19 @@ class TestMatchesOracle:
         cfg = StreamConfig(window_size=25, n_train=30, batch_size=20, decay=decay)
         state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
         assert_marginals_match_oracle(state)
+        update, updates = oracle.BatchUpdate(state), 0
         for t in range(30, len(truth)):
             # every third row reveals its hidden cells after imputation
             revealed = truth[t] if t % 3 == 0 else None
             want = oracle.impute_row(state, masked[t])
+            updated = update.add(state, masked[t], revealed)
             got, state = step(state, masked[t], revealed)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
             assert_marginals_match_oracle(state)
+            if updated:
+                updates += 1
+                np.testing.assert_allclose(state.corr, update.corr, rtol=1e-12)
+        assert updates == 11
         assert {m.vartype.tag for m in state.marginals} >= {
             CONTINUOUS, ORDINAL, LOWER_TRUNCATED, UPPER_TRUNCATED,
             TWOSIDED_TRUNCATED}
@@ -421,6 +427,36 @@ class TestMatchesOracle:
             got, state = step(state, row, truth[t] if reveal else None)
             assert builds == want
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    def test_update_counts_rows_with_no_missing_cell(self):
+        truth, _ = mixed_stream(60, seed=9)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=6)
+        state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
+        update = oracle.BatchUpdate(state)
+        corr0 = state.corr.copy()
+        for t in range(30, 60):
+            updated = update.add(state, truth[t])
+            got, state = step(state, truth[t])
+            assert np.array_equal(got, truth[t])
+            if updated:
+                np.testing.assert_allclose(state.corr, update.corr, rtol=1e-12)
+        assert not np.allclose(state.corr, corr0)
+
+    def test_singular_block_update_matches_the_batch_path(self):
+        truth, masked = mixed_stream(50, seed=6)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=10)
+        state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
+        # columns 0 and 1 identical, as in the jitter-ladder test below; one
+        # update, as the blended correlation is only nearly singular
+        corr = state.corr.copy()
+        corr[1], corr[:, 1] = corr[0], corr[:, 0]
+        state.corr = corr
+        update = oracle.BatchUpdate(state)
+        for t in range(30, 40):
+            assert update.add(state, masked[t]) == (t == 39)
+            _, state = step(state, masked[t])
+        assert (~np.isnan(masked[30:40, :2])).all(axis=1).sum() == 5
+        np.testing.assert_allclose(state.corr, update.corr, rtol=1e-12)
 
     def test_singular_block_takes_the_jitter_ladder(self, monkeypatch):
         truth, _ = mixed_stream(40, seed=6)

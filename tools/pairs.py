@@ -21,6 +21,7 @@ an error. Standard library only; nothing under ``bench/`` is changed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -48,6 +49,19 @@ def parse_args(argv=None):
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
                           capture_output=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def worktree(rev: str):
+    """A temporary detached ``git worktree`` of ``rev``, removed on exit,
+    also after an error."""
+    with tempfile.TemporaryDirectory(prefix="parent-") as tmp:
+        tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(tree), rev)
+        try:
+            yield tree
+        finally:
+            git("worktree", "remove", "--force", str(tree))
 
 
 def bench_run(tree: Path, args) -> dict:
@@ -100,21 +114,16 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     rev = git("rev-parse", "--verify", args.parent + "^{commit}")
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), rev)
-        try:
-            for k in range(args.pairs):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
-                    tree = parent_tree if side == "parent" else ROOT
-                    result = bench_run(tree, args)
-                    runs[side].append(result)
-                    rows = result["metrics"].get("rows_per_s", {}).get("value")
-                    print(f"pair {k + 1}/{args.pairs} {side}: rows_per_s {rows}, "
-                          f"failed {result['failed']}", file=sys.stderr, flush=True)
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+    with worktree(rev) as parent_tree:
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                tree = parent_tree if side == "parent" else ROOT
+                result = bench_run(tree, args)
+                runs[side].append(result)
+                rows = result["metrics"].get("rows_per_s", {}).get("value")
+                print(f"pair {k + 1}/{args.pairs} {side}: rows_per_s {rows}, "
+                      f"failed {result['failed']}", file=sys.stderr, flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g}-s runs; parent {rev[:12]}, change = working tree")
     report(metrics, runs)
