@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -215,6 +216,13 @@ def _cmd_stream(args) -> int:
         )
     except ValueError as err:
         raise CliError(str(err)) from None
+    # rows are written as they are read: an input named as the output would
+    # be emptied before it is read
+    inputs = {"input": "" if args.input == "-" else args.input, "--truth": args.truth}
+    for what, path in inputs.items():
+        with contextlib.suppress(OSError):      # no such file: nothing to empty
+            if path and args.output != "-" and os.path.samefile(args.output, path):
+                raise CliError(f"cannot write {args.output}: it is the {what} file")
 
     with contextlib.ExitStack() as stack:
         def open_csv(path, mode="r"):
@@ -301,7 +309,10 @@ def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
 
 def _cmd_evaluate(args) -> int:
     paths = [args.truth, args.masked, args.imputed]
-    if args.ci_lower and args.ci_upper:
+    if bool(args.ci_lower) != bool(args.ci_upper):
+        missing = "--ci-upper" if args.ci_lower else "--ci-lower"
+        raise CliError(f"--ci-lower and --ci-upper go together: {missing} is missing")
+    if args.ci_lower:
         paths += [args.ci_lower, args.ci_upper]
     tables = [_read_table(path) for path in paths]
     if len({t.values.shape for t in tables}) > 1:
@@ -343,8 +354,6 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # downstream consumer closed the stream (e.g. head); exit quietly
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

@@ -105,6 +105,8 @@ class EStepResult:
 def encode_table(marginals: list[Marginal], values: np.ndarray):
     """Latent lower/upper bound grids for a value grid (NaN where missing)."""
     values = np.asarray(values, dtype=float)
+    if values.shape[1] != len(marginals):
+        raise ValueError(f"{len(marginals)} marginals for {values.shape[1]} columns")
     if len(values) == 1:
         # one row, as streamed: a scalar encode per cell
         pairs = [m.latent_bounds(x) for m, x in zip(marginals, values[0].tolist())]
@@ -226,6 +228,17 @@ class _FitInput:
         return self.lower[keep], self.upper[keep]
 
 
+def column_types(table: DataTable, types, min_ord_ratio) -> list[VariableType]:
+    """The detected column types, each replaced by its override in
+    ``types`` where that is not None."""
+    detected = detect_variable_types(table, min_ord_ratio=min_ord_ratio)
+    if types is None:
+        return detected
+    if len(types) != table.n_cols:
+        raise ValueError(f"{len(types)} type overrides for {table.n_cols} columns")
+    return [t if t is not None else d for t, d in zip(types, detected)]
+
+
 def _prepare_fit(table, types, min_ord_ratio) -> _FitInput:
     """Fit each column's marginal and encode the table with it.
 
@@ -242,11 +255,7 @@ def _prepare_fit(table, types, min_ord_ratio) -> _FitInput:
         table = DataTable(np.asarray(table, dtype=float))
     if table.n_rows == 0 or table.n_cols == 0:
         raise ValueError("cannot fit an empty table")
-    detected = detect_variable_types(table, min_ord_ratio=min_ord_ratio)
-    if types is not None:
-        if len(types) != table.n_cols:
-            raise ValueError(f"{len(types)} type overrides for {table.n_cols} columns")
-        detected = [t if t is not None else d for t, d in zip(types, detected)]
+    detected = column_types(table, types, min_ord_ratio)
     marginals = []
     lower = np.empty(table.values.shape)
     upper = np.empty(table.values.shape)

@@ -580,15 +580,14 @@ def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     conditional covariance, with the interval variances of the last pass
     carried into it. No pattern grouping, stack or log-likelihood is
     computed. When the block does not factor, the batch path and its
-    jitter ladder give the row.
+    jitter ladder give the row. A row with no observed cell gets its prior,
+    as in :func:`batch_posterior`: mean 0 and missing covariance Sigma.
     """
     sigma = np.asarray(sigma, dtype=float)
     lower = np.asarray(lower, dtype=float).ravel()
     upper = np.asarray(upper, dtype=float).ravel()
     missing = np.isnan(lower)
     obs, mis = np.flatnonzero(~missing), np.flatnonzero(missing)
-    if not obs.size:
-        raise ValueError("row 0 has no observed coordinates")
     # (k, 1) and (k,) index arrays pick a block as np.ix_ does, at a
     # quarter of its cost on a row of 15
     try:

@@ -10,13 +10,14 @@ A step costs a few small array operations per row, not per cell. The row
 is encoded with one scalar ``latent_bounds`` call per column, and one o x o
 factorization of its observed block (:func:`copulafill.latent.row_posterior`)
 gives its posterior mean and its E-step terms, which running sums keep; a
-correlation update is one M-step on those sums, with no solve. Only a block
-that fails to factor takes the batch path and its jitter ladder. A window
-keeps its values sorted (see ``_Window``), and under decay a missing cell's
-weighted marginal is kept until its window changes. On the ``stream_replay``
-benchmark (15 mixed columns, 30% missing, decay 0.95) the median row takes
-about 0.45 ms in-process on 2 cores and the 99th percentile, a row that ends
-a batch, about 1 ms.
+correlation update is one M-step on those sums, with no solve. A row with no
+observed cell is imputed from its prior and, as in a fit, left out of the
+sums. Only a block that fails to factor takes the batch path and its jitter
+ladder. A window keeps its values sorted (see ``_Window``), and under decay a
+missing cell's weighted marginal is kept until its window changes. On the
+``stream_replay`` benchmark (15 mixed columns, 30% missing, decay 0.95) the
+median row takes about 0.45 ms in-process on 2 cores and the 99th
+percentile, a row that ends a batch, about 1 ms.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula_em import encode_table, initial_corr, mstep
-from .data_model import DataTable, ORDINAL, VariableType, detect_variable_types
-from .latent import RowPosterior, row_posterior
+from .copula_em import column_types, encode_table, initial_corr, mstep
+from .data_model import DataTable, ORDINAL, VariableType
+from .latent import row_posterior
 from .marginals import Marginal, decayed_weights
 
 
@@ -70,8 +71,8 @@ class _Window:
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
         self._table = np.empty((2, size))   # ``distinct`` over its counts
-        self.decay = decay
-        # the decay weights of a full window, oldest first
+        # the decay weights of a full window, oldest first; a window of m
+        # values takes the last m
         self._weights = decayed_weights(size, decay)[::-1] if decay < 1.0 else None
         self._decayed = None    # the decayed marginal, until the next append
         for x in values:
@@ -128,9 +129,7 @@ class _Window:
         """:meth:`marginal` under the decay weights of the window's length,
         kept until the window next changes."""
         if self._decayed is None:
-            m = len(self.buffer)
-            weights = (self._weights if m == self.buffer.maxlen
-                       else decayed_weights(m, self.decay)[::-1])
+            weights = self._weights[len(self._weights) - len(self.buffer):]
             self._decayed = self.marginal(vartype, weights)
         return self._decayed
 
@@ -144,12 +143,12 @@ class StreamState:
     col_names: list[str]
     windows: list[_Window]
     corr: np.ndarray
-    marginals: list[Marginal] = field(default_factory=list)
+    marginals: list[Marginal]
     # E-step terms of the rows since the last correlation update, all
-    # solved under ``corr``: their posterior means, and their conditional
-    # covariances (missing block, interval variances on the diagonal) summed
+    # solved under ``corr``: their conditional covariances (missing block,
+    # interval variances on the diagonal) summed, and their posterior means
+    pending_cov: np.ndarray
     pending_means: list[np.ndarray] = field(default_factory=list)
-    pending_cov: np.ndarray | None = None
     n_seen: int = 0
 
     @property
@@ -174,42 +173,23 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
             f"column {table.col_names[j]!r} has fewer than 2 observed values "
             "in the initialization block"
         )
-    detected = detect_variable_types(table, min_ord_ratio=min_ord_ratio)
-    if types is not None:
-        detected = [t if t is not None else d for t, d in zip(types, detected)]
+    vartypes = column_types(table, types, min_ord_ratio)
     windows = [_Window(col[~np.isnan(col)], config.window_size, config.decay)
                for col in table.values.T]
-    state = StreamState(config, detected, list(table.col_names), windows,
-                        corr=np.eye(table.n_cols))
-    state.marginals = [w.marginal(t) for w, t in zip(windows, detected)]
-    lower, upper = encode_table(state.marginals, table.values)
+    marginals = [w.marginal(t) for w, t in zip(windows, vartypes)]
+    lower, upper = encode_table(marginals, table.values)
     keep = ~np.isnan(lower).all(axis=1)
-    state.corr = initial_corr(lower[keep], upper[keep])
-    state.pending_cov = np.zeros_like(state.corr)
-    return state
-
-
-def _posterior(state: StreamState, lower, upper) -> RowPosterior | None:
-    """The encoded row's posterior under ``state.corr``; None for a row
-    with no observed cell, which the update leaves out."""
-    if np.isnan(lower).all():
-        return None
-    return row_posterior(state.corr, lower, upper)
+    corr = initial_corr(lower[keep], upper[keep])
+    return StreamState(config, vartypes, list(table.col_names), windows, corr,
+                       marginals, pending_cov=np.zeros_like(corr))
 
 
 def _impute_row(state: StreamState, post, row) -> np.ndarray:
-    missing = np.isnan(row)
-    if not missing.any():
-        return row.copy()
-    latent = np.zeros(state.n_cols) if post is None else post.cond_mean
     out = row.copy()
-    decayed = state.config.decay < 1.0
-    for j in np.flatnonzero(missing):
-        if decayed:
-            marg = state.windows[j].decayed(state.vartypes[j])
-        else:
-            marg = state.marginals[j]
-        out[j] = marg.from_latent(latent[j])
+    for j in np.flatnonzero(np.isnan(row)):
+        marg = (state.windows[j].decayed(state.vartypes[j])
+                if state.config.decay < 1.0 else state.marginals[j])
+        out[j] = marg.from_latent(post.cond_mean[j])
     return out
 
 
@@ -238,18 +218,16 @@ def step(state: StreamState, row, revealed=None):
         if revealed.size != row.size:
             raise ValueError("revealed row length mismatch")
         _check_finite(state, revealed, "revealed row")
-        obs = ~np.isnan(row)
-        if not np.array_equal(row[obs], revealed[obs]):
-            j = int(np.flatnonzero(obs)[
-                np.flatnonzero(row[obs] != revealed[obs])[0]])
+        differ = np.flatnonzero(~np.isnan(row) & (row != revealed))
+        if differ.size:
             raise ValueError(
                 f"revealed row disagrees with the input row at observed "
-                f"column {state.col_names[j]!r}"
+                f"column {state.col_names[differ[0]]!r}"
             )
 
     # encode against the marginals current at ingest time, impute, then update
     lower, upper = encode_table(state.marginals, row[None, :])
-    post = _posterior(state, lower[0], upper[0])
+    post = row_posterior(state.corr, lower[0], upper[0])
     imputed = _impute_row(state, post, row)
 
     # the correlation has not changed since the last update, so the row's
@@ -259,12 +237,12 @@ def step(state: StreamState, row, revealed=None):
     if revealed is not None:
         source = revealed
         src_lower, src_upper = encode_table(state.marginals, source[None, :])
-        post = _posterior(state, src_lower[0], src_upper[0])
+        post = row_posterior(state.corr, src_lower[0], src_upper[0])
     # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(~np.isnan(source)):
         state.windows[j].append(source[j])
         state.marginals[j] = state.windows[j].marginal(state.vartypes[j])
-    if post is not None:
+    if post.obs_idx.size:   # a fit leaves out a row with no observed cell
         state.pending_means.append(post.cond_mean)
         cov = state.pending_cov
         cov[post.mis_idx[:, None], post.mis_idx] += post.cond_cov_missing

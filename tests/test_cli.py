@@ -275,6 +275,18 @@ class TestStreamCommand:
         assert main(["stream", "-", "-o", out]) == 1
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["input", "--truth"])
+    def test_output_that_is_an_input_exit_1(self, stream_files, capsys, which):
+        in_path, truth_path = stream_files
+        target = in_path if which == "input" else truth_path
+        before = target.read_bytes()
+        # another spelling of the same path: the check compares files
+        out = str(target.parent / "." / target.name)
+        code = main(["stream", str(in_path), "-o", out, "--truth", str(truth_path)])
+        assert code == 1
+        assert target.read_bytes() == before
+        assert f"cannot write {out}: it is the {which} file" in capsys.readouterr().err
+
     def test_unparsable_cell_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         rows = "".join(f"{i}.0,{i % 3}.5,0.{i}\n" for i in range(1, 9))
@@ -356,6 +368,18 @@ class TestEvaluateCommand:
         import re
 
         assert any(re.fullmatch(r"coverage: 0\.\d{3}", ln) for ln in lines)
+
+    @pytest.mark.parametrize("given,missing", [("--ci-lower", "--ci-upper"),
+                                               ("--ci-upper", "--ci-lower")])
+    def test_one_ci_bound_exit_1(self, toy_csv, capsys, given, missing):
+        truth_path, masked_path = toy_csv
+        code = main(["evaluate", "--truth", str(truth_path),
+                     "--masked", str(masked_path), "--imputed", str(truth_path),
+                     given, str(truth_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{missing} is missing" in captured.err
 
     @pytest.mark.parametrize("which", ["--imputed", "--ci-upper"])
     def test_shape_mismatch_exit_2(self, toy_csv, tmp_path, capsys, which):

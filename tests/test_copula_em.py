@@ -218,6 +218,16 @@ class TestFitStandard:
             model = fit_standard(DataTable(vals))
         assert model.corr.shape == (3, 3)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_encode_needs_one_marginal_per_column(self, n):
+        rng = np.random.default_rng(17)
+        marginals = continuous_model(rng.standard_normal((20, 3))).marginals
+        vals = rng.standard_normal((n, 3))
+        with pytest.raises(ValueError, match="2 marginals for 3 columns"):
+            encode_table(marginals[:2], vals)
+        with pytest.raises(ValueError, match="3 marginals for 2 columns"):
+            encode_table(marginals, vals[:, :2])
+
     def test_one_iteration_equals_normalized_second_moment(self):
         rng = np.random.default_rng(16)
         vals = rng.standard_normal((300, 3))

@@ -186,9 +186,15 @@ class TestRowPosterior:
         post = row_posterior(sigma, [0.0, np.nan], [np.inf, np.nan])
         assert post.cond_mean[1] == pytest.approx(0.8 * 0.79788456, abs=1e-6)
 
-    def test_rejects_fully_missing_row(self):
-        with pytest.raises(ValueError, match="no observed"):
-            row_posterior(np.eye(2), [np.nan, np.nan], [np.nan, np.nan])
+    def test_fully_missing_row_gets_its_prior(self):
+        sigma = random_correlation(4, seed=12)
+        missing = np.full(4, np.nan)
+        post = row_posterior(sigma, missing, missing)
+        assert np.array_equal(post.cond_mean, np.zeros(4))
+        assert np.array_equal(post.cond_var, np.zeros(4))
+        assert np.array_equal(post.cond_cov_missing, sigma)
+        assert post.obs_idx.size == 0
+        assert np.array_equal(post.mis_idx, np.arange(4))
 
 
 class TestBatchPosterior:
@@ -411,9 +417,14 @@ class TestRowPosteriorMean:
                         _batch_row(sigma, lo, hi)):
             assert np.array_equal(g, w)
 
-    def test_rejects_fully_missing_row(self):
-        with pytest.raises(ValueError, match="no observed"):
-            row_posterior(np.eye(2), [np.nan, np.nan], [np.nan, np.nan])
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_fully_missing_row_matches_batch_posterior(self, p):
+        sigma = random_correlation(p, seed=p)
+        missing = np.full(p, np.nan)
+        got = row_posterior(sigma, missing, missing)
+        want = _batch_row(sigma, missing, missing)
+        for g, w in zip((got.cond_mean, got.cond_var, got.cond_cov_missing), want):
+            assert np.array_equal(g, w)
 
 
 class TestPatternGrouping:

@@ -62,6 +62,11 @@ class TestInit:
         with pytest.raises(ValueError, match="fewer than 2"):
             init_stream(DataTable(rows, ["a", "b"]))
 
+    def test_type_overrides_must_cover_every_column(self):
+        rows = np.random.default_rng(3).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="1 type overrides for 3 columns"):
+            init_stream(rows, StreamConfig(n_train=10), types=[None])
+
     def test_initial_corr_near_identity_on_independent_data(self):
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((100, 3))
@@ -442,6 +447,23 @@ class TestMatchesOracle:
                 np.testing.assert_allclose(state.corr, update.corr, rtol=1e-12)
         assert not np.allclose(state.corr, corr0)
 
+    @pytest.mark.parametrize("decay", [0.95, 1.0])
+    def test_fully_missing_row_is_imputed_from_its_prior(self, decay):
+        truth, masked = mixed_stream(45, seed=10)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=100, decay=decay)
+        state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
+        for t in range(30, 45):
+            _, state = step(state, masked[t])
+        means = [m.copy() for m in state.pending_means]
+        cov = state.pending_cov.copy()
+        row = np.full(state.n_cols, np.nan)
+        want = oracle.impute_row(state, row)
+        got, state = step(state, row)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert len(state.pending_means) == len(means) == 15
+        assert all(np.array_equal(g, w) for g, w in zip(state.pending_means, means))
+        assert np.array_equal(state.pending_cov, cov)
+
     def test_singular_block_update_matches_the_batch_path(self):
         truth, masked = mixed_stream(50, seed=6)
         cfg = StreamConfig(window_size=25, n_train=30, batch_size=10)
@@ -496,6 +518,18 @@ class TestWindow:
                                  oracle.window_marginal(window.buffer, vartype, weights))
         assert sorted(set(window.buffer)) == window.distinct
         assert window.counts == [list(window.buffer).count(v) for v in window.distinct]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_levels, min_size=1, max_size=20), st.integers(2, 9),
+           st.sampled_from(MIXED_TYPES), st.sampled_from([0.5, 0.9, 0.95]))
+    def test_decayed_reads_the_last_weights_of_a_full_window(self, values, size,
+                                                            vartype, decay):
+        window = _Window([], size, decay)
+        for x in values:
+            window.append(x)
+            weights = decayed_weights(len(window.buffer), decay)[::-1]
+            assert_same_marginal(window.decayed(vartype),
+                                 window.marginal(vartype, weights))
 
     def test_underflowed_weights_fail_as_a_refit_does(self):
         window = _Window([0.5, 1.0, 2.5], 3)
