@@ -18,6 +18,7 @@ from .data_model import (
     ORDINAL,
     TWOSIDED_TRUNCATED,
     UPPER_TRUNCATED,
+    ConfigError,
     DataTable,
     VariableType,
     detect_variable_types,

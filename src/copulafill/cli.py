@@ -1,8 +1,9 @@
 """Command-line front end: fit/impute, streaming, and evaluation over CSV.
 
-Exit codes: 0 success, 1 flag validation, 2 input parse failure, 3 fit or
-numeric failure. Output CSVs keep the input header and column order; floats
-are printed with 6 significant digits.
+Exit codes, which ``main`` alone decides by exception type: 0 success, 1 a
+rejected option value or output path (ConfigError), 2 input parse failure
+(ParseError), 3 fit or numeric failure (any other ValueError). Output CSVs
+keep the input header and column order; floats have 6 significant digits.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 from . import __version__
 from .copula_em import FitConfig, _prepare_fit, fit_minibatch_offline, fit_standard
 from .data_model import (
+    ConfigError,
     DataTable,
     format_row,
     iter_csv_rows,
@@ -31,10 +34,6 @@ from .evaluation import coverage, mae, smae
 from .imputer import _QUANTILE_DRAWS, _impute, _quantile_bounds
 from .lrgc import fit_lrgc
 from .streaming import StreamConfig, init_stream, step
-
-
-class CliError(Exception):
-    """Flag/semantic validation failure (exit 1)."""
 
 
 class ParseError(Exception):
@@ -123,106 +122,101 @@ def _derived_path(output: str, suffix: str) -> Path:
     return out.with_name(out.stem + suffix + out.suffix)
 
 
+def _file_id(path):
+    """One key for every spelling of a file, hard links included: its
+    device and inode, or its resolved path while it does not exist."""
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    return os.path.realpath(path)
+
+
+def _check_outputs(inputs, outputs) -> None:
+    """Refuse, before anything is read, an output path in no existing
+    directory or one that names an input or an earlier output: a write
+    there fails late or replaces a file the command reads or writes. Both
+    arguments list (flag, path) pairs; "" (none) and "-" (a standard
+    stream) are skipped."""
+    seen = {_file_id(path): what for what, path in inputs if path not in ("", "-")}
+    for what, path in (pair for pair in outputs if pair[1] not in ("", "-")):
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+        if (key := _file_id(path)) in seen:
+            raise ConfigError(f"cannot write {path}: it is the {seen[key]} file")
+        seen[key] = what
+
+
 def _write(path, values, names) -> None:
     try:
         write_csv(path, values, names)
     except OSError as err:
-        raise CliError(f"cannot write {path}: {err.strerror}") from None
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _cmd_impute(args) -> int:
     if args.multiple < 0:
-        raise CliError("--multiple must be nonnegative")
+        raise ConfigError("--multiple must be nonnegative")
     if not 0 < args.alpha < 1:
-        raise CliError("--alpha must be in (0, 1)")
-    try:
-        config = FitConfig(
-            tol=args.tol,
-            max_iter=args.max_iter,
-            batch_size=args.batch_size,
-            num_pass=args.num_pass,
-            stepsize=lambda t, c=args.stepsize_c: c / (c + t),
-            seed=args.seed,
-            verbose=args.verbose,
-        )
-    except ValueError as err:
-        raise CliError(str(err)) from None
-    for path in filter(None, (args.output, args.corr_out)):
-        if not Path(path).parent.is_dir():  # caught before the fit
-            raise CliError(f"cannot write {path}: no directory {Path(path).parent}")
+        raise ConfigError("--alpha must be in (0, 1)")
+    if args.rank < 0:  # 0 selects the dense model
+        raise ConfigError(f"--rank must be nonnegative, got {args.rank}")
+    config = FitConfig(
+        tol=args.tol,
+        max_iter=args.max_iter,
+        batch_size=args.batch_size,
+        num_pass=args.num_pass,
+        stepsize=lambda t, c=args.stepsize_c: c / (c + t),
+        seed=args.seed,
+        verbose=args.verbose,
+    )
+    ci_paths = [_derived_path(args.output, "_ci_" + b) for b in ("lower", "upper") if args.ci]
+    draw_paths = [_derived_path(args.output, f"_imp{k + 1}") for k in range(args.multiple)]
+    _check_outputs([("input", args.input)],
+                   [("-o", args.output), *[("--ci", path) for path in ci_paths],
+                    *[("--multiple", path) for path in draw_paths],
+                    ("--corr-out", args.corr_out)])
 
     table = _read_table(args.input)
-    try:
-        types = (parse_type_overrides(args.types, table.n_cols)
-                 if args.types else None)
-        # width-dependent preconditions are still flag validation
-        if args.mode == "minibatch-offline" and args.batch_size < table.n_cols:
-            raise ValueError(
-                f"mini-batch training needs batch size >= number of columns "
-                f"({args.batch_size} < {table.n_cols}); use --rank for wide data"
-            )
-        if args.rank and not 1 <= args.rank < table.n_cols:
-            raise ValueError(
-                f"--rank must satisfy 1 <= rank < n_cols, got {args.rank} "
-                f"(n_cols={table.n_cols})"
-            )
-    except ValueError as err:
-        raise CliError(str(err)) from None
-
-    try:
-        # the table is encoded once: the fit and the imputation share it
-        prep = _prepare_fit(table, types, args.min_ord_ratio)
-        if args.rank > 0:
-            model = fit_lrgc(prep, args.rank, config)
-        elif args.mode == "minibatch-offline":
-            model = fit_minibatch_offline(prep, config)
-        else:
-            model = fit_standard(prep, config)
-        # one solve gives the imputation, the analytic bounds and the draws;
-        # the quantile bounds take the first _QUANTILE_DRAWS of those draws
-        quantile_draws = _QUANTILE_DRAWS if args.ci == "quantile" else 0
-        result, draws = _impute(model, table.values,
-                                alpha=args.alpha if args.ci == "analytic" else None,
-                                num=max(args.multiple, quantile_draws), seed=args.seed,
-                                bounds=(prep.lower, prep.upper))
-    except (ValueError, np.linalg.LinAlgError) as err:
-        print(f"copulafill: fit failed: {err}", file=sys.stderr)
-        return 3
-
+    types = parse_type_overrides(args.types, table.n_cols) if args.types else None
+    # the table is encoded once: the fit and the imputation share it
+    prep = _prepare_fit(table, types, args.min_ord_ratio)
+    if args.rank > 0:
+        model = fit_lrgc(prep, args.rank, config)
+    elif args.mode == "minibatch-offline":
+        model = fit_minibatch_offline(prep, config)
+    else:
+        model = fit_standard(prep, config)
+    # one solve gives the imputation, the analytic bounds and the draws;
+    # the quantile bounds take the first _QUANTILE_DRAWS of those draws
+    quantile_draws = _QUANTILE_DRAWS if args.ci == "quantile" else 0
+    result, draws = _impute(model, table.values,
+                            alpha=args.alpha if args.ci == "analytic" else None,
+                            num=max(args.multiple, quantile_draws), seed=args.seed,
+                            bounds=(prep.lower, prep.upper))
     _write(args.output, result.imputed, table.col_names)
     if args.ci:
         lo, hi = result.ci_lower, result.ci_upper
         if quantile_draws:
             lo, hi = _quantile_bounds(draws[:quantile_draws], table.values, args.alpha)
-        _write(_derived_path(args.output, "_ci_lower"), lo, table.col_names)
-        _write(_derived_path(args.output, "_ci_upper"), hi, table.col_names)
-    if args.multiple:
-        for k in range(args.multiple):
-            _write(_derived_path(args.output, f"_imp{k + 1}"), draws[k],
-                   table.col_names)
+        for path, bound in zip(ci_paths, (lo, hi)):
+            _write(path, bound, table.col_names)
+    for k, path in enumerate(draw_paths):
+        _write(path, draws[k], table.col_names)
     if args.corr_out:
         _write(args.corr_out, model.correlation(), table.col_names)
     return 0
 
 
 def _cmd_stream(args) -> int:
-    try:
-        config = StreamConfig(
-            window_size=args.window_size,
-            const_stepsize=args.const_stepsize,
-            batch_size=args.batch_size,
-            decay=args.decay,
-            n_train=args.n_train,
-        )
-    except ValueError as err:
-        raise CliError(str(err)) from None
-    # rows are written as they are read: an input named as the output would
-    # be emptied before it is read
-    inputs = {"input": "" if args.input == "-" else args.input, "--truth": args.truth}
-    for what, path in inputs.items():
-        with contextlib.suppress(OSError):      # no such file: nothing to empty
-            if path and args.output != "-" and os.path.samefile(args.output, path):
-                raise CliError(f"cannot write {args.output}: it is the {what} file")
+    config = StreamConfig(
+        window_size=args.window_size,
+        const_stepsize=args.const_stepsize,
+        batch_size=args.batch_size,
+        decay=args.decay,
+        n_train=args.n_train,
+    )
+    _check_outputs([("input", args.input), ("--truth", args.truth)],
+                   [("-o", args.output)])
 
     with contextlib.ExitStack() as stack:
         def open_csv(path, mode="r"):
@@ -236,18 +230,28 @@ def _cmd_stream(args) -> int:
         try:
             out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
         except OSError as err:
-            raise CliError(f"cannot write {args.output}: {err.strerror}") from None
+            raise ConfigError(f"cannot write {args.output}: {err.strerror}") from None
         return _run_stream(args, config, in_fh, truth_fh, out_fh)
 
 
-def _csv_rows(fh, path: str, names=None):
-    """Yield the header names of an open CSV file, then its rows parsed
-    against ``names`` or that header; parse failures name the file."""
+def _check_header(path: str, names, source: str, expected) -> None:
+    """Refuse a file whose header is not ``expected``, the header of
+    ``source``: its columns would be read as others."""
+    for k, pair in enumerate(itertools.zip_longest(names, expected)):
+        if pair[0] != pair[1]:
+            got, want = ("none" if name is None else repr(name) for name in pair)
+            raise ParseError(f"{path}: header column {k + 1} is {got} where "
+                             f"{source} has {want}")
+
+
+def _csv_rows(fh, path: str):
+    """Yield the header names of an open CSV file, then its rows; parse
+    failures name the file."""
     reader = csv.reader(fh)
     try:
         header = read_header(reader)
         yield header
-        yield from iter_csv_rows(reader, names or header)
+        yield from iter_csv_rows(reader, header)
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from None
 
@@ -265,43 +269,27 @@ def _paired(rows, truth, truth_path):
 def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
     rows = _csv_rows(in_fh, args.input)
     names = next(rows)
-    try:
-        types = parse_type_overrides(args.types, len(names)) if args.types else None
-    except ValueError as err:
-        raise CliError(str(err)) from None
+    types = parse_type_overrides(args.types, len(names)) if args.types else None
     truth = None
     if truth_fh is not None:
-        truth = _csv_rows(truth_fh, args.truth, names)
-        next(truth)
+        truth = _csv_rows(truth_fh, args.truth)
+        _check_header(args.truth, next(truth), args.input, names)
     pairs = _paired(rows, truth, args.truth)
 
     csv.writer(out_fh, lineterminator="\n").writerow(names + ["warmup"])
 
     warmup_train = []
-    for _ in range(config.n_train):
-        try:
-            row, revealed = next(pairs)
-        except StopIteration:
-            raise ParseError(
-                f"{args.input}: fewer rows than --n-train={config.n_train}"
-            ) from None
+    for _, (row, revealed) in zip(range(config.n_train), pairs):
         warmup_train.append(row if revealed is None else revealed)
         out_fh.write(format_row(row) + ",1\n")
     out_fh.flush()
+    if len(warmup_train) < config.n_train:
+        raise ParseError(f"{args.input}: fewer rows than --n-train={config.n_train}")
 
-    try:
-        state = init_stream(DataTable(np.array(warmup_train), names), config,
-                            types=types, min_ord_ratio=args.min_ord_ratio)
-    except ValueError as err:
-        print(f"copulafill: stream initialization failed: {err}", file=sys.stderr)
-        return 3
-
+    state = init_stream(DataTable(np.array(warmup_train), names), config,
+                        types=types, min_ord_ratio=args.min_ord_ratio)
     for row, revealed in pairs:
-        try:
-            imputed, state = step(state, row, revealed)
-        except ValueError as err:
-            print(f"copulafill: stream step failed: {err}", file=sys.stderr)
-            return 3
+        imputed, state = step(state, row, revealed)
         out_fh.write(format_row(imputed) + ",0\n")
         out_fh.flush()
     return 0
@@ -311,10 +299,12 @@ def _cmd_evaluate(args) -> int:
     paths = [args.truth, args.masked, args.imputed]
     if bool(args.ci_lower) != bool(args.ci_upper):
         missing = "--ci-upper" if args.ci_lower else "--ci-lower"
-        raise CliError(f"--ci-lower and --ci-upper go together: {missing} is missing")
+        raise ConfigError(f"--ci-lower and --ci-upper go together: {missing} is missing")
     if args.ci_lower:
         paths += [args.ci_lower, args.ci_upper]
     tables = [_read_table(path) for path in paths]
+    for path, table in zip(paths[1:], tables[1:]):
+        _check_header(path, table.col_names, args.truth, tables[0].col_names)
     if len({t.values.shape for t in tables}) > 1:
         raise ParseError("tables differ in shape: " + ", ".join(
             f"{path} {t.n_rows}x{t.n_cols}" for path, t in zip(paths, tables)))
@@ -346,12 +336,16 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CliError as err:
+    except ConfigError as err:
         print(f"copulafill: {err}", file=sys.stderr)
         return 1
     except ParseError as err:
         print(f"copulafill: parse failure: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:  # numpy's LinAlgError is one too
+        what = "fit" if args.command == "impute" else args.command
+        print(f"copulafill: {what} failed: {err}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # downstream consumer closed the stream (e.g. head); exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

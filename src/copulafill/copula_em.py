@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data_model import DataTable, VariableType, detect_variable_types
+from .data_model import ConfigError, DataTable, VariableType, detect_variable_types
 from .latent import _interval_means, batch_posterior
 from .marginals import Marginal, fit_and_encode
 
@@ -37,15 +37,15 @@ class FitConfig:
 
     def __post_init__(self):
         if not self.tol > 0:    # NaN included
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.num_pass < 1:
-            raise ValueError(f"num_pass must be >= 1, got {self.num_pass}")
+            raise ConfigError(f"num_pass must be >= 1, got {self.num_pass}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         validate_stepsize(self.stepsize, self.max_iter)
 
 
@@ -59,11 +59,11 @@ def validate_stepsize(stepsize, horizon: int) -> None:
         except ArithmeticError:  # e.g. c/(c+t) at t = -c: no step size at all
             v = float("nan")
         if not 0.0 < v < 1.0:
-            raise ValueError("stepsize must lie in (0, 1) for every iteration")
+            raise ConfigError("stepsize must lie in (0, 1) for every iteration")
         decreasing = decreasing and v < prev
         prev = v
     if not decreasing:
-        raise ValueError("stepsize must be monotonically decreasing")
+        raise ConfigError("stepsize must be monotonically decreasing")
 
 
 @dataclass
@@ -235,7 +235,7 @@ def column_types(table: DataTable, types, min_ord_ratio) -> list[VariableType]:
     if types is None:
         return detected
     if len(types) != table.n_cols:
-        raise ValueError(f"{len(types)} type overrides for {table.n_cols} columns")
+        raise ConfigError(f"{len(types)} type overrides for {table.n_cols} columns")
     return [t if t is not None else d for t, d in zip(types, detected)]
 
 
@@ -337,12 +337,10 @@ def _fit_corr(table, config, types, min_ord_ratio, minibatch) -> CopulaModel:
     lower, upper = prep.fitted_bounds()
     single = prep.single
     n, p = lower.shape
-    if n == 0:
-        raise ValueError("no rows with observed cells to fit on")
     batches = None
     if minibatch:
         if config.batch_size < p:
-            raise ValueError(
+            raise ConfigError(
                 f"mini-batch training needs batch size >= number of columns "
                 f"({config.batch_size} < {p}); use the low-rank model for wide data"
             )

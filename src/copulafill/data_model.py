@@ -22,6 +22,11 @@ VAR_TAGS = (CONTINUOUS, ORDINAL, LOWER_TRUNCATED, UPPER_TRUNCATED, TWOSIDED_TRUN
 _NA_TOKENS = {"", "nan"}
 
 
+class ConfigError(ValueError):
+    """A value that the caller sets is out of range: a setting, an option
+    or a type override, not the data. The CLI exits 1 on it."""
+
+
 @dataclass(frozen=True)
 class VariableType:
     """Column type tag plus the truncation point(s) for truncated columns.
@@ -126,7 +131,7 @@ def detect_variable_types(
     renormalized, are continuous by the same rule; ordinal otherwise.
     """
     if not 0 < min_ord_ratio < 1:
-        raise ValueError(f"min_ord_ratio must be in (0, 1), got {min_ord_ratio}")
+        raise ConfigError(f"min_ord_ratio must be in (0, 1), got {min_ord_ratio}")
     out = []
     for j, name in enumerate(table.col_names):
         col = table.values[:, j]
@@ -146,7 +151,7 @@ def parse_type_overrides(spec: str, n_cols: int) -> list[VariableType | None]:
     """
     tokens = [t.strip().lower() for t in spec.split(",")]
     if len(tokens) != n_cols:
-        raise ValueError(f"--types lists {len(tokens)} entries for {n_cols} columns")
+        raise ConfigError(f"--types lists {len(tokens)} entries for {n_cols} columns")
     out: list[VariableType | None] = []
     for tok in tokens:
         if tok in ("", "auto"):
@@ -154,7 +159,7 @@ def parse_type_overrides(spec: str, n_cols: int) -> list[VariableType | None]:
         elif tok in VAR_TAGS:
             out.append(VariableType(tok))
         else:
-            raise ValueError(f"unknown variable type {tok!r}")
+            raise ConfigError(f"unknown variable type {tok!r}")
     return out
 
 

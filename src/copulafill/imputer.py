@@ -137,7 +137,9 @@ def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
                                   seed, bounds)
     tables[0] = mean
     if alpha is not None:
-        margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
+        # inf * 0 is NaN at observed cells once 1 - alpha/2 == 1; they end NaN
+        with np.errstate(invalid="ignore"):
+            margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
         tables[1] = mean - margin
         tables[2] = mean + margin
     _decode_missing(model, values, tables, out=tables)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import svds
 
 from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change, run_em
+from .data_model import ConfigError
 from .latent import (BatchPosterior, _chol_inverse, _chol_stack, _diag,
                      _interval_means, _solve)
 
@@ -213,7 +214,7 @@ def fit_lrgc(
     lower, upper = prep.fitted_bounds()
     n, p = lower.shape
     if not 1 <= rank < p:
-        raise ValueError(f"rank must satisfy 1 <= rank < n_cols, got {rank} (p={p})")
+        raise ConfigError(f"rank must satisfy 1 <= rank < n_cols, got {rank} (p={p})")
     if rank >= n:
         raise ValueError(f"rank {rank} needs more than {n} fitted rows")
 

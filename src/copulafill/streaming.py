@@ -14,10 +14,7 @@ correlation update is one M-step on those sums, with no solve. A row with no
 observed cell is imputed from its prior and, as in a fit, left out of the
 sums. Only a block that fails to factor takes the batch path and its jitter
 ladder. A window keeps its values sorted (see ``_Window``), and under decay a
-missing cell's weighted marginal is kept until its window changes. On the
-``stream_replay`` benchmark (15 mixed columns, 30% missing, decay 0.95) the
-median row takes about 0.45 ms in-process on 2 cores and the 99th
-percentile, a row that ends a batch, about 1 ms.
+missing cell's weighted marginal is kept until its window changes.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula_em import column_types, encode_table, initial_corr, mstep
-from .data_model import DataTable, ORDINAL, VariableType
+from .data_model import ConfigError, DataTable, ORDINAL, VariableType
 from .latent import row_posterior
 from .marginals import Marginal, decayed_weights
 
@@ -44,17 +41,17 @@ class StreamConfig:
 
     def __post_init__(self):
         if self.window_size < 2:
-            raise ValueError(f"window_size must be >= 2, got {self.window_size}")
+            raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
         if not 0 < self.const_stepsize < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"const_stepsize must be in (0, 1), got {self.const_stepsize}"
             )
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+            raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
         if self.n_train < 2:
-            raise ValueError(f"n_train must be >= 2, got {self.n_train}")
+            raise ConfigError(f"n_train must be >= 2, got {self.n_train}")
 
 
 class _Window:
@@ -63,8 +60,7 @@ class _Window:
     ``buffer`` holds the values in arrival order and ``distinct`` holds
     them sorted without repeats; an array of the window's capacity holds
     ``distinct`` again over the counts. An append or an eviction updates
-    them by bisection and one slice move, so a build reads array prefixes:
-    about 10 us for a plain marginal of 200 continuous values on 2 cores.
+    them by bisection and one slice move, so a build reads array prefixes.
     """
 
     def __init__(self, values, size: int, decay: float = 1.0):
@@ -250,11 +246,13 @@ def step(state: StreamState, row, revealed=None):
     state.n_seen += 1
 
     if len(state.pending_means) >= state.config.batch_size:
-        # M-step of the batch's E-step sums, blended at the constant step
         means = np.array(state.pending_means)
-        target = mstep(state.pending_cov + means.T @ means, len(means))
-        eta = state.config.const_stepsize
-        state.corr = (1.0 - eta) * state.corr + eta * target
-        state.pending_means.clear()
-        state.pending_cov[...] = 0.0
+        s_sum = state.pending_cov + means.T @ means
+        # a zero second moment leaves the batch's correlation undefined: wait
+        if (np.diag(s_sum) > 0).all():
+            # M-step of the batch's E-step sums, blended at the constant step
+            eta = state.config.const_stepsize
+            state.corr = (1.0 - eta) * state.corr + eta * mstep(s_sum, len(means))
+            state.pending_means.clear()
+            state.pending_cov[...] = 0.0
     return imputed, state

@@ -1,7 +1,11 @@
 import io
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from copulafill import cli, copula_em, imputer, latent, lrgc
@@ -566,3 +570,194 @@ class TestImputeRejectsInfiniteCells:
         assert "Traceback" not in err and not out.exists()
         assert main(["stream", str(path), "-o", str(out), "--n-train", "10"]) == 2
         assert capsys.readouterr().err == err
+
+
+class TestExitCodes:
+    """Each exit code follows from the exception's type in ``main`` alone."""
+
+    @pytest.mark.parametrize("cmd, flags, code, message", [
+        ("impute", ["--min-ord-ratio", "1.5"], 1, "min_ord_ratio must be in (0, 1)"),
+        ("stream", ["--min-ord-ratio", "0"], 1, "min_ord_ratio must be in (0, 1)"),
+        ("impute", ["--rank", "3"], 1, "rank must satisfy 1 <= rank < n_cols"),
+        ("impute", ["--rank", "-1"], 1, "--rank must be nonnegative"),
+        ("impute", ["--mode", "minibatch-offline", "--batch-size", "2"], 1, "batch size"),
+        # the low-rank fit reads no batch size
+        ("impute", ["--rank", "2", "--mode", "minibatch-offline", "--batch-size", "2"],
+         0, ""),
+    ])
+    def test_flag_values(self, toy_csv, tmp_path, capsys, cmd, flags, code, message):
+        _, masked_path = toy_csv
+        out = tmp_path / "out.csv"
+        assert main([cmd, str(masked_path), "-o", str(out), *flags]) == code
+        err = capsys.readouterr().err
+        assert message in err and "failed" not in err
+        if cmd == "impute":
+            assert out.exists() == (code == 0)
+        else:   # the warm-up rows are echoed before the model is set up
+            assert len(out.read_text().splitlines()) == 1 + 25
+
+    def test_stream_failure_exit_3(self, tmp_path, capsys):
+        # a column whose warm-up block holds one observed value
+        path = tmp_path / "thin.csv"
+        rows = "".join(f"{i},{i if i == 0 else ''}\n" for i in range(30))
+        path.write_text("a,b\n" + rows)
+        assert main(["stream", str(path), "-o", str(tmp_path / "x.csv")]) == 3
+        assert "stream failed: column 'b' has fewer than 2" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An output path that names an input or another output is refused
+    before anything is read or written, whatever its spelling."""
+
+    @pytest.mark.parametrize("input_name, flags, path, what", [
+        ("x.csv", ["-o", "x.csv"], "x.csv", "input"),
+        ("x_ci_lower.csv", ["-o", "x.csv", "--ci", "analytic"], "x_ci_lower.csv", "input"),
+        ("m.csv", ["-o", "x.csv", "--corr-out", "./x.csv"], "./x.csv", "-o"),
+        ("m.csv", ["-o", "x.csv", "--multiple", "2", "--corr-out", "sub/../x_imp2.csv"],
+         "sub/../x_imp2.csv", "--multiple"),
+        ("m.csv", ["-o", "y.csv", "--corr-out", "link.csv"], "link.csv", "-o"),
+        ("m.csv", ["-o", "hard.csv"], "hard.csv", "input"),
+    ])
+    def test_impute_clash_exit_1(self, toy_csv, tmp_path, capsys, monkeypatch,
+                                 input_name, flags, path, what):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / input_name).write_bytes(toy_csv[1].read_bytes())
+        os.symlink("y.csv", "link.csv")  # to a file not made yet
+        os.link(input_name, "hard.csv")
+        before = sorted(os.listdir())
+        assert main(["impute", input_name, *flags]) == 1
+        assert f"cannot write {path}: it is the {what} file" in capsys.readouterr().err
+        assert sorted(os.listdir()) == before
+        assert (tmp_path / input_name).read_bytes() == toy_csv[1].read_bytes()
+
+    def test_clash_among_many_draw_files(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        corr_out = tmp_path / "x_imp400.csv"
+        assert main(["impute", str(toy_csv[1]), "-o", str(out), "--multiple", "1000",
+                     "--corr-out", str(corr_out)]) == 1
+        assert "it is the --multiple file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+
+class TestHeadersMustMatch:
+    """Files read side by side carry one header, or the command exits 2
+    naming the file and the first column that differs."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        corr = random_correlation(3, seed=60)
+        truth = sample_gc(60, [norm.ppf] * 3, corr=corr, seed=61)
+        masked = mask_mcar(truth, 0.2, seed=62)
+        paths = {name: tmp_path / f"{name}.csv" for name in
+                 ("truth", "masked", "renamed", "swapped", "wider")}
+        write_csv(paths["truth"], truth.values, ["a", "b", "c"])
+        write_csv(paths["masked"], masked.values, ["a", "b", "c"])
+        write_csv(paths["renamed"], truth.values, ["a", "b", "z"])
+        write_csv(paths["swapped"], truth.values[:, [1, 0, 2]], ["b", "a", "c"])
+        write_csv(paths["wider"], np.hstack([truth.values, truth.values[:, :1]]),
+                  ["a", "b", "c", "d"])
+        return paths
+
+    @pytest.mark.parametrize("bad, message", [
+        ("renamed", "header column 3 is 'z' where {ref} has 'c'"),
+        ("swapped", "header column 1 is 'b' where {ref} has 'a'"),
+        ("wider", "header column 4 is 'd' where {ref} has none"),
+    ])
+    def test_stream_truth(self, files, tmp_path, capsys, bad, message):
+        assert main(["stream", str(files["masked"]), "-o", str(tmp_path / "x.csv"),
+                     "--truth", str(files[bad])]) == 2
+        err = capsys.readouterr().err
+        assert f"parse failure: {files[bad]}: " + message.format(ref=files["masked"]) in err
+
+    @pytest.mark.parametrize("flag", ["--masked", "--imputed", "--ci-lower", "--ci-upper"])
+    @pytest.mark.parametrize("bad", ["renamed", "swapped"])
+    def test_evaluate(self, files, capsys, flag, bad):
+        given = {"--masked": files["masked"], "--imputed": files["truth"],
+                 "--ci-lower": files["truth"], "--ci-upper": files["truth"],
+                 flag: files[bad]}
+        assert main(["evaluate", "--truth", str(files["truth"]),
+                     *[str(arg) for item in given.items() for arg in item]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parse failure: {files[bad]}: header column" in captured.err
+        assert f"where {files['truth']} has" in captured.err
+
+
+# numeric flag values: the edges, then any float or integer
+_FLOATS = st.sampled_from([0.0, -1.0, 0.5, 1.0, 2.0, 1e308, 5e-324, math.nan,
+                           math.inf, -math.inf]) | st.floats()
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_POSITIVE = st.floats(0.0, exclude_min=True)
+
+
+def _ints(high=2 ** 70):
+    return st.sampled_from([0, -1, 1, 2, min(high, 3)]) | st.integers(-2 ** 70, high)
+
+
+def _flags(valid: dict, wild: dict):
+    """Flag values, each in range but for at most two drawn from ``wild``,
+    so that the wild values meet valid ones in a real fit."""
+    return st.sets(st.sampled_from(sorted(valid)), max_size=2).flatmap(
+        lambda bad: st.fixed_dictionaries(
+            {name: wild[name] if name in bad else valid[name] for name in valid}))
+
+
+class TestFlagFuzz:
+    """No value of a numeric flag makes ``main`` raise or exit 3: a flag is
+    accepted (0) or refused (1), and a refused ``impute`` writes nothing.
+    Count-like flags are bounded so that no case runs long."""
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        corr = random_correlation(3, seed=70)
+        specs = [norm.ppf, ordinal_spec([0.2, 0.3, 0.3, 0.2]), norm(loc=2).ppf]
+        truth = sample_gc(40, specs, corr=corr, seed=71)
+        masked = mask_mcar(truth, 0.2, seed=72).values
+        # a warm-up block of any --n-train holds two values of every
+        # column; a thinner one is a data failure (exit 3), not a flag's
+        masked[:2] = truth.values[:2]
+        path = tmp_path_factory.mktemp("fuzz") / "table.csv"
+        write_csv(path, masked, truth.col_names)
+        return path
+
+    @staticmethod
+    def _run(command, path, out, mode, flags) -> int:
+        # --flag=value, as argparse takes "-inf" for an option otherwise
+        return main([command, str(path), "-o", str(out), *mode,
+                     *[f"--{name.replace('_', '-')}={value}"
+                       for name, value in flags.items()]])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mode=st.sampled_from([[], ["--mode", "minibatch-offline"], ["--ci", "analytic"],
+                                 ["--ci", "quantile"]]),
+           flags=_flags(
+               dict(tol=_POSITIVE, max_iter=st.integers(1, 5),
+                    batch_size=st.integers(3, 2 ** 70), num_pass=st.integers(1, 5),
+                    stepsize_c=st.floats(0.01, 1e6), rank=st.integers(0, 2),
+                    min_ord_ratio=_OPEN_UNIT, alpha=_OPEN_UNIT,
+                    multiple=st.integers(0, 3), seed=st.integers(0, 2 ** 70)),
+               dict(tol=_FLOATS, max_iter=_ints(5), batch_size=_ints(),
+                    num_pass=_ints(5), stepsize_c=_FLOATS, rank=_ints(),
+                    min_ord_ratio=_FLOATS, alpha=_FLOATS, multiple=_ints(3),
+                    seed=_ints())))
+    def test_impute(self, table, tmp_path_factory, mode, flags):
+        out_dir = tmp_path_factory.mktemp("impute")
+        code = self._run("impute", table, out_dir / "out.csv", mode, flags)
+        assert code in (0, 1)
+        if code == 1:
+            assert not os.listdir(out_dir)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(flags=_flags(
+        dict(window_size=st.integers(2, 10 ** 4), const_stepsize=_OPEN_UNIT,
+             batch_size=st.integers(1, 2 ** 70),
+             decay=st.floats(0.0, 1.0, exclude_min=True),
+             n_train=st.integers(2, 39), min_ord_ratio=_OPEN_UNIT),
+        dict(window_size=_ints(10 ** 4), const_stepsize=_FLOATS, batch_size=_ints(),
+             decay=_FLOATS, n_train=_ints(39), min_ord_ratio=_FLOATS)))
+    def test_stream(self, table, tmp_path_factory, flags):
+        out = tmp_path_factory.mktemp("stream") / "out.csv"
+        assert self._run("stream", table, out, [], flags) in (0, 1)

@@ -175,6 +175,20 @@ class TestStep:
         assert not np.array_equal(state.corr, corr0)
         assert len(state.pending_means) == 0
 
+    def test_batch_with_a_column_at_latent_zero_waits_for_more_rows(self):
+        # 2.0 lies halfway between a window's two values: latent 0 exactly,
+        # so a batch of that row alone has a zero second moment there
+        state = init_stream(np.array([[1.0, 0.5], [3.0, -0.5]]),
+                            StreamConfig(window_size=2, batch_size=1, n_train=2),
+                            types=[VariableType(CONTINUOUS)] * 2)
+        corr0 = state.corr.copy()
+        _, state = step(state, np.array([2.0, 0.1]))
+        assert len(state.pending_means) == 1
+        assert np.array_equal(state.corr, corr0)
+        _, state = step(state, np.array([1.0, 0.2]))
+        assert len(state.pending_means) == 0
+        assert np.isfinite(state.corr).all() and not np.array_equal(state.corr, corr0)
+
     def test_blend_is_convex_combination(self):
         _, truth, _ = make_stream(n=60, seed=8)
         cfg = StreamConfig(window_size=40, n_train=40, batch_size=5,
