@@ -31,7 +31,7 @@ from .data_model import (
     write_csv,
 )
 from .evaluation import coverage, mae, smae
-from .imputer import _QUANTILE_DRAWS, _impute, _quantile_bounds
+from .imputer import _impute
 from .lrgc import fit_lrgc
 from .streaming import StreamConfig, init_stream, step
 
@@ -133,14 +133,16 @@ def _file_id(path):
 
 def _check_outputs(inputs, outputs) -> None:
     """Refuse, before anything is read, an output path in no existing
-    directory or one that names an input or an earlier output: a write
-    there fails late or replaces a file the command reads or writes. Both
-    arguments list (flag, path) pairs; "" (none) and "-" (a standard
-    stream) are skipped."""
+    directory, one that is a directory, or one that names an input or an
+    earlier output: a write there fails late or replaces a file the command
+    reads or writes. Both arguments list (flag, path) pairs; "" (none) and
+    "-" (a standard stream) are skipped."""
     seen = {_file_id(path): what for what, path in inputs if path not in ("", "-")}
     for what, path in (pair for pair in outputs if pair[1] not in ("", "-")):
         if not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
         if (key := _file_id(path)) in seen:
             raise ConfigError(f"cannot write {path}: it is the {seen[key]} file")
         seen[key] = what
@@ -186,52 +188,18 @@ def _cmd_impute(args) -> int:
         model = fit_minibatch_offline(prep, config)
     else:
         model = fit_standard(prep, config)
-    # one solve gives the imputation, the analytic bounds and the draws;
-    # the quantile bounds take the first _QUANTILE_DRAWS of those draws
-    quantile_draws = _QUANTILE_DRAWS if args.ci == "quantile" else 0
-    result, draws = _impute(model, table.values,
-                            alpha=args.alpha if args.ci == "analytic" else None,
-                            num=max(args.multiple, quantile_draws), seed=args.seed,
+    # one solve gives the imputation, the bounds of --ci and the draws
+    result, draws = _impute(model, table.values, ci=args.ci, alpha=args.alpha,
+                            num=args.multiple, seed=args.seed,
                             bounds=(prep.lower, prep.upper))
     _write(args.output, result.imputed, table.col_names)
-    if args.ci:
-        lo, hi = result.ci_lower, result.ci_upper
-        if quantile_draws:
-            lo, hi = _quantile_bounds(draws[:quantile_draws], table.values, args.alpha)
-        for path, bound in zip(ci_paths, (lo, hi)):
-            _write(path, bound, table.col_names)
+    for path, bound in zip(ci_paths, (result.ci_lower, result.ci_upper)):
+        _write(path, bound, table.col_names)
     for k, path in enumerate(draw_paths):
         _write(path, draws[k], table.col_names)
     if args.corr_out:
         _write(args.corr_out, model.correlation(), table.col_names)
     return 0
-
-
-def _cmd_stream(args) -> int:
-    config = StreamConfig(
-        window_size=args.window_size,
-        const_stepsize=args.const_stepsize,
-        batch_size=args.batch_size,
-        decay=args.decay,
-        n_train=args.n_train,
-    )
-    _check_outputs([("input", args.input), ("--truth", args.truth)],
-                   [("-o", args.output)])
-
-    with contextlib.ExitStack() as stack:
-        def open_csv(path, mode="r"):
-            return stack.enter_context(open(path, mode, newline="", encoding="utf-8"))
-
-        try:
-            in_fh = sys.stdin if args.input == "-" else open_csv(args.input)
-            truth_fh = open_csv(args.truth) if args.truth else None
-        except OSError as err:
-            raise ParseError(str(err)) from None
-        try:
-            out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
-        except OSError as err:
-            raise ConfigError(f"cannot write {args.output}: {err.strerror}") from None
-        return _run_stream(args, config, in_fh, truth_fh, out_fh)
 
 
 def _check_header(path: str, names, source: str, expected) -> None:
@@ -266,32 +234,54 @@ def _paired(rows, truth, truth_path):
         yield row, revealed
 
 
-def _run_stream(args, config, in_fh, truth_fh, out_fh) -> int:
-    rows = _csv_rows(in_fh, args.input)
-    names = next(rows)
-    types = parse_type_overrides(args.types, len(names)) if args.types else None
-    truth = None
-    if truth_fh is not None:
-        truth = _csv_rows(truth_fh, args.truth)
-        _check_header(args.truth, next(truth), args.input, names)
-    pairs = _paired(rows, truth, args.truth)
+def _cmd_stream(args) -> int:
+    config = StreamConfig(
+        window_size=args.window_size,
+        const_stepsize=args.const_stepsize,
+        batch_size=args.batch_size,
+        decay=args.decay,
+        n_train=args.n_train,
+    )
+    _check_outputs([("input", args.input), ("--truth", args.truth)],
+                   [("-o", args.output)])
 
-    csv.writer(out_fh, lineterminator="\n").writerow(names + ["warmup"])
+    with contextlib.ExitStack() as stack:
+        def open_csv(path, mode="r"):
+            return stack.enter_context(open(path, mode, newline="", encoding="utf-8"))
 
-    warmup_train = []
-    for _, (row, revealed) in zip(range(config.n_train), pairs):
-        warmup_train.append(row if revealed is None else revealed)
-        out_fh.write(format_row(row) + ",1\n")
-    out_fh.flush()
-    if len(warmup_train) < config.n_train:
-        raise ParseError(f"{args.input}: fewer rows than --n-train={config.n_train}")
+        # both headers and --types are read before -o is opened, so a stream
+        # refused by them leaves the output path as it was
+        try:
+            rows = _csv_rows(sys.stdin if args.input == "-" else open_csv(args.input),
+                             args.input)
+            truth = _csv_rows(open_csv(args.truth), args.truth) if args.truth else None
+        except OSError as err:
+            raise ParseError(str(err)) from None
+        names = next(rows)
+        if truth is not None:
+            _check_header(args.truth, next(truth), args.input, names)
+        types = parse_type_overrides(args.types, len(names)) if args.types else None
+        pairs = _paired(rows, truth, args.truth)
+        try:
+            out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
+        except OSError as err:
+            raise ConfigError(f"cannot write {args.output}: {err.strerror}") from None
 
-    state = init_stream(DataTable(np.array(warmup_train), names), config,
-                        types=types, min_ord_ratio=args.min_ord_ratio)
-    for row, revealed in pairs:
-        imputed, state = step(state, row, revealed)
-        out_fh.write(format_row(imputed) + ",0\n")
+        csv.writer(out_fh, lineterminator="\n").writerow(names + ["warmup"])
+        warmup_train = []
+        for _, (row, revealed) in zip(range(config.n_train), pairs):
+            warmup_train.append(row if revealed is None else revealed)
+            out_fh.write(format_row(row) + ",1\n")
         out_fh.flush()
+        if len(warmup_train) < config.n_train:
+            raise ParseError(f"{args.input}: fewer rows than --n-train={config.n_train}")
+
+        state = init_stream(DataTable(np.array(warmup_train), names), config,
+                            types=types, min_ord_ratio=args.min_ord_ratio)
+        for row, revealed in pairs:
+            imputed, state = step(state, row, revealed)
+            out_fh.write(format_row(imputed) + ",0\n")
+            out_fh.flush()
     return 0
 
 

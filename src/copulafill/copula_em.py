@@ -107,11 +107,6 @@ def encode_table(marginals: list[Marginal], values: np.ndarray):
     values = np.asarray(values, dtype=float)
     if values.shape[1] != len(marginals):
         raise ValueError(f"{len(marginals)} marginals for {values.shape[1]} columns")
-    if len(values) == 1:
-        # one row, as streamed: a scalar encode per cell
-        pairs = [m.latent_bounds(x) for m, x in zip(marginals, values[0].tolist())]
-        bounds = np.array(pairs, dtype=float).reshape(-1, 2).T
-        return bounds[:1], bounds[1:]
     lower = np.empty_like(values)
     upper = np.empty_like(values)
     for j, m in enumerate(marginals):

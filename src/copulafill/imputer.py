@@ -46,9 +46,9 @@ _QUANTILE_DRAWS = 200
 class ImputationResult:
     """Completed table plus the latent means behind it.
 
-    ``ci_lower``/``ci_upper`` hold the analytic bounds, NaN at observed
-    cells, when the solve was asked for them, as ``copulafill impute --ci
-    analytic`` asks; :func:`impute_single` leaves them None, and
+    ``ci_lower``/``ci_upper`` hold the confidence bounds, NaN at observed
+    cells, when the solve was asked for them, as ``copulafill impute --ci``
+    asks; :func:`impute_single` leaves them None, and
     :func:`confidence_intervals` returns the bounds as a pair.
     """
 
@@ -119,24 +119,28 @@ def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
     return post.mean, post.mvar
 
 
-def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
-            num: int = 0, seed: int = 0, bounds=None):
+def _impute(model: CopulaModel, values: np.ndarray, ci: str = "", alpha: float = 0.05,
+            num: int = 0, seed: int = 0, bounds=None, ci_draws: int = _QUANTILE_DRAWS):
     """Impute ``values`` from one posterior solve.
 
-    Returns the :class:`ImputationResult`, holding the analytic bounds at
-    level 1 - ``alpha`` when ``alpha`` is given, and ``num`` sampled tables,
-    shape (num, n, p), or None when ``num`` is 0. ``bounds`` are the
-    latent (lower, upper) grids of ``values`` under the model's marginals,
-    as the fit has them; without them the table is encoded here.
+    Returns the :class:`ImputationResult` and ``num`` sampled tables, shape
+    (num, n, p), or None when ``num`` is 0. ``ci`` asks for the result's
+    bounds at level 1 - ``alpha``: "analytic" maps the latent mean +- its
+    z-quantile band through the marginals, "quantile" takes percentiles over
+    the first ``ci_draws`` draws, which the solve draws with the sampled
+    tables. ``bounds`` are the latent (lower, upper) grids of ``values``
+    under the model's marginals, as the fit has them; without them the table
+    is encoded here.
     """
-    # the mean, the bounds and the draws as one stack of tables, decoded in
-    # place, each column by one from_latent call
-    first = 1 if alpha is None else 3
-    tables = np.zeros((first + num, *values.shape))
-    mean, mvar = _model_posterior(model, values, tables[first:] if num else None,
+    # the mean, the analytic bounds and the draws as one stack of tables,
+    # decoded in place, each column by one from_latent call
+    first = 3 if ci == "analytic" else 1
+    draws = max(num, ci_draws) if ci == "quantile" else num
+    tables = np.zeros((first + draws, *values.shape))
+    mean, mvar = _model_posterior(model, values, tables[first:] if draws else None,
                                   seed, bounds)
     tables[0] = mean
-    if alpha is not None:
+    if ci == "analytic":
         # inf * 0 is NaN at observed cells once 1 - alpha/2 == 1; they end NaN
         with np.errstate(invalid="ignore"):
             margin = ndtri(1 - alpha / 2) * np.sqrt(mvar)
@@ -144,12 +148,12 @@ def _impute(model: CopulaModel, values: np.ndarray, alpha: float | None = None,
         tables[2] = mean + margin
     _decode_missing(model, values, tables, out=tables)
     result = ImputationResult(tables[0], mean)
-    if alpha is not None:
-        observed = ~np.isnan(values)
-        result.ci_lower, result.ci_upper = tables[1], tables[2]
-        result.ci_lower[observed] = np.nan
-        result.ci_upper[observed] = np.nan
-    return result, tables[first:] if num else None
+    if ci:
+        ci_tables = tables[1:3] if ci == "analytic" else np.quantile(
+            tables[1:1 + ci_draws], [alpha / 2, 1 - alpha / 2], axis=0)
+        ci_tables[:, ~np.isnan(values)] = np.nan
+        result.ci_lower, result.ci_upper = ci_tables
+    return result, tables[first:first + num] if num else None
 
 
 def impute_single(model: CopulaModel, table) -> ImputationResult:
@@ -180,20 +184,11 @@ def confidence_intervals(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if kind not in ("analytic", "quantile"):
         raise ValueError(f"unknown interval kind {kind!r}")
-    values = _coerce_values(model, table)
-    if kind == "analytic":
-        result = _impute(model, values, alpha=alpha)[0]
-        return result.ci_lower, result.ci_upper
-    draws = impute_multiple(model, values, num=num_samples, seed=seed)
-    return _quantile_bounds(draws, values, alpha)
-
-
-def _quantile_bounds(draws, values, alpha: float):
-    """Percentile bounds at level 1 - ``alpha`` over the sampled tables
-    ``draws``, NaN at the observed cells of ``values``."""
-    bounds = np.quantile(draws, [alpha / 2, 1 - alpha / 2], axis=0)
-    bounds[:, ~np.isnan(values)] = np.nan
-    return bounds[0], bounds[1]
+    if kind == "quantile" and num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    result = _impute(model, _coerce_values(model, table), ci=kind, alpha=alpha,
+                     seed=seed, ci_draws=num_samples)[0]
+    return result.ci_lower, result.ci_upper
 
 
 def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.ndarray:

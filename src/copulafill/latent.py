@@ -47,6 +47,10 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_2PI = np.log(2.0 * np.pi)
 
+# Gauss-Seidel passes of a posterior solve over its interval cells, before
+# the log-mass pass
+_SWEEPS = 2
+
 # diagonal jitter ladder applied when an observed-block factorization fails
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
@@ -449,8 +453,7 @@ class BatchPosterior:
         return np.split(order, bounds) if order.size else []
 
 
-def batch_posterior(sigma, lower, upper, sweeps: int = 2,
-                    visit=None) -> BatchPosterior:
+def batch_posterior(sigma, lower, upper, visit=None) -> BatchPosterior:
     """Approximate posterior for every row of an encoded batch.
 
     ``lower``/``upper`` are (n, p) latent bounds: NaN in both marks a
@@ -461,12 +464,10 @@ def batch_posterior(sigma, lower, upper, sweeps: int = 2,
     given, is called with each solved :class:`_Chunk`.
     """
     sigma = np.asarray(sigma, dtype=float)
-    return _solve(lower, upper, sweeps, partial(_DenseStack, sigma), sigma.size,
-                  visit)
+    return _solve(lower, upper, partial(_DenseStack, sigma), sigma.size, visit)
 
 
-def _solve(lower, upper, sweeps, make_stack, pattern_cost,
-           visit=None) -> BatchPosterior:
+def _solve(lower, upper, make_stack, pattern_cost, visit=None) -> BatchPosterior:
     """Sweep all rows against stacks ``make_stack(missing patterns)``.
 
     A stack holds at most ``_CHUNK_ELEMS // pattern_cost`` patterns,
@@ -504,16 +505,16 @@ def _solve(lower, upper, sweeps, make_stack, pattern_cost,
             if rows[-1] - rows[0] == len(rows) - 1:
                 rows = slice(rows[0], rows[-1] + 1)   # z, ivar: views of post
             _solve_chunk(post, rows, stack, u0, missing[rows], lower[rows],
-                         upper[rows], sweeps, visit)
+                         upper[rows], visit)
     return post
 
 
-def _solve_chunk(post, rows, stack, u0, miss, lo, hi, sweeps, visit):
+def _solve_chunk(post, rows, stack, u0, miss, lo, hi, visit):
     """Solve the batch rows ``rows``, whose patterns are in ``stack`` from
     pattern ``u0`` on, into ``post``."""
     pat = post.pattern[rows] - u0
     z, ivar = post.mean[rows], post.ivar[rows]
-    state, log_mass = _sweep(stack, pat, lo, hi, sweeps, z, ivar)
+    state, log_mass = _sweep(stack, pat, lo, hi, z, ivar)
     post.gauss_ll[rows] = -0.5 * (stack.logdet[pat] + stack.quad(z, state, pat)
                                   + (~miss).sum(axis=1) * _LOG_2PI)
     post.log_mass[rows] = log_mass
@@ -530,8 +531,8 @@ def _solve_chunk(post, rows, stack, u0, miss, lo, hi, sweeps, visit):
         post.mean[rows], post.ivar[rows] = z, ivar
 
 
-def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
-    """The fixed-point scheme on one chunk: ``sweeps`` Gauss-Seidel passes
+def _sweep(stack, pat, lo, hi, z_hat, ivar):
+    """The fixed-point scheme on one chunk: ``_SWEEPS`` Gauss-Seidel passes
     over the interval columns, then one pass for the interval log-masses
     under the final conditionals. Each Gauss-Seidel pass makes one
     truncated-moment call per column over every row with an interval there;
@@ -550,7 +551,7 @@ def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
     for c in np.flatnonzero(interval.any(axis=0)):
         rows = np.flatnonzero(interval[:, c])
         cols.append((c, rows, pat[rows], lo[rows, c], hi[rows, c]))
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for c, rows, pats, lo_c, hi_c in cols:
             m, v, _ = _truncmoments(stack.cond_mean(z_hat, state, rows, pats, c),
                                     stack.cvar[pats, c], lo_c, hi_c)
@@ -569,7 +570,7 @@ def _sweep(stack, pat, lo, hi, sweeps, z_hat, ivar):
     return state, log_mass
 
 
-def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
+def row_posterior(sigma, lower, upper) -> RowPosterior:
     """Posterior of a single row: ``batch_posterior`` on the row alone, up
     to rounding, at a fraction of its cost; see :func:`batch_posterior` for
     the encoding.
@@ -595,7 +596,7 @@ def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     except LinAlgError:
         cov = []
         post = batch_posterior(
-            sigma, lower[None, :], upper[None, :], sweeps,
+            sigma, lower[None, :], upper[None, :],
             visit=lambda ch: cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
         return RowPosterior(post.mean[0], post.ivar[0], cov[0][np.ix_(mis, mis)],
                             obs, mis)
@@ -609,7 +610,7 @@ def row_posterior(sigma, lower, upper, sweeps: int = 2) -> RowPosterior:
     jz = (np.array(z) @ prec).tolist()
     prec_rows = prec.tolist()
     cvar = (1.0 / np.diagonal(prec)).tolist()
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for c in cols:
             m, v[c] = _truncmoments_scalar(z[c] - jz[c] * cvar[c], cvar[c],
                                            lo[c], hi[c])

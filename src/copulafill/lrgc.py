@@ -165,12 +165,11 @@ class _FactorMoments:
         self.n_cells += int(obs.sum())
 
 
-def _lowrank_posterior(params: LowRankParams, lower, upper, sweeps: int = 2,
-                       visit=None) -> BatchPosterior:
+def _lowrank_posterior(params: LowRankParams, lower, upper, visit=None) -> BatchPosterior:
     """Posterior of an encoded batch under the low-rank model; ``visit`` as
     in :func:`copulafill.latent.batch_posterior`. A fit passes
     ``_FactorMoments.add``, so it holds one chunk at a time."""
-    return _solve(lower, upper, sweeps, partial(_LowRankStack, params),
+    return _solve(lower, upper, partial(_LowRankStack, params),
                   len(params.w) + params.rank ** 2, visit)
 
 

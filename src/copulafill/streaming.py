@@ -13,8 +13,8 @@ gives its posterior mean and its E-step terms, which running sums keep; a
 correlation update is one M-step on those sums, with no solve. A row with no
 observed cell is imputed from its prior and, as in a fit, left out of the
 sums. Only a block that fails to factor takes the batch path and its jitter
-ladder. A window keeps its values sorted (see ``_Window``), and under decay a
-missing cell's weighted marginal is kept until its window changes.
+ladder. A window keeps its values sorted and builds its marginals on their
+first read after it changes (see ``_Window``).
 """
 
 from __future__ import annotations
@@ -55,22 +55,25 @@ class StreamConfig:
 
 
 class _Window:
-    """One column's sliding window of observed values.
+    """One column's sliding window of observed values, and its marginals.
 
     ``buffer`` holds the values in arrival order and ``distinct`` holds
     them sorted without repeats; an array of the window's capacity holds
     ``distinct`` again over the counts. An append or an eviction updates
     them by bisection and one slice move, so a build reads array prefixes.
+    The window's marginals of ``vartype``, plain and decayed, are built on
+    their first read after an append and kept until the next.
     """
 
-    def __init__(self, values, size: int, decay: float = 1.0):
+    def __init__(self, values, size: int, vartype: VariableType, decay: float = 1.0):
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
+        self.vartype = vartype
         self._table = np.empty((2, size))   # ``distinct`` over its counts
         # the decay weights of a full window, oldest first; a window of m
         # values takes the last m
         self._weights = decayed_weights(size, decay)[::-1] if decay < 1.0 else None
-        self._decayed = None    # the decayed marginal, until the next append
+        self._marginals: dict[bool, Marginal] = {}  # by ``decayed``
         for x in values:
             self.append(x)
 
@@ -80,7 +83,7 @@ class _Window:
 
     def append(self, x) -> None:
         x = float(x)
-        self._decayed = None
+        self._marginals.clear()
         k, table = len(self.distinct), self._table
         if len(self.buffer) == self.buffer.maxlen:
             i = bisect_left(self.distinct, self.buffer[0])
@@ -99,35 +102,30 @@ class _Window:
             table[:, i + 1:k + 1] = table[:, i:k]
             table[:, i] = x, 1
 
-    def marginal(self, vartype: VariableType, weights=None) -> Marginal:
-        """``fit_marginal`` of the window, bit for bit; ``weights`` are in
-        window order, and their sums per value are taken in that order."""
+    def marginal(self, decayed: bool = False) -> Marginal:
+        """``fit_marginal`` of the window, bit for bit; when ``decayed``,
+        under the decay weights of its length (none at decay 1), summed per
+        value in window order."""
+        decayed = decayed and self._weights is not None
+        if decayed in self._marginals:
+            return self._marginals[decayed]
         k, n = len(self.distinct), len(self.buffer)
         values = self._table[0, :k].copy()
-        if weights is None:
-            # integer counts sum exactly to n: these are sums / sums.sum()
-            masses = self._table[1, :k] / n
-        else:
-            if (weights <= 0).any():
-                raise ValueError("weights must be positive")
+        if decayed:
             at = np.searchsorted(values, np.fromiter(self.buffer, float, n))
-            sums = np.bincount(at, weights=weights, minlength=k)
-            masses = sums / sums.sum()
+            sums = np.bincount(at, weights=self._weights[len(self._weights) - n:],
+                               minlength=k)
+        # integer counts sum exactly to n: counts / n are sums / sums.sum()
+        masses = sums / sums.sum() if decayed else self._table[1, :k] / n
         fitted = values, masses, n, list(self.distinct)
         try:
-            return Marginal(vartype, *fitted)
+            marg = Marginal(self.vartype, *fitted)
         except ValueError:
             # a truncated window may momentarily hold boundary values only, or
             # a single value; treat it as ordinal until interior values return
-            return Marginal(VariableType(ORDINAL), *fitted)
-
-    def decayed(self, vartype: VariableType) -> Marginal:
-        """:meth:`marginal` under the decay weights of the window's length,
-        kept until the window next changes."""
-        if self._decayed is None:
-            weights = self._weights[len(self._weights) - len(self.buffer):]
-            self._decayed = self.marginal(vartype, weights)
-        return self._decayed
+            marg = Marginal(VariableType(ORDINAL), *fitted)
+        self._marginals[decayed] = marg
+        return marg
 
 
 @dataclass
@@ -135,11 +133,9 @@ class StreamState:
     """Mutable stream model; :func:`step` is the single writer."""
 
     config: StreamConfig
-    vartypes: list[VariableType]
     col_names: list[str]
     windows: list[_Window]
     corr: np.ndarray
-    marginals: list[Marginal]
     # E-step terms of the rows since the last correlation update, all
     # solved under ``corr``: their conditional covariances (missing block,
     # interval variances on the diagonal) summed, and their posterior means
@@ -156,6 +152,15 @@ class StreamState:
         """Each column's window values, oldest first."""
         return [w.buffer for w in self.windows]
 
+    @property
+    def marginals(self) -> list[Marginal]:
+        """Each column's marginal, as its window has it."""
+        return [w.marginal() for w in self.windows]
+
+    @property
+    def vartypes(self) -> list[VariableType]:
+        return [w.vartype for w in self.windows]
+
 
 def init_stream(rows, config: StreamConfig | None = None, types=None,
                 min_ord_ratio: float = 0.1) -> StreamState:
@@ -169,23 +174,26 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
             f"column {table.col_names[j]!r} has fewer than 2 observed values "
             "in the initialization block"
         )
-    vartypes = column_types(table, types, min_ord_ratio)
-    windows = [_Window(col[~np.isnan(col)], config.window_size, config.decay)
-               for col in table.values.T]
-    marginals = [w.marginal(t) for w, t in zip(windows, vartypes)]
-    lower, upper = encode_table(marginals, table.values)
+    windows = [_Window(col[~np.isnan(col)], config.window_size, vartype, config.decay)
+               for col, vartype in zip(table.values.T,
+                                       column_types(table, types, min_ord_ratio))]
+    lower, upper = encode_table([w.marginal() for w in windows], table.values)
     keep = ~np.isnan(lower).all(axis=1)
     corr = initial_corr(lower[keep], upper[keep])
-    return StreamState(config, vartypes, list(table.col_names), windows, corr,
-                       marginals, pending_cov=np.zeros_like(corr))
+    return StreamState(config, list(table.col_names), windows, corr,
+                       pending_cov=np.zeros_like(corr))
+
+
+def _encode_row(state: StreamState, row):
+    """The latent (lower, upper) bounds of ``row``, one scalar ``latent_bounds`` per cell."""
+    pairs = [w.marginal().latent_bounds(x) for w, x in zip(state.windows, row.tolist())]
+    return np.array(pairs, dtype=float).reshape(-1, 2).T
 
 
 def _impute_row(state: StreamState, post, row) -> np.ndarray:
     out = row.copy()
     for j in np.flatnonzero(np.isnan(row)):
-        marg = (state.windows[j].decayed(state.vartypes[j])
-                if state.config.decay < 1.0 else state.marginals[j])
-        out[j] = marg.from_latent(post.cond_mean[j])
+        out[j] = state.windows[j].marginal(decayed=True).from_latent(post.cond_mean[j])
     return out
 
 
@@ -222,8 +230,7 @@ def step(state: StreamState, row, revealed=None):
             )
 
     # encode against the marginals current at ingest time, impute, then update
-    lower, upper = encode_table(state.marginals, row[None, :])
-    post = row_posterior(state.corr, lower[0], upper[0])
+    post = row_posterior(state.corr, *_encode_row(state, row))
     imputed = _impute_row(state, post, row)
 
     # the correlation has not changed since the last update, so the row's
@@ -232,12 +239,10 @@ def step(state: StreamState, row, revealed=None):
     source = row
     if revealed is not None:
         source = revealed
-        src_lower, src_upper = encode_table(state.marginals, source[None, :])
-        post = row_posterior(state.corr, src_lower[0], src_upper[0])
+        post = row_posterior(state.corr, *_encode_row(state, source))
     # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(~np.isnan(source)):
         state.windows[j].append(source[j])
-        state.marginals[j] = state.windows[j].marginal(state.vartypes[j])
     if post.obs_idx.size:   # a fit leaves out a row with no observed cell
         state.pending_means.append(post.cond_mean)
         cov = state.pending_cov

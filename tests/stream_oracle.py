@@ -56,8 +56,7 @@ def impute_row(state, row):
     if np.isnan(lower).all():
         latent = np.zeros(state.n_cols)
     else:
-        latent = batch_posterior(state.corr, lower[None, :], upper[None, :],
-                                 sweeps=2).mean[0]
+        latent = batch_posterior(state.corr, lower[None, :], upper[None, :]).mean[0]
     out = row.copy()
     for j in np.flatnonzero(missing):
         if state.config.decay < 1.0:

@@ -79,7 +79,7 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("n,p,k,seed", [(60, 9, 2, 4), (150, 20, 4, 5)])
     def test_lowrank(self, n, p, k, seed):
         params, lower, upper = lowrank_case(n, p, k, seed)
-        got = _lowrank_posterior(params, lower, upper, 2)
+        got = _lowrank_posterior(params, lower, upper)
         want = oracle.lowrank_posterior(params, lower, upper)
         assert want.ivar.any() and want.mvar.any()
         assert_posteriors_close(got, want, 1e-10)
@@ -93,26 +93,27 @@ class TestMatchesOracle:
                 oracle.dense_posterior(sigma, lower[i:i + 1], upper[i:i + 1]),
                 1e-10)
             assert_posteriors_close(
-                _lowrank_posterior(params, lo_k[i:i + 1], hi_k[i:i + 1], 2),
+                _lowrank_posterior(params, lo_k[i:i + 1], hi_k[i:i + 1]),
                 oracle.lowrank_posterior(params, lo_k[i:i + 1], hi_k[i:i + 1]),
                 1e-10)
 
-    def test_sweep_count(self):
+    def test_sweep_count(self, monkeypatch):
         sigma, lower, upper = dense_case(40, 5, 8)
         for sweeps in (0, 1, 4):
+            monkeypatch.setattr(latent, "_SWEEPS", sweeps)
             assert_posteriors_close(
-                batch_posterior(sigma, lower, upper, sweeps=sweeps),
+                batch_posterior(sigma, lower, upper),
                 oracle.dense_posterior(sigma, lower, upper, sweeps), 1e-10)
 
     def test_rows_split_across_chunks(self, monkeypatch):
         sigma, lower, upper = dense_case(90, 5, 11)
         params, lo_k, hi_k = lowrank_case(90, 6, 2, 12)
         want = batch_posterior(sigma, lower, upper)
-        want_k = _lowrank_posterior(params, lo_k, hi_k, 2)
+        want_k = _lowrank_posterior(params, lo_k, hi_k)
         # dense: 8 patterns a stack, 40 rows a chunk; low-rank: 20 and 33
         monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)
         for got, ref in ((batch_posterior(sigma, lower, upper), want),
-                         (_lowrank_posterior(params, lo_k, hi_k, 2), want_k)):
+                         (_lowrank_posterior(params, lo_k, hi_k), want_k)):
             for name in FIELDS:
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(ref, name), err_msg=name)
@@ -128,7 +129,7 @@ class TestMatchesOracle:
         monkeypatch.setattr(latent, "_CHUNK_ELEMS", 200)
         for solve, lo, hi, per_stack, per_chunk in (
                 (partial(batch_posterior, sigma), lower, upper, 8, 40),
-                (partial(_lowrank_posterior, params, sweeps=2), lo_k, hi_k, 20, 33)):
+                (partial(_lowrank_posterior, params), lo_k, hi_k, 20, 33)):
             chunks = []
             post = solve(lo, hi, visit=chunks.append)
             stacks = {id(ch.stack): ch.stack for ch in chunks}.values()
@@ -148,7 +149,7 @@ class TestMatchesOracle:
     def test_factor_moments(self):
         params, lower, upper = lowrank_case(120, 10, 3, 10)
         got = _FactorMoments(10, 3)
-        _lowrank_posterior(params, lower, upper, 2, got.add)
+        _lowrank_posterior(params, lower, upper, got.add)
         s1, s2, q, n_cells = oracle.factor_moments(params, lower, upper)
         np.testing.assert_allclose(got.s1, s1, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got.s2, s2, rtol=0, atol=1e-10)
@@ -181,8 +182,8 @@ class TestAllMissingRow:
 
     def test_lowrank(self):
         params, lower, upper = lowrank_case(60, 9, 2, 4)
-        got = _lowrank_posterior(params, *with_all_missing_row(lower, upper), 2)
-        self.assert_prior_row(got, _lowrank_posterior(params, lower, upper, 2),
+        got = _lowrank_posterior(params, *with_all_missing_row(lower, upper))
+        self.assert_prior_row(got, _lowrank_posterior(params, lower, upper),
                               (params.w ** 2).sum(axis=1) + params.sigma2, 1e-12)
 
     def test_estep_adds_sigma(self):
@@ -206,14 +207,15 @@ class TestTruncmomentsCalls:
         return seen
 
     @pytest.mark.parametrize("sweeps", [0, 1, 3])
-    def test_per_solved_chunk(self, calls, sweeps):
+    def test_per_solved_chunk(self, calls, sweeps, monkeypatch):
+        monkeypatch.setattr(latent, "_SWEEPS", sweeps)
         sigma, lower, upper = dense_case(40, 5, 8)
         params, lo_k, hi_k = lowrank_case(40, 6, 2, 12)
         for solve, lo, hi in ((partial(batch_posterior, sigma), lower, upper),
                               (partial(_lowrank_posterior, params), lo_k, hi_k)):
             calls.clear()
             chunks = []
-            solve(lo, hi, sweeps=sweeps, visit=chunks.append)
+            solve(lo, hi, visit=chunks.append)
             interval = hi > lo
             k = int(interval.any(axis=0).sum())
             assert len(chunks) == 1 and k >= 2
@@ -282,9 +284,9 @@ class TestSafeguardsInsideAStack:
         good = np.array([[-1.0, nan, 0.2, nan], [nan, 0.5, nan, 0.1],
                          [0.3, nan, -0.4, nan]])
         bad = np.array([[0.3, nan, nan, nan], [-0.7, nan, nan, nan]])
-        alone = _lowrank_posterior(params, good, good.copy(), 2)
+        alone = _lowrank_posterior(params, good, good.copy())
         mixed_rows = np.vstack([good[:1], bad, good[1:]])
-        mixed = _lowrank_posterior(params, mixed_rows, mixed_rows.copy(), 2)
+        mixed = _lowrank_posterior(params, mixed_rows, mixed_rows.copy())
         assert_rows_bitwise(mixed, alone, [0, 3, 4])
         assert np.isfinite(mixed.mean[1:3]).all()
 

@@ -180,11 +180,15 @@ class TestImputeCommand:
         for flags in (["-o", str(nodir / "x.csv")],
                       ["-o", str(tmp_path / "x.csv"), "--corr-out",
                        str(nodir / "c.csv")],
-                      ["-o", str(tmp_path)]):  # a directory, found at write time
+                      ["-o", str(tmp_path)],
+                      ["-o", str(tmp_path / "o4.csv"), "--corr-out", str(tmp_path)]):
             assert main(["impute", str(masked_path), *flags]) == 1
             err = capsys.readouterr().err
             assert f"cannot write {flags[-1]}" in err
             assert "Traceback" not in err
+        # a directory is refused before the fit, so no output is written
+        assert f"cannot write {tmp_path}: it is a directory" in err
+        assert not (tmp_path / "o4.csv").exists()
 
     def test_online_fit_failure_exit_3(self, tmp_path, capsys):
         path = tmp_path / "empty_col.csv"
@@ -669,6 +673,25 @@ class TestHeadersMustMatch:
                      "--truth", str(files[bad])]) == 2
         err = capsys.readouterr().err
         assert f"parse failure: {files[bad]}: " + message.format(ref=files["masked"]) in err
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--truth", "renamed"], 2),
+        (["--types", "cont,cont"], 1),
+        ([], 2),    # an empty input: no header at all
+    ], ids=["truth-header", "types", "empty-input"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_stream_refused_leaves_the_output_as_it_was(self, files, tmp_path, flags,
+                                                        code, existing):
+        out, empty = tmp_path / "keep.csv", tmp_path / "empty.csv"
+        empty.write_text("")
+        if existing:
+            out.write_bytes(b"kept,bytes\n1,2\n")
+        source = files["masked"] if flags else empty
+        flags = [str(files[f]) if f in files else f for f in flags]
+        assert main(["stream", str(source), "-o", str(out), *flags]) == code
+        assert out.exists() == existing
+        if existing:
+            assert out.read_bytes() == b"kept,bytes\n1,2\n"
 
     @pytest.mark.parametrize("flag", ["--masked", "--imputed", "--ci-lower", "--ci-upper"])
     @pytest.mark.parametrize("bad", ["renamed", "swapped"])

@@ -355,7 +355,8 @@ class TestOneSolve:
         model, values = self.CASES[case]()
         if all_missing_rows:
             values = _with_all_missing_rows(values)
-        result, draws = _impute(model, values, alpha=0.1, num=3, seed=7)
+        result, draws = _impute(model, values, ci="analytic", alpha=0.1, num=3,
+                                seed=7)
         single = impute_single(model, values)
         assert single.ci_lower is None and single.ci_upper is None
         assert same_bits(result.imputed, single.imputed)

@@ -382,11 +382,11 @@ def _mixed_row(p, seed):
     return sigma, lo, hi
 
 
-def _batch_row(sigma, lo, hi, sweeps=2):
+def _batch_row(sigma, lo, hi):
     """``batch_posterior`` of one row: its mean, interval variances and
     missing-block covariance (``cov_sum`` through ``visit``)."""
     cov = []
-    post = batch_posterior(sigma, lo[None, :], hi[None, :], sweeps,
+    post = batch_posterior(sigma, lo[None, :], hi[None, :],
                            visit=lambda ch: cov.append(ch.stack.cov_sum(ch.pat, ch.ivar)))
     mis = np.flatnonzero(np.isnan(lo))
     return post.mean[0], post.ivar[0], cov[0][np.ix_(mis, mis)]
@@ -400,9 +400,11 @@ class TestRowPosteriorMean:
     @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 3))
     def test_matches_batch_posterior(self, p, seed, sweeps):
         sigma, lo, hi = _mixed_row(p, seed)
-        got = row_posterior(sigma, lo, hi, sweeps)
-        for g, w in zip((got.cond_mean, got.cond_var, got.cond_cov_missing),
-                        _batch_row(sigma, lo, hi, sweeps)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latent, "_SWEEPS", sweeps)
+            got = row_posterior(sigma, lo, hi)
+            want = _batch_row(sigma, lo, hi)
+        for g, w in zip((got.cond_mean, got.cond_var, got.cond_cov_missing), want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
 
     def test_singular_block_falls_back_to_the_batch_path(self):
@@ -443,7 +445,7 @@ class TestPatternGrouping:
         lower = np.where(missing, np.nan, 0.0)
         want_first, want_inverse = np.unique(
             missing, axis=0, return_index=True, return_inverse=True)[1:]
-        post = latent.batch_posterior(np.eye(p), lower, lower, sweeps=1)
+        post = latent.batch_posterior(np.eye(p), lower, lower)
         assert np.array_equal(post.pattern, want_inverse.ravel())
         # each pattern's first row is its lowest row index
         firsts = [g[0] for g in post.groups]

@@ -142,7 +142,7 @@ class TestPosteriorOracle:
         upper = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
                           [z, z + 0.3, np.inf, z + 0.1], np.nan)
         assert {0, 1, 2, 3, 4} <= set(kind.ravel())
-        low = _lowrank_posterior(params, lower, upper, 2)
+        low = _lowrank_posterior(params, lower, upper)
         dense = batch_posterior(implied_corr(params), lower, upper)
         return low, dense
 
@@ -229,7 +229,7 @@ def test_stacked_mstep_matches_per_column_solves(p, k):
     table = sample_gc(150, [norm.ppf] * p, lowrank=params, seed=k)
     z = mask_mcar(table, 0.3, seed=1).values
     moments = _FactorMoments(p, k)
-    _lowrank_posterior(params, z, z.copy(), 2, moments.add)
+    _lowrank_posterior(params, z, z.copy(), moments.add)
     w_got, s2_got = _mstep_lowrank(moments, k)
     w_want, s2_want = _mstep_per_column(moments, k)
     assert np.array_equal(w_got, w_want)

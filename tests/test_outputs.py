@@ -47,3 +47,11 @@ def test_cells_only_one_side_has_differ():
 def test_inputs_are_written_as_the_benchmark_writes_them():
     text = outputs.format_csv(["x", "y"], np.array([[0.1 + 0.2, np.nan], [1e-7, 2.0]]))
     assert text == "x,y\n0.3,\n1e-07,2\n"
+
+
+def test_flags_after_the_separator_go_to_the_cli():
+    args = outputs.parse_args(["HEAD", "--workload", "mcar_mixed", "--seed", "1",
+                               "--", "--ci", "quantile", "--seed", "4"])
+    assert (args.parent, args.seed, args.inputs) == ("HEAD", 1, 3)
+    assert args.extra == ["--ci", "quantile", "--seed", "4"]
+    assert outputs.parse_args(["HEAD", "--workload", "w", "--seed", "2"]).extra == []

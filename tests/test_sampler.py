@@ -221,6 +221,6 @@ def test_factor_moments_match_the_einsum():
         want[...] += np.einsum("ij,ikl->jkl", obs, e_tt)
 
     lower = values.copy()
-    _lowrank_posterior(params, lower, values, 2, visit)
+    _lowrank_posterior(params, lower, values, visit)
     assert want.any()
     np.testing.assert_allclose(got.s1, want, rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import expon, norm
 
 import stream_oracle as oracle
-from copulafill import latent
+from copulafill import latent, streaming
 from copulafill.copula_em import CopulaModel
 from copulafill.data_model import (
     CONTINUOUS,
@@ -19,7 +19,7 @@ from copulafill.data_model import (
 from copulafill.evaluation import ordinal_spec, random_correlation, sample_gc, truncated_spec
 from copulafill.imputer import impute_single
 from copulafill.marginals import Marginal, decayed_weights
-from copulafill.streaming import StreamConfig, _Window, init_stream, step
+from copulafill.streaming import StreamConfig, _encode_row, _Window, init_stream, step
 
 
 def make_stream(n=500, p=4, seed=0, hide=None):
@@ -329,8 +329,7 @@ def assert_marginals_match_oracle(state):
         assert_same_marginal(state.marginals[j],
                              oracle.window_marginal(window.buffer, state.vartypes[j]))
         if state.config.decay < 1.0:
-            weights = decayed_weights(len(window.buffer), state.config.decay)[::-1]
-            assert_same_marginal(window.marginal(state.vartypes[j], weights),
+            assert_same_marginal(window.marginal(decayed=True),
                                  oracle.decayed_marginal(state, j))
 
 
@@ -362,16 +361,15 @@ class TestMatchesOracle:
             TWOSIDED_TRUNCATED}
 
     def test_encoded_row_matches_cellwise_arrays(self):
-        from copulafill.copula_em import encode_table
-
         truth, masked = mixed_stream(80, seed=4)
         state = init_stream(truth[:40], StreamConfig(window_size=25, n_train=40),
                             types=MIXED_TYPES)
         for row in masked[40:]:
-            got = encode_table(state.marginals, row[None, :])
+            got = _encode_row(state, row)
             want = oracle.encode_row(state.marginals, row)
             for g, w in zip(got, want):
-                assert np.array_equal(bits(g[0]), bits(w))
+                assert np.array_equal(bits(g), bits(w))
+            step(state, row)
 
     def test_boundary_only_window_falls_back_to_ordinal(self):
         rng = np.random.default_rng(5)
@@ -425,15 +423,18 @@ class TestMatchesOracle:
         truth, _ = mixed_stream(40, seed=7)
         cfg = StreamConfig(window_size=25, n_train=30, batch_size=10**6, decay=0.9)
         state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
-        builds, real = [], _Window.marginal
+        builds, made, real, build = [], [], _Window.marginal, streaming.Marginal
 
-        def record(window, vartype, weights=None):
-            if weights is not None:
-                builds.append(next(j for j, w in enumerate(state.windows)
-                                   if w is window))
-            return real(window, vartype, weights)
+        def record(window, decayed=False):
+            before = len(made)
+            marg = real(window, decayed)
+            if decayed and len(made) > before:
+                builds.append(state.windows.index(window))
+            return marg
 
         monkeypatch.setattr(_Window, "marginal", record)
+        monkeypatch.setattr(streaming, "Marginal",
+                            lambda *args: made.append(1) or build(*args))
         # columns 0 (continuous) and 5 (two-sided truncated) stay hidden;
         # the third row reveals them, so the fourth must rebuild both
         hidden = [0, 5]
@@ -522,13 +523,13 @@ class TestWindow:
            st.sampled_from(MIXED_TYPES + [VariableType(LOWER_TRUNCATED, lower=0.0)]),
            st.sampled_from([1.0, 0.9, 0.5]))
     def test_every_append_matches_a_refit(self, values, size, vartype, decay):
-        window = _Window([], size)
+        window = _Window([], size, vartype, decay)
         for x in values:
             window.append(x)
-            assert_same_marginal(window.marginal(vartype),
+            assert_same_marginal(window.marginal(),
                                  oracle.window_marginal(window.buffer, vartype))
             weights = decayed_weights(len(window.buffer), decay)[::-1]
-            assert_same_marginal(window.marginal(vartype, weights),
+            assert_same_marginal(window.marginal(decayed=True),
                                  oracle.window_marginal(window.buffer, vartype, weights))
         assert sorted(set(window.buffer)) == window.distinct
         assert window.counts == [list(window.buffer).count(v) for v in window.distinct]
@@ -538,18 +539,38 @@ class TestWindow:
            st.sampled_from(MIXED_TYPES), st.sampled_from([0.5, 0.9, 0.95]))
     def test_decayed_reads_the_last_weights_of_a_full_window(self, values, size,
                                                             vartype, decay):
-        window = _Window([], size, decay)
+        # a filling window takes the last of a full window's weights; each
+        # marginal is kept until the next append
+        window = _Window([], size, vartype, decay)
         for x in values:
             window.append(x)
+            decayed, plain = window.marginal(decayed=True), window.marginal()
             weights = decayed_weights(len(window.buffer), decay)[::-1]
-            assert_same_marginal(window.decayed(vartype),
-                                 window.marginal(vartype, weights))
+            assert_same_marginal(decayed,
+                                 oracle.window_marginal(window.buffer, vartype, weights))
+            assert window.marginal(decayed=True) is decayed
+            assert window.marginal() is plain
 
-    def test_underflowed_weights_fail_as_a_refit_does(self):
-        window = _Window([0.5, 1.0, 2.5], 3)
-        weights = np.array([0.0, 0.1, 1.0])     # decay**m underflows to 0
-        for fit in (lambda: window.marginal(VariableType(CONTINUOUS), weights),
-                    lambda: oracle.window_marginal(window.buffer,
-                                                   VariableType(CONTINUOUS), weights)):
-            with pytest.raises(ValueError, match="weights must be positive"):
-                fit()
+    def test_underflowing_decay_weights_match_a_refit(self):
+        # 1e-200**2 underflows to 0: the weights past the newest are floored
+        # at the smallest normal float, and stay positive
+        vartype = VariableType(CONTINUOUS)
+        window = _Window([], 6, vartype, decay=1e-200)
+        for x in (0.5, 1.0, 2.5, 1.0, -0.5, 3.0, 2.5, 0.5):
+            window.append(x)
+            weights = decayed_weights(len(window.buffer), 1e-200)[::-1]
+            marg = window.marginal(decayed=True)
+            assert_same_marginal(marg,
+                                 oracle.window_marginal(window.buffer, vartype, weights))
+            assert (marg.masses > 0).all()
+
+    def test_state_marginals_follow_a_direct_append(self):
+        truth, _ = mixed_stream(40, seed=11)
+        state = init_stream(truth[:30], StreamConfig(window_size=25, n_train=30),
+                            types=MIXED_TYPES)
+        for j, x in enumerate(truth[30]):
+            before = state.marginals[j]
+            state.windows[j].append(x)
+            assert state.marginals[j] is not before
+            assert_same_marginal(state.marginals[j], oracle.window_marginal(
+                state.windows[j].buffer, state.vartypes[j]))

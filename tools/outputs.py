@@ -5,16 +5,20 @@ Usage, from anywhere inside the repository:
 
     python3 tools/outputs.py PARENT_REV --workload stream_replay --seed 1 --inputs 3
     python3 tools/outputs.py PARENT_REV --workload stream_replay --seed 1 --truth
+    python3 tools/outputs.py PARENT_REV --workload mcar_mixed --seed 1 -- --ci quantile
 
 The script writes inputs 0..N-1 of the workload and seed as CSV (with
 ``bench/workloads.py``, as the benchmark makes them), checks out PARENT_REV
 as a temporary ``git worktree`` and runs the CLI once in each tree with the
 workload's arguments: ``stream`` for a stream workload, ``impute`` for the
 others. ``--truth`` also passes each input's complete table to ``stream``
-as its revealed rows. Every file the CLI writes is compared cell by cell as
-text; each cell whose bytes differ is listed, and a summary line per file
-gives the count. It exits 1 when any cell differs. Standard library, plus
-``bench/workloads.py`` to make the inputs; nothing under ``bench/`` changes.
+as its revealed rows. Flags after ``--`` are passed to the CLI in both trees,
+after the workload's own, so that a path no workload runs (``--ci quantile``,
+``--mode minibatch-offline``) can be compared too. Every file the CLI writes
+is compared cell by cell as text; each cell whose bytes differ is listed,
+and a summary line per file gives the count. It exits 1 when any cell
+differs. Standard library, plus ``bench/workloads.py`` to make the inputs;
+nothing under ``bench/`` changes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from pairs import ROOT, git, worktree
 
 
 def parse_args(argv=None):
+    """The parsed options, with the CLI flags after ``--`` as ``extra``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision to compare against")
     parser.add_argument("--workload", required=True)
@@ -41,9 +48,10 @@ def parse_args(argv=None):
                         help="number of inputs, from index 0")
     parser.add_argument("--truth", action="store_true",
                         help="stream workloads: reveal each row's complete values")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv[:cut])
     if args.inputs < 1:
         parser.error("--inputs must be >= 1")
+    args.extra = argv[cut + 1:]
     return args
 
 
@@ -110,7 +118,7 @@ def main(argv=None) -> int:
                 out_dir = tmp / f"{side}{index}"
                 out_dir.mkdir()
                 run_cli(tree, [command, str(in_path), "-o", str(out_dir / "out.csv"),
-                               *workload.cli_args, *extra])
+                               *workload.cli_args, *extra, *args.extra])
                 files[side] = {p.name: p.read_text(encoding="utf-8")
                                for p in sorted(out_dir.iterdir())}
             for name in sorted(files["parent"].keys() | files["change"].keys()):
@@ -122,9 +130,10 @@ def main(argv=None) -> int:
                 print("\n".join(lines + [f"{label}: {len(lines)} of {cells} "
                                          f"cells differ"]))
                 differing += len(lines)
+    flags = " ".join(args.extra)
     print(f"{args.workload}, seed {args.seed}, inputs 0-{args.inputs - 1}"
-          f"{', --truth' if args.truth else ''}: {differing} cells differ from "
-          f"{rev[:12]}")
+          f"{', --truth' if args.truth else ''}{', ' + flags if flags else ''}: "
+          f"{differing} cells differ from {rev[:12]}")
     return 1 if differing else 0
 
 
