@@ -35,61 +35,28 @@ class Marginal:
     immutable after fitting.
     """
 
-    # no boundary mass, and so no latent cutpoint, until _build sets one
+    # no boundary mass, and so no latent cutpoint, unless __init__ sets one
     p_alpha = p_beta = 0.0
     _z_alpha, _z_beta = -math.inf, math.inf
 
-    def __init__(self, vartype, values, masses, n_obs, value_list=None):
-        self.vartype = _resolve_bounds(vartype, values)
+    def __init__(self, vartype, values, masses, n_obs):
         self.values = values        # sorted unique observed values
         self.masses = masses        # normalized aggregated weights, sum to 1
         self.n_obs = n_obs          # observation count behind the fit
-        # ``values`` as a list, for bisection; a caller may pass its own copy
-        self._value_list = values.tolist() if value_list is None else value_list
-        self._build()
-
-    def _build(self):
-        cum = self.masses.cumsum()
-        cum[-1] = 1.0
-        self._cum = cum
-        vt, vals, n = self.vartype, self._value_list, self.n_obs
-        if vt.tag == ORDINAL:
+        self.vartype, layout = _layout(vartype, values, masses, n_obs)
+        self._cum = _prefix_masses(masses)
+        if self.vartype.tag == ORDINAL:
             # half-open latent cells per level, outermost cells unbounded
-            self._zcuts = np.concatenate(([-np.inf], ndtri(cum[:-1]), [np.inf]))
+            self._zcuts = np.concatenate(([-np.inf], ndtri(self._cum[:-1]), [np.inf]))
             return
-        # the sorted values at or past each bound are a prefix and a suffix;
-        # an unset bound spares a continuous column the has_*_bound calls
-        lo, hi = 0, len(vals)
-        if vt.lower is not None and vt.has_lower_bound:
-            lo = bisect_right(vals, vt.lower)
-        if vt.upper is not None and vt.has_upper_bound:
-            hi = bisect_left(vals, vt.upper)
-        if lo == 0 and hi == len(vals):
-            # no boundary mass: the interior is the whole sample, with the
-            # prefix sums as they are, not divided by a sum just off 1.0
-            self._inner_values, self._inner_list = self.values, vals
-            icum, m = cum, n
-        else:
-            self.p_alpha = float(self.masses[:lo].sum())
-            self.p_beta = float(self.masses[hi:].sum())
-            # weighted boundary masses may sum to just under 1 with no interior
-            if self.p_alpha + self.p_beta >= 1.0 or lo >= hi:
-                raise ValueError(
-                    "truncated column has no interior values; boundary masses "
-                    f"p_alpha={self.p_alpha:.3f}, p_beta={self.p_beta:.3f}"
-                )
-            self._inner_values = self.values[lo:hi]
-            self._inner_list = vals[lo:hi]
-            w = self.masses[lo:hi]
-            icum = w.cumsum() / w.sum()
-            icum[-1] = 1.0
-            m = max(int(round(n * (1.0 - self.p_alpha - self.p_beta))), 1)
-            # latent cutpoints of the boundary masses (z-space comparisons
-            # keep boundary round trips exact)
-            if self.p_alpha > 0:
-                self._z_alpha = ndtri(self.p_alpha)
-            if self.p_beta > 0:
-                self._z_beta = ndtri(1.0 - self.p_beta)
+        lo, hi, self.p_alpha, self.p_beta, icum, m = layout
+        self._inner_values = self.values[lo:hi]
+        # latent cutpoints of the boundary masses (z-space comparisons keep
+        # boundary round trips exact)
+        if self.p_alpha > 0:
+            self._z_alpha = ndtri(self.p_alpha)
+        if self.p_beta > 0:
+            self._z_beta = ndtri(1.0 - self.p_beta)
         # scale by the interior observation count so the interior CDF stays
         # inside (0, 1)
         self._nodes = np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
@@ -128,10 +95,10 @@ class Marginal:
     # -- latent maps ----------------------------------------------------------
 
     def latent_bounds(self, x):
-        """Lower/upper latent bounds per value; NaN input stays NaN on both."""
-        if np.ndim(x) == 0:
-            return self._point_bounds(float(x))
-        x = np.asarray(x, dtype=float)
+        """Lower/upper latent bounds per value (floats for a scalar); NaN
+        input stays NaN on both."""
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         nan = np.isnan(x)
         vt = self.vartype
         if vt.tag == ORDINAL:
@@ -152,63 +119,22 @@ class Marginal:
                 hi[at] = np.inf
         lo[nan] = np.nan
         hi[nan] = np.nan
-        return lo, hi
-
-    def _point_bounds(self, x: float):
-        """:meth:`latent_bounds` of one value, bit for bit, with no array
-        temporaries: a bisection, at most one ``np.interp`` and one
-        ``ndtri``."""
-        if x != x:
-            return math.nan, math.nan
-        vt = self.vartype
-        if vt.tag == ORDINAL:
-            i = _nearest_level(x, self._value_list)
-            return float(self._zcuts[i]), float(self._zcuts[i + 1])
-        pa, pb = self.p_alpha, self.p_beta
-        # the array path sets the lower boundary cell first, so the upper wins
-        if pb > 0 and x >= vt.upper:
-            return float(self._z_beta), math.inf
-        if pa > 0 and x <= vt.lower:
-            return -math.inf, float(self._z_alpha)
-        u_in = _interp_point(x, self._inner_list, self._inner_values, self._nodes)
-        lo = float(ndtri(pa + (1.0 - pa - pb) * u_in))
-        return lo, lo
+        return (float(lo[0]), float(hi[0])) if scalar else (lo, hi)
 
     def from_latent(self, z):
         """Map latent values back to the observed space (Table transforms)."""
-        if np.ndim(z) == 0:
-            return self._point_from_latent(float(z))
         z = np.asarray(z, dtype=float)
         if self.vartype.tag == ORDINAL:
             # cell k is [zcut_k, zcut_{k+1}): the upper boundary belongs to
             # the next level
-            return self.values[np.searchsorted(self._zcuts[1:-1], z, side="right")]
-        out = self.quantile(ndtr(z))
-        if self.p_alpha > 0:
-            out[z <= self._z_alpha] = self.vartype.lower
-        if self.p_beta > 0:
-            out[z >= self._z_beta] = self.vartype.upper
-        return out
-
-    def _point_from_latent(self, z: float) -> float:
-        """:meth:`from_latent` of one value, bit for bit, without arrays."""
-        vt = self.vartype
-        if vt.tag == ORDINAL:
-            return float(self.values[np.searchsorted(self._zcuts[1:-1], z, "right")])
-        u = float(ndtr(z))
-        # the array path overwrites in this order: the u-space lower and
-        # upper boundary cells, then the z-space ones; the last to hold wins
-        pa, pb = self.p_alpha, self.p_beta
-        if pb > 0 and z >= self._z_beta:
-            return float(vt.upper)
-        if pa > 0 and z <= self._z_alpha:
-            return float(vt.lower)
-        if pb > 0 and u >= 1.0 - pb:
-            return float(vt.upper)
-        if pa > 0 and u <= pa:
-            return float(vt.lower)
-        return float(_interp_point((u - pa) / (1.0 - pa - pb), self._nodes,
-                                   self._nodes, self._inner_values))
+            out = self.values[np.searchsorted(self._zcuts[1:-1], z, side="right")]
+        else:
+            out = np.asarray(self.quantile(ndtr(z)))
+            if self.p_alpha > 0:
+                out = np.where(z <= self._z_alpha, self.vartype.lower, out)
+            if self.p_beta > 0:
+                out = np.where(z >= self._z_beta, self.vartype.upper, out)
+        return out if out.ndim else float(out)
 
 
 def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
@@ -258,20 +184,52 @@ def _fit_marginal(values, vartype, weights=None):
     return Marginal(vartype, uniq, sums / sums.sum(), int(values.size)), keep, inv
 
 
-def _resolve_bounds(vartype: VariableType, values: np.ndarray) -> VariableType:
+def _prefix_masses(masses):
+    """The prefix sums of ``masses``, the last set to exactly 1."""
+    cum = masses.cumsum()
+    cum[-1] = 1.0
+    return cum
+
+
+def _layout(vartype: VariableType, values, masses, n: int):
+    """The type of a marginal of sorted ``values`` (a list or an array),
+    unset bounds taken from them, and the prefix ``masses`` of an ordinal
+    one or the interior of any other: the index range [lo, hi) of the
+    values inside the bounds, the masses p_alpha and p_beta at or past
+    them, its own prefix masses and its share of the ``n`` observations."""
     lower, upper = vartype.lower, vartype.upper
     if vartype.has_lower_bound and lower is None:
         lower = float(values[0])
     if vartype.has_upper_bound and upper is None:
         upper = float(values[-1])
-    if (lower, upper) == (vartype.lower, vartype.upper):
-        return vartype
-    if lower is not None and upper is not None and lower >= upper:
-        raise ValueError(
-            f"truncated column has no interior values: lower={lower}, "
-            f"upper={upper}, the unset bounds taken from the observed values"
-        )
-    return VariableType(vartype.tag, lower=lower, upper=upper)
+    if (lower, upper) != (vartype.lower, vartype.upper):
+        if lower is not None and upper is not None and lower >= upper:
+            raise ValueError(f"truncated column has no interior values: lower={lower}, "
+                             f"upper={upper}, the unset bounds taken from the observed values")
+        vartype = VariableType(vartype.tag, lower=lower, upper=upper)
+    if vartype.tag == ORDINAL:
+        return vartype, _prefix_masses(masses)
+    # the sorted values at or past each bound are a prefix and a suffix;
+    # an unset bound spares a continuous column the has_*_bound calls
+    lo, hi = 0, len(values)
+    if lower is not None and vartype.has_lower_bound:
+        lo = bisect_right(values, lower)
+    if upper is not None and vartype.has_upper_bound:
+        hi = bisect_left(values, upper)
+    if lo == 0 and hi == len(values):
+        # no boundary mass: the interior is the whole sample, with the
+        # prefix sums as they are, not divided by a sum just off 1.0
+        return vartype, (lo, hi, 0.0, 0.0, _prefix_masses(masses), n)
+    p_alpha, p_beta = float(masses[:lo].sum()), float(masses[hi:].sum())
+    # weighted boundary masses may sum to just under 1 with no interior
+    if p_alpha + p_beta >= 1.0 or lo >= hi:
+        raise ValueError("truncated column has no interior values; boundary masses "
+                         f"p_alpha={p_alpha:.3f}, p_beta={p_beta:.3f}")
+    w = masses[lo:hi]
+    icum = w.cumsum() / w.sum()
+    icum[-1] = 1.0
+    m = max(int(round(n * (1.0 - p_alpha - p_beta))), 1)
+    return vartype, (lo, hi, p_alpha, p_beta, icum, m)
 
 
 def decayed_weights(m: int, decay: float) -> np.ndarray:
@@ -306,24 +264,6 @@ def _interp_exact(x, xp, yp):
         return float(yp[idx]) if hit else float(out)
     out[hit] = yp[idx[hit]]
     return out
-
-
-def _interp_point(x: float, xs, xp, yp):
-    """:func:`_interp_exact` of one value; ``xs`` is ``xp`` or ``xp`` as a list."""
-    i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
-        return yp[i]
-    return np.interp(x, xp, yp)
-
-
-def _nearest_level(x: float, grid: list) -> int:
-    """:func:`_nearest_index` of one non-NaN value on a grid list."""
-    if x >= grid[-1]:
-        return len(grid) - 1
-    i = bisect_left(grid, x)
-    if i > 0 and abs(x - grid[i - 1]) <= abs(grid[i] - x):
-        return i - 1
-    return i
 
 
 def _nearest_index(x, grid):

@@ -6,29 +6,29 @@ recent observed values; the correlation follows the constant-step blend of
 per-batch EM estimates. Decay weights, when enabled, reweight only the
 imputation quantiles, never the model update.
 
-A step costs a few small array operations per row, not per cell. The row
-is encoded with one scalar ``latent_bounds`` call per column, and one o x o
-factorization of its observed block (:func:`copulafill.latent.row_posterior`)
-gives its posterior mean and its E-step terms, which running sums keep; a
-correlation update is one M-step on those sums, with no solve. A row with no
-observed cell is imputed from its prior and, as in a fit, left out of the
-sums. Only a block that fails to factor takes the batch path and its jitter
-ladder. A window keeps its values sorted and builds its marginals on their
-first read after it changes (see ``_Window``).
+A step builds no ``Marginal``: each observed cell is encoded, and each
+missing one decoded, by one query that its column's window answers from
+its own table (see ``_Window``). One o x o factorization of the row's
+observed block (:func:`copulafill.latent.row_posterior`) gives its posterior
+mean and its E-step terms, which running sums keep; a correlation update is
+one M-step on those sums. A row with no observed cell is imputed from its
+prior and, as in a fit, left out of the sums.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .copula_em import column_types, encode_table, initial_corr, mstep
 from .data_model import ConfigError, DataTable, ORDINAL, VariableType
 from .latent import row_posterior
-from .marginals import Marginal, decayed_weights
+from .marginals import Marginal, _layout
 
 
 @dataclass
@@ -43,9 +43,7 @@ class StreamConfig:
         if self.window_size < 2:
             raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
         if not 0 < self.const_stepsize < 1:
-            raise ConfigError(
-                f"const_stepsize must be in (0, 1), got {self.const_stepsize}"
-            )
+            raise ConfigError(f"const_stepsize must be in (0, 1), got {self.const_stepsize}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.decay <= 1:
@@ -55,77 +53,148 @@ class StreamConfig:
 
 
 class _Window:
-    """One column's sliding window of observed values, and its marginals.
+    """One column's sliding window of observed values, and the two scalar
+    maps the stream asks of its marginal, read off its own table.
 
     ``buffer`` holds the values in arrival order and ``distinct`` holds
-    them sorted without repeats; an array of the window's capacity holds
-    ``distinct`` again over the counts. An append or an eviction updates
-    them by bisection and one slice move, so a build reads array prefixes.
-    The window's marginals of ``vartype``, plain and decayed, are built on
-    their first read after an append and kept until the next.
+    them sorted without repeats; ``_table`` holds ``distinct`` over their
+    counts and, under decay, their summed weights (decay**(t0 - t) for the
+    value appended at time t) and their number of weights at the floor. An
+    append or an eviction updates one value's slot and one slice.
     """
 
     def __init__(self, values, size: int, vartype: VariableType, decay: float = 1.0):
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
-        self.vartype = vartype
-        self._table = np.empty((2, size))   # ``distinct`` over its counts
-        # the decay weights of a full window, oldest first; a window of m
-        # values takes the last m
-        self._weights = decayed_weights(size, decay)[::-1] if decay < 1.0 else None
-        self._marginals: dict[bool, Marginal] = {}  # by ``decayed``
+        self.vartype, self.decay = vartype, decay
+        self._table = np.zeros((2 if decay == 1.0 else 4, size))
+        self._t = self._t0 = 0      # values appended so far; the time of weight 1
+        if decay < 1.0:
+            # as in decayed_weights, lags up to _lags weigh decay**lag and older
+            # ones the floor; a rescale keeps the newest weight below 2**512
+            self._lags = int((decay ** np.arange(1.0, size + 1) >= np.finfo(float).tiny).sum())
+            self._span = int(512 * math.log(2.0) / -math.log(decay))
         for x in values:
             self.append(x)
 
-    @property
-    def counts(self) -> list[int]:
-        return self._table[1, :len(self.distinct)].astype(int).tolist()
-
     def append(self, x) -> None:
         x = float(x)
-        self._marginals.clear()
-        k, table = len(self.distinct), self._table
-        if len(self.buffer) == self.buffer.maxlen:
-            i = bisect_left(self.distinct, self.buffer[0])
+        k, table, buf, t = len(self.distinct), self._table, self.buffer, self._t
+        decayed = self.decay < 1.0
+        if len(buf) == buf.maxlen:
+            i = bisect_left(self.distinct, buf[0])
             if table[1, i] == 1:
                 del self.distinct[i]
                 k -= 1
                 table[:, i:k] = table[:, i + 1:k + 1]
             else:
                 table[1, i] -= 1
-        self.buffer.append(x)
+                if decayed and len(buf) > self._lags:
+                    table[3, i] -= 1
+                elif decayed:
+                    table[2, i] -= self.decay ** (self._t0 - t + len(buf))
+        buf.append(x)
         i = bisect_left(self.distinct, x)
         if i < k and self.distinct[i] == x:
             table[1, i] += 1
         else:
             self.distinct.insert(i, x)
-            table[:, i + 1:k + 1] = table[:, i:k]
-            table[:, i] = x, 1
+            k += 1
+            table[:, i + 1:k] = table[:, i:k - 1]
+            table[:, i] = (x, 1, 0.0, 0.0)[:len(table)]
+        self._t += 1
+        if decayed:
+            if t - self._t0 > self._span:   # rescale in place
+                table[2, :k] *= self.decay ** (t - self._t0)
+                self._t0 = t
+            table[2, i] += self.decay ** (self._t0 - t)
+            if len(buf) > self._lags:   # the value at lag _lags + 1 falls to the floor
+                j = bisect_left(self.distinct, buf[-self._lags - 1])
+                table[2, j] -= self.decay ** (self._t0 - t + self._lags)
+                table[3, j] += 1
+
+    def _masses(self, decayed: bool):
+        """counts / n (exactly sums / sums.sum()), or the decay weights' masses."""
+        k, table = len(self.distinct), self._table
+        if not decayed or self.decay == 1.0:
+            return table[1, :k] / len(self.buffer)
+        w = table[2, :k]
+        if len(self.buffer) > self._lags:   # the floor: tiny / decay of the newest
+            w = w + table[3, :k] * (np.finfo(float).tiny / self.decay ** (self._t - self._t0))
+        return w / w.sum()
 
     def marginal(self, decayed: bool = False) -> Marginal:
         """``fit_marginal`` of the window, bit for bit; when ``decayed``,
-        under the decay weights of its length (none at decay 1), summed per
-        value in window order."""
-        decayed = decayed and self._weights is not None
-        if decayed in self._marginals:
-            return self._marginals[decayed]
-        k, n = len(self.distinct), len(self.buffer)
-        values = self._table[0, :k].copy()
-        if decayed:
-            at = np.searchsorted(values, np.fromiter(self.buffer, float, n))
-            sums = np.bincount(at, weights=self._weights[len(self._weights) - n:],
-                               minlength=k)
-        # integer counts sum exactly to n: counts / n are sums / sums.sum()
-        masses = sums / sums.sum() if decayed else self._table[1, :k] / n
-        fitted = values, masses, n, list(self.distinct)
+        under the decay weights of its length, to rounding."""
+        masses = self._masses(decayed)
+        return Marginal(self._layout(masses)[0], self._table[0, :len(self.distinct)].copy(),
+                        masses, len(self.buffer))
+
+    def _layout(self, masses):
+        """``marginals._layout`` of the window's marginal of ``masses``."""
         try:
-            marg = Marginal(self.vartype, *fitted)
+            return _layout(self.vartype, self.distinct, masses, len(self.buffer))
         except ValueError:
             # a truncated window may momentarily hold boundary values only, or
             # a single value; treat it as ordinal until interior values return
-            marg = Marginal(VariableType(ORDINAL), *fitted)
-        self._marginals[decayed] = marg
-        return marg
+            return _layout(VariableType(ORDINAL), self.distinct, masses, len(self.buffer))
+
+    def latent_bounds(self, x: float):
+        """``Marginal.latent_bounds`` of one observed value under the plain
+        marginal, bit for bit."""
+        vt, layout = self._layout(self._masses(decayed=False))
+        if vt.tag == ORDINAL:
+            i, cum = _nearest_level(x, self.distinct), layout
+            return (float(ndtri(cum[i - 1])) if i else -math.inf,
+                    float(ndtri(cum[i])) if i < len(cum) - 1 else math.inf)
+        lo, hi, pa, pb, icum, m = layout
+        # the array path sets the lower boundary cell first, so the upper wins
+        if pb > 0 and x >= vt.upper:
+            return float(ndtri(1.0 - pb)), math.inf
+        if pa > 0 and x <= vt.lower:
+            return -math.inf, float(ndtri(pa))
+        # np.interp on the segment it would take, or on the end node
+        s = max(min(bisect_left(self.distinct, x, lo, hi), hi - 1), lo + 1) - 1
+        nodes = [_node(c, m) for c in icum[s - lo:s - lo + 2].tolist()]
+        u_in = np.interp(x, self._table[0, s:s + len(nodes)], nodes)
+        z = float(ndtri(pa + (1.0 - pa - pb) * u_in))
+        return z, z
+
+    def from_latent(self, z: float) -> float:
+        """``Marginal.from_latent`` of one latent value under the decayed
+        marginal (the plain one at decay 1), bit for bit with it."""
+        vt, layout = self._layout(self._masses(decayed=True))
+        if vt.tag == ORDINAL:
+            return self.distinct[np.searchsorted(ndtri(layout[:-1]), z, "right")]
+        lo, hi, pa, pb, icum, m = layout
+        u = float(ndtr(z))
+        # the array path overwrites in this order: the u-space lower and
+        # upper boundary cells, then the z-space ones; the last to hold wins
+        z_upper, z_lower = pb > 0 and z >= ndtri(1.0 - pb), pa > 0 and z <= ndtri(pa)
+        if z_upper or not z_lower and pb > 0 and u >= 1.0 - pb:
+            return vt.upper
+        if z_lower or pa > 0 and u <= pa:
+            return vt.lower
+        # _interp_exact of the nodes onto the interior values: a node takes
+        # its first value, anything else np.interp's on its segment
+        u, icum = (u - pa) / (1.0 - pa - pb), icum.tolist()
+        j = bisect_left(icum, u, key=lambda c: _node(c, m))
+        if j < len(icum) and _node(icum[j], m) == u:
+            return self.distinct[lo + j]
+        s = max(min(j, len(icum) - 1), 1) - 1
+        nodes = [_node(c, m) for c in icum[s:s + 2]]
+        return float(np.interp(u, nodes, self._table[0, lo + s:lo + s + len(nodes)]))
+
+
+def _node(c: float, m: int) -> float:
+    """The interior CDF at a value of prefix mass ``c`` (``Marginal._nodes``)."""
+    return max(c * m / (m + 1), 1.0 / (m + 1))
+
+
+def _nearest_level(x: float, grid: list) -> int:
+    """``marginals._nearest_index`` of one non-NaN value on a sorted list."""
+    i = min(bisect_left(grid, x), len(grid) - 1)
+    return i - 1 if 0 < i and x < grid[-1] and x - grid[i - 1] <= grid[i] - x else i
 
 
 @dataclass
@@ -170,10 +239,8 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
     obs_counts = table.observed_mask().sum(axis=0)
     if (obs_counts < 2).any():
         j = int(np.flatnonzero(obs_counts < 2)[0])
-        raise ValueError(
-            f"column {table.col_names[j]!r} has fewer than 2 observed values "
-            "in the initialization block"
-        )
+        raise ValueError(f"column {table.col_names[j]!r} has fewer than 2 observed "
+                         "values in the initialization block")
     windows = [_Window(col[~np.isnan(col)], config.window_size, vartype, config.decay)
                for col, vartype in zip(table.values.T,
                                        column_types(table, types, min_ord_ratio))]
@@ -185,24 +252,17 @@ def init_stream(rows, config: StreamConfig | None = None, types=None,
 
 
 def _encode_row(state: StreamState, row):
-    """The latent (lower, upper) bounds of ``row``, one scalar ``latent_bounds`` per cell."""
-    pairs = [w.marginal().latent_bounds(x) for w, x in zip(state.windows, row.tolist())]
+    """The latent (lower, upper) bounds of ``row``; NaN where it is missing."""
+    pairs = [(math.nan, math.nan) if x != x else w.latent_bounds(x)
+             for w, x in zip(state.windows, row.tolist())]
     return np.array(pairs, dtype=float).reshape(-1, 2).T
-
-
-def _impute_row(state: StreamState, post, row) -> np.ndarray:
-    out = row.copy()
-    for j in np.flatnonzero(np.isnan(row)):
-        out[j] = state.windows[j].marginal(decayed=True).from_latent(post.cond_mean[j])
-    return out
 
 
 def _check_finite(state: StreamState, row, what: str) -> None:
     bad = np.flatnonzero(np.isinf(row))
     if bad.size:
-        raise ValueError(f"{what} is infinite at column "
-                         f"{state.col_names[bad[0]]!r}; cells must be finite "
-                         f"or missing")
+        raise ValueError(f"{what} is infinite at column {state.col_names[bad[0]]!r}; "
+                         f"cells must be finite or missing")
 
 
 def step(state: StreamState, row, revealed=None):
@@ -224,14 +284,14 @@ def step(state: StreamState, row, revealed=None):
         _check_finite(state, revealed, "revealed row")
         differ = np.flatnonzero(~np.isnan(row) & (row != revealed))
         if differ.size:
-            raise ValueError(
-                f"revealed row disagrees with the input row at observed "
-                f"column {state.col_names[differ[0]]!r}"
-            )
+            raise ValueError(f"revealed row disagrees with the input row at observed "
+                             f"column {state.col_names[differ[0]]!r}")
 
     # encode against the marginals current at ingest time, impute, then update
     post = row_posterior(state.corr, *_encode_row(state, row))
-    imputed = _impute_row(state, post, row)
+    imputed = row.copy()
+    for j in np.flatnonzero(np.isnan(row)):
+        imputed[j] = state.windows[j].from_latent(post.cond_mean[j])
 
     # the correlation has not changed since the last update, so the row's
     # own solve gives its E-step terms; a revealed row is solved again on

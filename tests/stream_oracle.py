@@ -1,12 +1,13 @@
 """Direct per-row reference for the stream step.
 
-The package keeps each window's distinct values sorted with their counts,
-encodes a streamed row with one scalar ``latent_bounds`` call per column and
-takes its posterior mean and E-step terms from a single-row solver. This
-module keeps the direct form: each marginal is refitted from the whole
-window with ``fit_marginal``, each cell is encoded as a one-element array,
-the posterior is ``batch_posterior`` on a one-row batch, and a correlation
-update solves its rows again with ``copula_em.blend_step``. Tests compare
+The package keeps each window's distinct values sorted with their counts
+and decay-weight sums, has the window answer each cell's encode and decode
+from that table, and takes a row's posterior mean and E-step terms from a
+single-row solver. This module keeps the direct form: each marginal is
+refitted from the whole window with ``fit_marginal``, each cell is encoded
+as a one-element array, the posterior is ``batch_posterior`` on a one-row
+batch, and a correlation update solves its rows again with
+``copula_em.blend_step``. Tests compare
 the package against it; nothing in ``src/`` imports it.
 """
 

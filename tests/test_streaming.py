@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import expon, norm
 
 import stream_oracle as oracle
-from copulafill import latent, streaming
+from copulafill import latent
 from copulafill.copula_em import CopulaModel
 from copulafill.data_model import (
     CONTINUOUS,
@@ -222,18 +223,20 @@ class TestStep:
         assert np.array_equal(outs[0], outs[1])
 
     def test_encodes_a_row_once_unless_revealed(self, monkeypatch):
+        # one window query per observed cell; a missing cell makes none
         _, truth, _ = make_stream(n=40, seed=11)
         state = init_stream(truth[:30], StreamConfig(window_size=20, n_train=30))
-        calls, real = [], Marginal.latent_bounds
-        monkeypatch.setattr(Marginal, "latent_bounds",
-                            lambda self, x: calls.append(1) or real(self, x))
+        calls, real = [], _Window.latent_bounds
+        monkeypatch.setattr(_Window, "latent_bounds",
+                            lambda self, x: calls.append(x) or real(self, x))
         p = state.n_cols
-        for t, revealed, want in ((30, None, p), (31, truth[31], 2 * p)):
+        for t, revealed, want in ((30, None, p - 1), (31, truth[31], 2 * p - 1)):
             row = truth[t].copy()
             row[1] = np.nan
             calls.clear()
             step(state, row, revealed)
             assert len(calls) == want
+            assert not np.isnan(calls).any()
 
     def test_wrong_row_length(self):
         _, truth, _ = make_stream(n=30, seed=11)
@@ -324,13 +327,22 @@ def assert_same_marginal(got, want):
     assert np.array_equal(bits(got.masses), bits(want.masses))
 
 
+def assert_close_marginal(got, want):
+    """A decay-weighted marginal: the window sums its weights as they
+    arrive, so its masses match a refit to rounding, not bit for bit."""
+    assert got.vartype == want.vartype
+    assert got.n_obs == want.n_obs
+    assert np.array_equal(bits(got.values), bits(want.values))
+    np.testing.assert_allclose(got.masses, want.masses, rtol=1e-12, atol=0)
+
+
 def assert_marginals_match_oracle(state):
     for j, window in enumerate(state.windows):
         assert_same_marginal(state.marginals[j],
                              oracle.window_marginal(window.buffer, state.vartypes[j]))
         if state.config.decay < 1.0:
-            assert_same_marginal(window.marginal(decayed=True),
-                                 oracle.decayed_marginal(state, j))
+            assert_close_marginal(window.marginal(decayed=True),
+                                  oracle.decayed_marginal(state, j))
 
 
 class TestMatchesOracle:
@@ -419,33 +431,19 @@ class TestMatchesOracle:
         assert state.marginals[1].vartype == VariableType(TWOSIDED_TRUNCATED, 0.5, 2.5)
         assert_marginals_match_oracle(state)
 
-    def test_decayed_marginal_kept_until_its_window_changes(self, monkeypatch):
-        truth, _ = mixed_stream(40, seed=7)
-        cfg = StreamConfig(window_size=25, n_train=30, batch_size=10**6, decay=0.9)
+    @pytest.mark.parametrize("decay", [0.9, 1.0])
+    def test_a_step_builds_no_marginal(self, monkeypatch, decay):
+        truth, masked = mixed_stream(60, seed=7)
+        cfg = StreamConfig(window_size=25, n_train=30, batch_size=10, decay=decay)
         state = init_stream(truth[:30], cfg, types=MIXED_TYPES)
-        builds, made, real, build = [], [], _Window.marginal, streaming.Marginal
-
-        def record(window, decayed=False):
-            before = len(made)
-            marg = real(window, decayed)
-            if decayed and len(made) > before:
-                builds.append(state.windows.index(window))
-            return marg
-
-        monkeypatch.setattr(_Window, "marginal", record)
-        monkeypatch.setattr(streaming, "Marginal",
+        made, build = [], Marginal.__init__
+        monkeypatch.setattr(Marginal, "__init__",
                             lambda *args: made.append(1) or build(*args))
-        # columns 0 (continuous) and 5 (two-sided truncated) stay hidden;
-        # the third row reveals them, so the fourth must rebuild both
-        hidden = [0, 5]
-        for t, reveal, want in ((30, False, hidden), (31, False, []),
-                                (32, True, []), (33, False, hidden)):
-            row = truth[t].copy()
-            row[hidden] = np.nan
-            expected = oracle.impute_row(state, row)
-            builds.clear()
-            got, state = step(state, row, truth[t] if reveal else None)
-            assert builds == want
+        for t in range(30, 60):
+            expected = oracle.impute_row(state, masked[t])    # builds its own
+            made.clear()
+            got, state = step(state, masked[t], truth[t] if t % 3 == 0 else None)
+            assert made == []
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_update_counts_rows_with_no_missing_cell(self):
@@ -529,27 +527,32 @@ class TestWindow:
             assert_same_marginal(window.marginal(),
                                  oracle.window_marginal(window.buffer, vartype))
             weights = decayed_weights(len(window.buffer), decay)[::-1]
-            assert_same_marginal(window.marginal(decayed=True),
-                                 oracle.window_marginal(window.buffer, vartype, weights))
+            assert_close_marginal(window.marginal(decayed=True),
+                                  oracle.window_marginal(window.buffer, vartype, weights))
         assert sorted(set(window.buffer)) == window.distinct
-        assert window.counts == [list(window.buffer).count(v) for v in window.distinct]
+        counts = window._table[1, :len(window.distinct)].tolist()
+        assert counts == [list(window.buffer).count(v) for v in window.distinct]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_levels, min_size=1, max_size=20), st.integers(2, 9),
            st.sampled_from(MIXED_TYPES), st.sampled_from([0.5, 0.9, 0.95]))
     def test_decayed_reads_the_last_weights_of_a_full_window(self, values, size,
                                                             vartype, decay):
-        # a filling window takes the last of a full window's weights; each
-        # marginal is kept until the next append
+        # a filling window takes the last of a full window's weights; a read
+        # leaves the window as it was, so two reads agree bit for bit
         window = _Window([], size, vartype, decay)
         for x in values:
             window.append(x)
-            decayed, plain = window.marginal(decayed=True), window.marginal()
+            table = window._table.copy()
+            decayed = window.marginal(decayed=True)
             weights = decayed_weights(len(window.buffer), decay)[::-1]
-            assert_same_marginal(decayed,
-                                 oracle.window_marginal(window.buffer, vartype, weights))
-            assert window.marginal(decayed=True) is decayed
-            assert window.marginal() is plain
+            assert_close_marginal(decayed,
+                                  oracle.window_marginal(window.buffer, vartype, weights))
+            window.from_latent(0.3)
+            window.latent_bounds(x)
+            assert np.array_equal(window._table, table)
+            assert np.array_equal(bits(window.marginal(decayed=True).masses),
+                                  bits(decayed.masses))
 
     def test_underflowing_decay_weights_match_a_refit(self):
         # 1e-200**2 underflows to 0: the weights past the newest are floored
@@ -560,8 +563,8 @@ class TestWindow:
             window.append(x)
             weights = decayed_weights(len(window.buffer), 1e-200)[::-1]
             marg = window.marginal(decayed=True)
-            assert_same_marginal(marg,
-                                 oracle.window_marginal(window.buffer, vartype, weights))
+            assert_close_marginal(marg,
+                                  oracle.window_marginal(window.buffer, vartype, weights))
             assert (marg.masses > 0).all()
 
     def test_state_marginals_follow_a_direct_append(self):
@@ -574,3 +577,96 @@ class TestWindow:
             assert state.marginals[j] is not before
             assert_same_marginal(state.marginals[j], oracle.window_marginal(
                 state.windows[j].buffer, state.vartypes[j]))
+
+
+# every tag, each truncated one with set bounds and with bounds left to the
+# data; the levels include the bounds 0 and 3, so a window may hold only
+# boundary values (the ordinal fallback) or a single value
+_ALL_TYPES = st.sampled_from([
+    VariableType(CONTINUOUS), VariableType(ORDINAL),
+    VariableType(LOWER_TRUNCATED, lower=0.0), VariableType(LOWER_TRUNCATED),
+    VariableType(UPPER_TRUNCATED, upper=3.0), VariableType(UPPER_TRUNCATED),
+    VariableType(TWOSIDED_TRUNCATED, lower=0.0, upper=3.0),
+    VariableType(TWOSIDED_TRUNCATED),
+])
+_QUERY_LEVELS = [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.75, 2.5, 3.0, 3.0]
+_ZS = [-np.inf, -6.0, -1.5, -0.4, 0.0, 0.3, 1.1, 2.0, 6.0, np.inf]
+
+
+def _refit_marginals(window, vartype, decay):
+    plain = oracle.window_marginal(window.buffer, vartype)
+    weights = decayed_weights(len(window.buffer), decay)[::-1]
+    return plain, oracle.window_marginal(window.buffer, vartype, weights)
+
+
+class TestWindowQueries:
+    """The window's scalar maps against ``Marginal``'s array maps on a refit
+    of its values: the encode bit for bit, the decode bit for bit at decay
+    1 and to rtol 1e-12 under decay, over at least 50 window lengths."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.sampled_from(_QUERY_LEVELS), st.floats(-1.0, 4.0)),
+                    min_size=1, max_size=30),
+           st.integers(2, 9), _ALL_TYPES, st.lists(st.floats(-2.0, 5.0), max_size=4))
+    @example([0.0] * 6, 3, VariableType(LOWER_TRUNCATED), [])
+    @example([1.5] * 6, 3, VariableType(TWOSIDED_TRUNCATED), [])
+    def test_plain_queries_are_a_refit_bit_for_bit(self, values, size, vartype, free):
+        window = _Window([], size, vartype)
+        for x in values:
+            window.append(x)
+            refit = oracle.window_marginal(window.buffer, vartype)
+            vals = refit.values
+            probes = [-1e308, 1e308, 0.0, 3.0, 0.25, *vals, *free,
+                      *((vals[1:] + vals[:-1]) / 2.0)]
+            for x in map(float, probes):
+                lo, hi = refit.latent_bounds(np.array([x]))
+                assert np.array_equal(bits(window.latent_bounds(x)), bits([lo[0], hi[0]])), x
+            cuts = refit._zcuts[1:-1] if refit.vartype.tag == ORDINAL else ndtri(refit._nodes)
+            for z in map(float, [*_ZS, *cuts, *np.nextafter(cuts, np.inf)]):
+                assert np.array_equal(bits(window.from_latent(z)),
+                                      bits(refit.from_latent(np.array([z]))[0])), z
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), _ALL_TYPES,
+           st.sampled_from([1e-200, 0.5, 0.95, 1.0]))
+    def test_decayed_queries_stay_a_refit_over_50_windows(self, seed, size, vartype,
+                                                          decay):
+        rng = np.random.default_rng(seed)
+        window = _Window([], size, vartype, decay)
+        # at least 50 window lengths, and past a rescale at decay 0.5
+        for x in rng.choice(_QUERY_LEVELS, max(50 * size, 600)):
+            window.append(x)
+            plain, decayed = _refit_marginals(window, vartype, decay)
+            got = window.marginal(decayed=True)
+            assert got.vartype == decayed.vartype
+            np.testing.assert_allclose(got.masses, decayed.masses, rtol=1e-12, atol=0)
+            zs = np.array(_ZS)
+            np.testing.assert_allclose([window.from_latent(z) for z in _ZS],
+                                       decayed.from_latent(zs), rtol=1e-12, atol=0)
+            x = float(rng.choice(_QUERY_LEVELS)) + rng.uniform(-0.2, 0.2)
+            lo, hi = plain.latent_bounds(np.array([x]))
+            assert np.array_equal(bits(window.latent_bounds(x)), bits([lo[0], hi[0]]))
+        if decay in (1e-200, 0.5):
+            # the newest weight passed its bound: the sums were rescaled in place
+            assert window._t0 > 0
+        else:
+            assert window._t0 == 0
+
+    def test_floor_and_rescale_over_a_long_window(self):
+        # 0.01**lag falls below the smallest normal float past lag 153, so a
+        # 200-value window holds weights at the floor, and the sums are
+        # rescaled every 78 appends; compared every 97th append
+        rng = np.random.default_rng(17)
+        vartype = VariableType(LOWER_TRUNCATED)
+        window = _Window([], 200, vartype, decay=0.01)
+        assert (window._lags, window._span) == (153, 77)
+        for t, x in enumerate(np.round(rng.gamma(1.0, size=50 * 200), 1)):
+            window.append(x)
+            if t % 97 == 0 or t == 50 * 200 - 1:
+                plain, decayed = _refit_marginals(window, vartype, 0.01)
+                assert_close_marginal(window.marginal(decayed=True), decayed)
+                np.testing.assert_allclose([window.from_latent(z) for z in _ZS],
+                                           decayed.from_latent(np.array(_ZS)),
+                                           rtol=1e-12, atol=0)
+        assert window._table[3, :len(window.distinct)].sum() == 200 - 153
+        assert window._t0 > 0

@@ -17,7 +17,8 @@ after the workload's own, so that a path no workload runs (``--ci quantile``,
 ``--mode minibatch-offline``) can be compared too. Every file the CLI writes
 is compared cell by cell as text; each cell whose bytes differ is listed,
 and a summary line per file gives the count. It exits 1 when any cell
-differs. Standard library, plus ``bench/workloads.py`` to make the inputs;
+differs. The worktree is removed at the end, also after an error or a
+SIGTERM, and a CLI run still going then is killed. Standard library, plus ``bench/workloads.py`` to make the inputs;
 nothing under ``bench/`` changes.
 """
 
@@ -28,12 +29,11 @@ import csv
 import io
 import math
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from pairs import ROOT, git, worktree
+from pairs import ROOT, git, run_child, worktree
 
 
 def parse_args(argv=None):
@@ -82,8 +82,7 @@ def diff_cells(name: str, parent: str, change: str) -> list:
 
 def run_cli(tree: Path, args: list) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "copulafill.cli", *args],
-                          cwd=tree, env=env, text=True, capture_output=True)
+    proc = run_child([sys.executable, "-m", "copulafill.cli", *args], cwd=tree, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"copulafill {' '.join(args)} in {tree} exited "
                            f"{proc.returncode}: {proc.stderr.strip()[-500:]}")

@@ -3,6 +3,7 @@
 Usage, from anywhere inside the repository:
 
     python3 tools/pairs.py PARENT_REV --workload stream_replay --seed 1 --pairs 5
+    python3 tools/pairs.py PARENT_REV --workload mcar_mixed --seed 1 --pairs 5 --json BENCH.json
 
 The script checks out PARENT_REV as a temporary ``git worktree``. It then
 runs ``bench/run.py --trace 0`` in that worktree and in the working tree,
@@ -14,8 +15,12 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, the change of the medians, that change over the
 parent's interquartile range, and the number of pairs the working tree
 won in the metric's ``better`` direction. It also prints the failed
-operations of every run. The worktree is removed at the end, also after
-an error. Standard library only; nothing under ``bench/`` is changed.
+operations of every run. ``--json PATH`` also writes that summary, with
+the pairs each side won, under the workload's name in the JSON object at
+PATH, keeping the other workloads' entries there. The worktree is removed
+at the end, also after an error or a SIGTERM, and a run still going then
+is killed with its children. Standard library only; nothing under
+``bench/`` is changed.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,6 +47,8 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="length of each bench/run.py run")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the summary into this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -51,24 +60,50 @@ def git(*args) -> str:
                           capture_output=True).stdout.strip()
 
 
+def run_child(cmd: list, **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run`` of ``cmd`` with its output captured, in a process
+    group of its own: when this process is interrupted, by an error or a
+    SIGTERM (see :func:`worktree`), the group is killed, children and all."""
+    with subprocess.Popen(cmd, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, start_new_session=True,
+                          **kwargs) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
+
+
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 @contextlib.contextmanager
 def worktree(rev: str):
     """A temporary detached ``git worktree`` of ``rev``, removed on exit,
-    also after an error."""
-    with tempfile.TemporaryDirectory(prefix="parent-") as tmp:
-        tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), rev)
-        try:
-            yield tree
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+    also after an error or a SIGTERM, which is raised as SystemExit while
+    the worktree exists."""
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        with tempfile.TemporaryDirectory(prefix="parent-") as tmp:
+            tree = Path(tmp) / "parent"
+            try:
+                git("worktree", "add", "--detach", str(tree), rev)
+                yield tree
+            finally:
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)  # let cleanup finish
+                subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                               cwd=ROOT, capture_output=True)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def bench_run(tree: Path, args) -> dict:
     """The JSON result line of one untraced ``bench/run.py`` run in ``tree``."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, text=True, capture_output=True)
+    proc = run_child(cmd, cwd=tree)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
@@ -83,9 +118,11 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def report(metrics: list, runs: dict) -> None:
-    print(f"{'metric':<12} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30}"
-          f" {'change':>8} {'/ IQR':>7} {'won':>6}")
+def summarize(metrics: list, runs: dict) -> dict:
+    """Per end-to-end metric: both sides' median and quartiles over the
+    pairs that reported it, and the pairs each side won in the metric's
+    ``better`` direction (a tie counts for neither); None when no pair did."""
+    out = {}
     for metric in metrics:
         name = metric["name"]
         # a run with no finished job reports no metrics; its pair is left out
@@ -93,20 +130,49 @@ def report(metrics: list, runs: dict) -> None:
                  for p, c in zip(runs["parent"], runs["change"])
                  if name in p["metrics"] and name in c["metrics"]]
         if not pairs:
-            print(f"{name:<12} no pair reported it")
+            out[name] = None
             continue
         sign = 1.0 if metric["better"] == "higher" else -1.0
-        won = sum(sign * (c - p) > 0 for p, c in pairs)
-        (p1, pm, p3), (c1, cm, c3) = (quartiles(list(side)) for side in zip(*pairs))
+        won = {"parent": sum(sign * (p - c) > 0 for p, c in pairs),
+               "change": sum(sign * (c - p) > 0 for p, c in pairs)}
+        entry = {"better": metric["better"], "pairs": len(pairs)}
+        for side, values in zip(("parent", "change"), zip(*pairs)):
+            q1, median, q3 = quartiles(list(values))
+            entry[side] = {"median": median, "q1": q1, "q3": q3, "won": won[side]}
+        out[name] = entry
+    return out
+
+
+def report(metrics: list, runs: dict) -> dict:
+    """Print the summary of ``runs`` and return it (see :func:`summarize`)."""
+    summary = summarize(metrics, runs)
+    print(f"{'metric':<12} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30}"
+          f" {'change':>8} {'/ IQR':>7} {'won':>6}")
+    for name, entry in summary.items():
+        if entry is None:
+            print(f"{name:<12} no pair reported it")
+            continue
+        (p1, pm, p3), (c1, cm, c3) = [[entry[side][k] for k in ("q1", "median", "q3")]
+                                      for side in ("parent", "change")]
         rel = (cm - pm) / pm if pm else float("nan")
         iqr = (cm - pm) / (p3 - p1) if p3 > p1 else float("nan")
         parent, change = (f"{m:.4g} [{q1:.4g}, {q3:.4g}]"
                           for q1, m, q3 in ((p1, pm, p3), (c1, cm, c3)))
         print(f"{name:<12} {parent:<30} {change:<30} {rel:>+8.1%} {iqr:>+7.2f} "
-              f"{won:>3}/{len(pairs)}")
+              f"{entry['change']['won']:>3}/{entry['pairs']}")
     for side in ("parent", "change"):
         failed = [f"{r['failed']}/{r['attempted']}" for r in runs[side]]
         print(f"{side} failed operations per run: {', '.join(failed)}")
+    return summary
+
+
+def write_json(path: str, key: str, record: dict) -> None:
+    """Set ``key`` to ``record`` in the JSON object at ``path``, keeping
+    the other keys of an existing file."""
+    target = Path(path)
+    data = json.loads(target.read_text()) if target.exists() else {}
+    data[key] = record
+    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -126,7 +192,14 @@ def main(argv=None) -> int:
                       f"failed {result['failed']}", file=sys.stderr, flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g}-s runs; parent {rev[:12]}, change = working tree")
-    report(metrics, runs)
+    summary = report(metrics, runs)
+    if args.json:
+        write_json(args.json, args.workload, {
+            "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+            "parent": rev, "change": "working tree", "head": git("rev-parse", "HEAD"),
+            "metrics": summary,
+            "failed": {side: [[r["failed"], r["attempted"]] for r in runs[side]]
+                       for side in runs}})
     return 0
 
 
