@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import os
 import sys
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .copula_em import FitConfig, _prepare_fit, fit_minibatch_offline, fit_standard
+from .copula_em import (FitConfig, _prepare_fit, default_stepsize, fit_minibatch_offline,
+                        fit_standard)
 from .data_model import (
     ConfigError,
     DataTable,
@@ -167,7 +169,7 @@ def _cmd_impute(args) -> int:
         max_iter=args.max_iter,
         batch_size=args.batch_size,
         num_pass=args.num_pass,
-        stepsize=lambda t, c=args.stepsize_c: c / (c + t),
+        stepsize=functools.partial(default_stepsize, c=args.stepsize_c),
         seed=args.seed,
         verbose=args.verbose,
     )

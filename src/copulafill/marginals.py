@@ -57,9 +57,7 @@ class Marginal:
             self._z_alpha = ndtri(self.p_alpha)
         if self.p_beta > 0:
             self._z_beta = ndtri(1.0 - self.p_beta)
-        # scale by the interior observation count so the interior CDF stays
-        # inside (0, 1)
-        self._nodes = np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
+        self._nodes = _nodes(icum, m)
 
     # -- CDF / quantile -----------------------------------------------------
 
@@ -230,6 +228,12 @@ def _layout(vartype: VariableType, values, masses, n: int):
     icum[-1] = 1.0
     m = max(int(round(n * (1.0 - p_alpha - p_beta))), 1)
     return vartype, (lo, hi, p_alpha, p_beta, icum, m)
+
+
+def _nodes(icum, m: int):
+    """The interior CDF at the interior values of prefix masses ``icum``,
+    scaled by the interior observation count ``m`` to stay inside (0, 1)."""
+    return np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
 
 
 def decayed_weights(m: int, decay: float) -> np.ndarray:

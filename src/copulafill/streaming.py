@@ -7,12 +7,13 @@ per-batch EM estimates. Decay weights, when enabled, reweight only the
 imputation quantiles, never the model update.
 
 A step builds no ``Marginal``: each observed cell is encoded, and each
-missing one decoded, by one query that its column's window answers from
-its own table (see ``_Window``). One o x o factorization of the row's
-observed block (:func:`copulafill.latent.row_posterior`) gives its posterior
-mean and its E-step terms, which running sums keep; a correlation update is
-one M-step on those sums. A row with no observed cell is imputed from its
-prior and, as in a fit, left out of the sums.
+missing one decoded, by one query that its column's window answers from its
+own table, which has decay-weight rows at every decay, through the marginal's
+``_nodes`` and ``_interp_exact`` (see ``_Window``). One o x o factorization
+of the row's observed block (:func:`copulafill.latent.row_posterior`) gives
+its posterior mean and its E-step terms, which running sums keep; a
+correlation update is one M-step on those sums. A row with no observed cell
+is imputed from its prior and, as in a fit, left out of the sums.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.special import ndtr, ndtri
 from .copula_em import column_types, encode_table, initial_corr, mstep
 from .data_model import ConfigError, DataTable, ORDINAL, VariableType
 from .latent import row_posterior
-from .marginals import Marginal, _layout
+from .marginals import Marginal, _interp_exact, _layout, _nodes
 
 
 @dataclass
@@ -58,29 +59,28 @@ class _Window:
 
     ``buffer`` holds the values in arrival order and ``distinct`` holds
     them sorted without repeats; ``_table`` holds ``distinct`` over their
-    counts and, under decay, their summed weights (decay**(t0 - t) for the
-    value appended at time t) and their number of weights at the floor. An
-    append or an eviction updates one value's slot and one slice.
+    counts, their summed decay weights (decay**(t0 - t) for the value
+    appended at time t: the counts at decay 1) and their number of weights
+    at the floor. An append or an eviction updates one value's slot and one
+    slice. The queries interpolate on ``marginals._nodes`` as ``Marginal`` does.
     """
 
     def __init__(self, values, size: int, vartype: VariableType, decay: float = 1.0):
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
         self.vartype, self.decay = vartype, decay
-        self._table = np.zeros((2 if decay == 1.0 else 4, size))
+        self._table = np.zeros((4, size))
         self._t = self._t0 = 0      # values appended so far; the time of weight 1
-        if decay < 1.0:
-            # as in decayed_weights, lags up to _lags weigh decay**lag and older
-            # ones the floor; a rescale keeps the newest weight below 2**512
-            self._lags = int((decay ** np.arange(1.0, size + 1) >= np.finfo(float).tiny).sum())
-            self._span = int(512 * math.log(2.0) / -math.log(decay))
+        # as in decayed_weights, lags up to _lags weigh decay**lag and older
+        # ones the floor; a rescale keeps the newest weight below 2**512
+        self._lags = int((decay ** np.arange(1.0, size + 1) >= np.finfo(float).tiny).sum())
+        self._span = math.inf if decay == 1.0 else int(512 * math.log(2.0) / -math.log(decay))
         for x in values:
             self.append(x)
 
     def append(self, x) -> None:
-        x = float(x)
+        x = float(x) + 0.0   # -0.0 is 0.0: a refit may keep either sign of zero
         k, table, buf, t = len(self.distinct), self._table, self.buffer, self._t
-        decayed = self.decay < 1.0
         if len(buf) == buf.maxlen:
             i = bisect_left(self.distinct, buf[0])
             if table[1, i] == 1:
@@ -89,9 +89,9 @@ class _Window:
                 table[:, i:k] = table[:, i + 1:k + 1]
             else:
                 table[1, i] -= 1
-                if decayed and len(buf) > self._lags:
+                if len(buf) > self._lags:
                     table[3, i] -= 1
-                elif decayed:
+                else:
                     table[2, i] -= self.decay ** (self._t0 - t + len(buf))
         buf.append(x)
         i = bisect_left(self.distinct, x)
@@ -101,22 +101,21 @@ class _Window:
             self.distinct.insert(i, x)
             k += 1
             table[:, i + 1:k] = table[:, i:k - 1]
-            table[:, i] = (x, 1, 0.0, 0.0)[:len(table)]
+            table[:, i] = (x, 1, 0.0, 0.0)
         self._t += 1
-        if decayed:
-            if t - self._t0 > self._span:   # rescale in place
-                table[2, :k] *= self.decay ** (t - self._t0)
-                self._t0 = t
-            table[2, i] += self.decay ** (self._t0 - t)
-            if len(buf) > self._lags:   # the value at lag _lags + 1 falls to the floor
-                j = bisect_left(self.distinct, buf[-self._lags - 1])
-                table[2, j] -= self.decay ** (self._t0 - t + self._lags)
-                table[3, j] += 1
+        if t - self._t0 > self._span:   # rescale in place
+            table[2, :k] *= self.decay ** (t - self._t0)
+            self._t0 = t
+        table[2, i] += self.decay ** (self._t0 - t)
+        if len(buf) > self._lags:   # the value at lag _lags + 1 falls to the floor
+            j = bisect_left(self.distinct, buf[-self._lags - 1])
+            table[2, j] -= self.decay ** (self._t0 - t + self._lags)
+            table[3, j] += 1
 
     def _masses(self, decayed: bool):
         """counts / n (exactly sums / sums.sum()), or the decay weights' masses."""
         k, table = len(self.distinct), self._table
-        if not decayed or self.decay == 1.0:
+        if not decayed:
             return table[1, :k] / len(self.buffer)
         w = table[2, :k]
         if len(self.buffer) > self._lags:   # the floor: tiny / decay of the newest
@@ -148,15 +147,11 @@ class _Window:
             return (float(ndtri(cum[i - 1])) if i else -math.inf,
                     float(ndtri(cum[i])) if i < len(cum) - 1 else math.inf)
         lo, hi, pa, pb, icum, m = layout
-        # the array path sets the lower boundary cell first, so the upper wins
         if pb > 0 and x >= vt.upper:
             return float(ndtri(1.0 - pb)), math.inf
         if pa > 0 and x <= vt.lower:
             return -math.inf, float(ndtri(pa))
-        # np.interp on the segment it would take, or on the end node
-        s = max(min(bisect_left(self.distinct, x, lo, hi), hi - 1), lo + 1) - 1
-        nodes = [_node(c, m) for c in icum[s - lo:s - lo + 2].tolist()]
-        u_in = np.interp(x, self._table[0, s:s + len(nodes)], nodes)
+        u_in = np.interp(x, self._table[0, lo:hi], _nodes(icum, m))
         z = float(ndtri(pa + (1.0 - pa - pb) * u_in))
         return z, z
 
@@ -167,28 +162,17 @@ class _Window:
         if vt.tag == ORDINAL:
             return self.distinct[np.searchsorted(ndtri(layout[:-1]), z, "right")]
         lo, hi, pa, pb, icum, m = layout
-        u = float(ndtr(z))
-        # the array path overwrites in this order: the u-space lower and
-        # upper boundary cells, then the z-space ones; the last to hold wins
-        z_upper, z_lower = pb > 0 and z >= ndtri(1.0 - pb), pa > 0 and z <= ndtri(pa)
-        if z_upper or not z_lower and pb > 0 and u >= 1.0 - pb:
+        if pb > 0 and z >= ndtri(1.0 - pb):
             return vt.upper
-        if z_lower or pa > 0 and u <= pa:
+        if pa > 0 and z <= ndtri(pa):
             return vt.lower
-        # _interp_exact of the nodes onto the interior values: a node takes
-        # its first value, anything else np.interp's on its segment
-        u, icum = (u - pa) / (1.0 - pa - pb), icum.tolist()
-        j = bisect_left(icum, u, key=lambda c: _node(c, m))
-        if j < len(icum) and _node(icum[j], m) == u:
-            return self.distinct[lo + j]
-        s = max(min(j, len(icum) - 1), 1) - 1
-        nodes = [_node(c, m) for c in icum[s:s + 2]]
-        return float(np.interp(u, nodes, self._table[0, lo + s:lo + s + len(nodes)]))
-
-
-def _node(c: float, m: int) -> float:
-    """The interior CDF at a value of prefix mass ``c`` (``Marginal._nodes``)."""
-    return max(c * m / (m + 1), 1.0 / (m + 1))
+        u = float(ndtr(z))
+        if pb > 0 and u >= 1.0 - pb:
+            return vt.upper
+        if pa > 0 and u <= pa:
+            return vt.lower
+        return _interp_exact((u - pa) / (1.0 - pa - pb), _nodes(icum, m),
+                             self._table[0, lo:hi])
 
 
 def _nearest_level(x: float, grid: list) -> int:

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import expon, norm
 
@@ -12,6 +13,11 @@ from copulafill.evaluation import (
     sample_gc,
     truncated_spec,
 )
+
+
+# every run of the suite draws the same examples, and none from a saved database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def quad_truncnorm(mu, var, lo, hi):

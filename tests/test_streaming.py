@@ -529,6 +529,9 @@ class TestWindow:
             weights = decayed_weights(len(window.buffer), decay)[::-1]
             assert_close_marginal(window.marginal(decayed=True),
                                   oracle.window_marginal(window.buffer, vartype, weights))
+            if decay == 1.0:   # one table: the weight row holds the counts
+                assert np.array_equal(bits(window.marginal(decayed=True).masses),
+                                      bits(window.marginal().masses))
         assert sorted(set(window.buffer)) == window.distinct
         counts = window._table[1, :len(window.distinct)].tolist()
         assert counts == [list(window.buffer).count(v) for v in window.distinct]
@@ -610,19 +613,27 @@ class TestWindowQueries:
            st.integers(2, 9), _ALL_TYPES, st.lists(st.floats(-2.0, 5.0), max_size=4))
     @example([0.0] * 6, 3, VariableType(LOWER_TRUNCATED), [])
     @example([1.5] * 6, 3, VariableType(TWOSIDED_TRUNCATED), [])
+    @example([0.0, -0.0, 0.0], 2, VariableType(CONTINUOUS), [])
     def test_plain_queries_are_a_refit_bit_for_bit(self, values, size, vartype, free):
         window = _Window([], size, vartype)
         for x in values:
             window.append(x)
             refit = oracle.window_marginal(window.buffer, vartype)
             vals = refit.values
+            # the bounds, given or taken from the values, and 1 ulp either side
+            bounds = np.array([b for b in (vartype.lower, vartype.upper, refit.vartype.lower,
+                                           refit.vartype.upper) if b is not None])
             probes = [-1e308, 1e308, 0.0, 3.0, 0.25, *vals, *free,
-                      *((vals[1:] + vals[:-1]) / 2.0)]
+                      *((vals[1:] + vals[:-1]) / 2.0), *bounds,
+                      *np.nextafter(bounds, -np.inf), *np.nextafter(bounds, np.inf)]
             for x in map(float, probes):
                 lo, hi = refit.latent_bounds(np.array([x]))
                 assert np.array_equal(bits(window.latent_bounds(x)), bits([lo[0], hi[0]])), x
             cuts = refit._zcuts[1:-1] if refit.vartype.tag == ORDINAL else ndtri(refit._nodes)
-            for z in map(float, [*_ZS, *cuts, *np.nextafter(cuts, np.inf)]):
+            # the boundary masses' latent cuts, and 1 ulp either side
+            edges = np.array([c for c in (refit._z_alpha, refit._z_beta) if np.isfinite(c)])
+            for z in map(float, [*_ZS, *cuts, *np.nextafter(cuts, np.inf), *edges,
+                                 *np.nextafter(edges, -np.inf), *np.nextafter(edges, np.inf)]):
                 assert np.array_equal(bits(window.from_latent(z)),
                                       bits(refit.from_latent(np.array([z]))[0])), z
 
