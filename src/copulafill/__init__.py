@@ -46,14 +46,8 @@ from .latent import (
     RowPosterior,
     conditional_mvn,
     row_posterior,
-    std_normal_cdf,
-    std_normal_quantile,
     truncnorm_moments,
 )
 from .lrgc import LowRankParams, fit_lrgc, implied_corr
-from .marginals import (
-    Marginal,
-    decayed_weights,
-    fit_marginal,
-)
+from .marginals import Marginal, fit_marginal
 from .streaming import StreamConfig, StreamState, init_stream, step

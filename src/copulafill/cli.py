@@ -35,7 +35,7 @@ from .data_model import (
 from .evaluation import coverage, mae, smae
 from .imputer import _impute
 from .lrgc import fit_lrgc
-from .streaming import StreamConfig, init_stream, step
+from .streaming import StreamConfig, answer, fold, init_stream
 
 
 class ParseError(Exception):
@@ -280,10 +280,13 @@ def _cmd_stream(args) -> int:
 
         state = init_stream(DataTable(np.array(warmup_train), names), config,
                             types=types, min_ord_ratio=args.min_ord_ratio)
+        # a row's line goes out before the row is folded in, so the fold
+        # runs while the reader takes the line and sends the next row
         for row, revealed in pairs:
-            imputed, state = step(state, row, revealed)
+            imputed, folded = answer(state, row, revealed)
             out_fh.write(format_row(imputed) + ",0\n")
             out_fh.flush()
+            fold(state, *folded)
     return 0
 
 

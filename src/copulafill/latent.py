@@ -1,5 +1,5 @@
-"""Latent-space numerics: normal utilities, truncated-normal moments,
-multivariate-normal conditioning, and the approximate per-row posterior.
+"""Latent-space numerics: truncated-normal moments, multivariate-normal
+conditioning, and the approximate per-row posterior.
 
 The per-row posterior is exact when every observed coordinate is a latent
 point (continuous data). Interval-valued observations (ordinal levels,
@@ -39,7 +39,7 @@ from functools import cached_property, partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.special import erfcx, ndtr, ndtri
+from scipy.special import erfcx, ndtr
 
 # Python floats, so the scalar kernel keeps to float arithmetic
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -57,20 +57,6 @@ _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 # doubles a stack may hold per stacked array, and a chunk of rows per
 # row array (2 MB); no array holds a p x p matrix per row
 _CHUNK_ELEMS = 1 << 18
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF."""
-    return ndtr(z)
-
-
-def std_normal_quantile(p):
-    """Exact functional inverse of the standard normal CDF on (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = ndtri(p)
-    return float(out) if out.ndim == 0 else out
 
 
 def truncnorm_moments(mu, var, interval):

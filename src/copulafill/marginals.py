@@ -25,8 +25,10 @@ class Marginal:
     """One column's fitted empirical distribution.
 
     Built by :func:`fit_marginal`, or from sorted distinct ``values`` and
-    their normalized weights ``masses``; a truncated type's unset bounds
-    are taken from the values. An ordinal marginal has one latent cell per
+    their summed weights ``sums`` (their counts, in a fit); a truncated
+    type's unset bounds are taken from the values. Its prefix masses are
+    the prefix sums of ``sums`` over their total, so those of counts are
+    exact ratios of integers. An ordinal marginal has one latent cell per
     level. Every other marginal splits off the masses ``p_alpha`` and
     ``p_beta`` of the values at or past its bounds and spreads the rest
     over an interior CDF; a continuous column, or a truncated one whose
@@ -39,17 +41,17 @@ class Marginal:
     p_alpha = p_beta = 0.0
     _z_alpha, _z_beta = -math.inf, math.inf
 
-    def __init__(self, vartype, values, masses, n_obs):
-        self.values = values        # sorted unique observed values
-        self.masses = masses        # normalized aggregated weights, sum to 1
-        self.n_obs = n_obs          # observation count behind the fit
-        self.vartype, layout = _layout(vartype, values, masses, n_obs)
-        self._cum = _prefix_masses(masses)
+    def __init__(self, vartype, values, sums, n_obs):
+        self.values = values              # sorted unique observed values
+        self.masses = sums / sums.sum()   # normalized aggregated weights, sum to 1
+        self.n_obs = n_obs                # observation count behind the fit
+        self.vartype, lo, hi = _layout(vartype, values)
+        self._cum = _prefix_masses(sums)
         if self.vartype.tag == ORDINAL:
             # half-open latent cells per level, outermost cells unbounded
             self._zcuts = np.concatenate(([-np.inf], ndtri(self._cum[:-1]), [np.inf]))
             return
-        lo, hi, self.p_alpha, self.p_beta, icum, m = layout
+        self.p_alpha, self.p_beta, icum, m = _interior(sums, lo, hi, n_obs)
         self._inner_values = self.values[lo:hi]
         # latent cutpoints of the boundary masses (z-space comparisons keep
         # boundary round trips exact)
@@ -135,18 +137,17 @@ class Marginal:
         return out if out.ndim else float(out)
 
 
-def fit_marginal(values, vartype: VariableType, weights=None) -> Marginal:
+def fit_marginal(values, vartype: VariableType) -> Marginal:
     """Fit a column's empirical marginal from its observed values.
 
-    NaN entries are dropped (with their weights). Weights default to uniform;
-    uniform weights reproduce the unweighted fit exactly.
+    NaN entries are dropped; -0.0 counts as 0.0.
     """
-    return _fit_marginal(values, vartype, weights)[0]
+    return _fit_marginal(values, vartype)[0]
 
 
 def fit_and_encode(values, vartype: VariableType):
-    """:func:`fit_marginal` of a column with uniform weights, plus the
-    column's latent lower/upper bounds (NaN where missing).
+    """:func:`fit_marginal` of a column, plus the column's latent
+    lower/upper bounds (NaN where missing).
 
     The bounds come from one :meth:`Marginal.latent_bounds` call on the
     marginal's distinct values, gathered through the inverse indices of the
@@ -161,40 +162,30 @@ def fit_and_encode(values, vartype: VariableType):
     return marg, lower, upper
 
 
-def _fit_marginal(values, vartype, weights=None):
+def _fit_marginal(values, vartype):
     """The marginal of :func:`fit_marginal`, the mask of the non-NaN
     entries of ``values`` and the index of each in the marginal's values."""
-    values = np.asarray(values, dtype=float).ravel()
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=float).ravel()
-        if weights.shape != values.shape:
-            raise ValueError("weights must match values in length")
+    # + 0.0 turns -0.0 into 0.0: one zero, whichever sign np.unique meets first
+    values = np.asarray(values, dtype=float).ravel() + 0.0
     keep = ~np.isnan(values)
-    values, weights = values[keep], weights[keep]
+    values = values[keep]
     if values.size == 0:
         raise ValueError("cannot fit a marginal with no observed values")
-    if (weights <= 0).any():
-        raise ValueError("weights must be positive")
-    uniq, inv = np.unique(values, return_inverse=True)
-    sums = np.bincount(inv, weights=weights)
-    return Marginal(vartype, uniq, sums / sums.sum(), int(values.size)), keep, inv
+    uniq, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return Marginal(vartype, uniq, counts, int(values.size)), keep, inv
 
 
-def _prefix_masses(masses):
-    """The prefix sums of ``masses``, the last set to exactly 1."""
-    cum = masses.cumsum()
+def _prefix_masses(sums):
+    """The prefix sums of ``sums`` over their total, the last set to exactly 1."""
+    cum = sums.cumsum() / sums.sum()
     cum[-1] = 1.0
     return cum
 
 
-def _layout(vartype: VariableType, values, masses, n: int):
-    """The type of a marginal of sorted ``values`` (a list or an array),
-    unset bounds taken from them, and the prefix ``masses`` of an ordinal
-    one or the interior of any other: the index range [lo, hi) of the
-    values inside the bounds, the masses p_alpha and p_beta at or past
-    them, its own prefix masses and its share of the ``n`` observations."""
+def _layout(vartype: VariableType, values):
+    """The type of a marginal of sorted distinct ``values`` (a list or an
+    array), unset bounds taken from them, and the index range [lo, hi) of
+    the values inside its bounds (all of them, for an ordinal type)."""
     lower, upper = vartype.lower, vartype.upper
     if vartype.has_lower_bound and lower is None:
         lower = float(values[0])
@@ -205,47 +196,43 @@ def _layout(vartype: VariableType, values, masses, n: int):
             raise ValueError(f"truncated column has no interior values: lower={lower}, "
                              f"upper={upper}, the unset bounds taken from the observed values")
         vartype = VariableType(vartype.tag, lower=lower, upper=upper)
-    if vartype.tag == ORDINAL:
-        return vartype, _prefix_masses(masses)
     # the sorted values at or past each bound are a prefix and a suffix;
     # an unset bound spares a continuous column the has_*_bound calls
     lo, hi = 0, len(values)
+    if vartype.tag == ORDINAL:
+        return vartype, lo, hi
     if lower is not None and vartype.has_lower_bound:
         lo = bisect_right(values, lower)
     if upper is not None and vartype.has_upper_bound:
         hi = bisect_left(values, upper)
-    if lo == 0 and hi == len(values):
-        # no boundary mass: the interior is the whole sample, with the
-        # prefix sums as they are, not divided by a sum just off 1.0
-        return vartype, (lo, hi, 0.0, 0.0, _prefix_masses(masses), n)
-    p_alpha, p_beta = float(masses[:lo].sum()), float(masses[hi:].sum())
-    # weighted boundary masses may sum to just under 1 with no interior
-    if p_alpha + p_beta >= 1.0 or lo >= hi:
+    if lo >= hi:
+        raise ValueError(f"truncated column has no interior values: every value lies at "
+                         f"or past lower={lower} or upper={upper}")
+    return vartype, lo, hi
+
+
+def _interior(sums, lo: int, hi: int, n: int):
+    """The masses p_alpha and p_beta of the values before ``lo`` and from
+    ``hi`` on, the prefix masses of the interior [lo, hi) of ``sums``, and
+    its share of the ``n`` observations."""
+    if lo == 0 and hi == len(sums):
+        return 0.0, 0.0, _prefix_masses(sums), n
+    total = sums.sum()
+    p_alpha, p_beta = float(sums[:lo].sum() / total), float(sums[hi:].sum() / total)
+    # weighted boundary masses may sum to 1 with a negligible interior
+    if p_alpha + p_beta >= 1.0:
         raise ValueError("truncated column has no interior values; boundary masses "
                          f"p_alpha={p_alpha:.3f}, p_beta={p_beta:.3f}")
-    w = masses[lo:hi]
-    icum = w.cumsum() / w.sum()
-    icum[-1] = 1.0
     m = max(int(round(n * (1.0 - p_alpha - p_beta))), 1)
-    return vartype, (lo, hi, p_alpha, p_beta, icum, m)
+    # the interior's own cumsum: a difference of prefixes of all the sums
+    # would cancel to 0 where the boundary weights dwarf the interior's
+    return p_alpha, p_beta, _prefix_masses(sums[lo:hi]), m
 
 
 def _nodes(icum, m: int):
     """The interior CDF at the interior values of prefix masses ``icum``,
     scaled by the interior observation count ``m`` to stay inside (0, 1)."""
     return np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
-
-
-def decayed_weights(m: int, decay: float) -> np.ndarray:
-    """Weights decay**t for time lags t = 1..m, most recent first, each at
-    least the smallest normal float, so that a long window at a small decay
-    keeps every weight positive instead of underflowing to 0."""
-    if m < 1:
-        raise ValueError(f"window length must be >= 1, got {m}")
-    if not 0 < decay <= 1:
-        raise ValueError(f"decay must be in (0, 1], got {decay}")
-    return np.maximum(decay ** np.arange(1, m + 1, dtype=float),
-                      np.finfo(float).tiny)
 
 
 def _interp_exact(x, xp, yp):

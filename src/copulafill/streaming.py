@@ -6,12 +6,15 @@ recent observed values; the correlation follows the constant-step blend of
 per-batch EM estimates. Decay weights, when enabled, reweight only the
 imputation quantiles, never the model update.
 
-A step builds no ``Marginal``: each observed cell is encoded, and each
+A step is two parts. :func:`answer` imputes the row and leaves the state as
+it was; :func:`fold` then folds the row in. The CLI writes a row's line
+between the two, so the fold runs while the reader takes the line. The
+answer builds no ``Marginal``: each observed cell is encoded, and each
 missing one decoded, by one query that its column's window answers from its
-own table, which has decay-weight rows at every decay, through the marginal's
-``_nodes`` and ``_interp_exact`` (see ``_Window``). One o x o factorization
-of the row's observed block (:func:`copulafill.latent.row_posterior`) gives
-its posterior mean and its E-step terms, which running sums keep; a
+own table (see ``_Window``): an encode reads two prefix counts, a decode one
+``cumsum`` of the decay weights. One o x o factorization of the row's
+observed block (:func:`copulafill.latent.row_posterior`) gives its
+posterior mean and its E-step terms, which the fold adds to running sums; a
 correlation update is one M-step on those sums. A row with no observed cell
 is imputed from its prior and, as in a fit, left out of the sums.
 """
@@ -19,7 +22,7 @@ is imputed from its prior and, as in a fit, left out of the sums.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,7 +32,7 @@ from scipy.special import ndtr, ndtri
 from .copula_em import column_types, encode_table, initial_corr, mstep
 from .data_model import ConfigError, DataTable, ORDINAL, VariableType
 from .latent import row_posterior
-from .marginals import Marginal, _interp_exact, _layout, _nodes
+from .marginals import Marginal, _interior, _layout, _prefix_masses
 
 
 @dataclass
@@ -60,28 +63,36 @@ class _Window:
     ``buffer`` holds the values in arrival order and ``distinct`` holds
     them sorted without repeats; ``_table`` holds ``distinct`` over their
     counts, their summed decay weights (decay**(t0 - t) for the value
-    appended at time t: the counts at decay 1) and their number of weights
-    at the floor. An append or an eviction updates one value's slot and one
-    slice. The queries interpolate on ``marginals._nodes`` as ``Marginal`` does.
+    appended at time t: the counts at decay 1), their number of weights at
+    the floor and their inclusive prefix counts, exact integers. An append
+    or an eviction updates one value's slot, and the prefix counts by one
+    slice between the evicted value's slot and the new one's. ``_kind`` is
+    the type, with its unset bounds taken from the values, and the slot
+    range of the interior, as ``marginals._layout`` gives them. The encode
+    reads two nodes off the prefix counts, and the decode two off one
+    ``cumsum`` of the weights; both step as ``np.interp`` does, so each
+    equals ``Marginal``'s map bit for bit.
     """
 
     def __init__(self, values, size: int, vartype: VariableType, decay: float = 1.0):
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
         self.vartype, self.decay = vartype, decay
-        self._table = np.zeros((4, size))
+        self._table = np.zeros((5, size))
         self._t = self._t0 = 0      # values appended so far; the time of weight 1
-        # as in decayed_weights, lags up to _lags weigh decay**lag and older
-        # ones the floor; a rescale keeps the newest weight below 2**512
-        self._lags = int((decay ** np.arange(1.0, size + 1) >= np.finfo(float).tiny).sum())
+        # as in the oracle's decay weights, lags up to _lags weigh decay**lag
+        # and older ones the smallest normal float; a rescale keeps the
+        # newest weight below 2**512
+        self._lags = int((decay ** np.arange(1.0, size + 1) >= _TINY).sum())
         self._span = math.inf if decay == 1.0 else int(512 * math.log(2.0) / -math.log(decay))
         for x in values:
             self.append(x)
 
     def append(self, x) -> None:
-        x = float(x) + 0.0   # -0.0 is 0.0: a refit may keep either sign of zero
+        x = float(x) + 0.0   # -0.0 is 0.0, as in a refit
         k, table, buf, t = len(self.distinct), self._table, self.buffer, self._t
-        if len(buf) == buf.maxlen:
+        full = len(buf) == buf.maxlen
+        if full:
             i = bisect_left(self.distinct, buf[0])
             if table[1, i] == 1:
                 del self.distinct[i]
@@ -93,15 +104,24 @@ class _Window:
                     table[3, i] -= 1
                 else:
                     table[2, i] -= self.decay ** (self._t0 - t + len(buf))
+            evicted = buf[0]
         buf.append(x)
         i = bisect_left(self.distinct, x)
-        if i < k and self.distinct[i] == x:
-            table[1, i] += 1
-        else:
+        new = i == k or self.distinct[i] != x
+        if new:
             self.distinct.insert(i, x)
             k += 1
             table[:, i + 1:k] = table[:, i:k - 1]
-            table[:, i] = (x, 1, 0.0, 0.0)
+            table[:, i] = (x, 0.0, 0.0, 0.0, 0.0)
+        table[1, i] += 1
+        # prefix counts: +1 from the new value's slot on, -1 from the evicted one's
+        e = bisect_left(self.distinct, evicted) if full else k
+        if e < i:
+            table[4, e:i] -= 1
+        else:
+            table[4, i:e] += 1
+        if new:
+            table[4, i] = (table[4, i - 1] if i else 0.0) + 1
         self._t += 1
         if t - self._t0 > self._span:   # rescale in place
             table[2, :k] *= self.decay ** (t - self._t0)
@@ -111,57 +131,67 @@ class _Window:
             j = bisect_left(self.distinct, buf[-self._lags - 1])
             table[2, j] -= self.decay ** (self._t0 - t + self._lags)
             table[3, j] += 1
+        try:
+            self._kind = _layout(self.vartype, self.distinct)
+        except ValueError:
+            # a truncated window may momentarily hold boundary values only, or
+            # a single value; treat it as ordinal until interior values return
+            self._kind = _ORDINAL, 0, k
 
-    def _masses(self, decayed: bool):
-        """counts / n (exactly sums / sums.sum()), or the decay weights' masses."""
+    def _weights(self):
+        """The decay weights summed per distinct value (the counts at decay 1)."""
         k, table = len(self.distinct), self._table
-        if not decayed:
-            return table[1, :k] / len(self.buffer)
-        w = table[2, :k]
         if len(self.buffer) > self._lags:   # the floor: tiny / decay of the newest
-            w = w + table[3, :k] * (np.finfo(float).tiny / self.decay ** (self._t - self._t0))
-        return w / w.sum()
+            return table[2, :k] + table[3, :k] * (_TINY / self.decay ** (self._t - self._t0))
+        return table[2, :k]
 
     def marginal(self, decayed: bool = False) -> Marginal:
         """``fit_marginal`` of the window, bit for bit; when ``decayed``,
         under the decay weights of its length, to rounding."""
-        masses = self._masses(decayed)
-        return Marginal(self._layout(masses)[0], self._table[0, :len(self.distinct)].copy(),
-                        masses, len(self.buffer))
-
-    def _layout(self, masses):
-        """``marginals._layout`` of the window's marginal of ``masses``."""
+        k = len(self.distinct)
+        sums = self._weights() if decayed else self._table[1, :k]
+        values = self._table[0, :k].copy()
         try:
-            return _layout(self.vartype, self.distinct, masses, len(self.buffer))
-        except ValueError:
-            # a truncated window may momentarily hold boundary values only, or
-            # a single value; treat it as ordinal until interior values return
-            return _layout(VariableType(ORDINAL), self.distinct, masses, len(self.buffer))
+            return Marginal(self._kind[0], values, sums, len(self.buffer))
+        except ValueError:     # decay weights that leave the interior none
+            return Marginal(_ORDINAL, values, sums, len(self.buffer))
 
     def latent_bounds(self, x: float):
         """``Marginal.latent_bounds`` of one observed value under the plain
         marginal, bit for bit."""
-        vt, layout = self._layout(self._masses(decayed=False))
+        (vt, lo, hi), d, n = self._kind, self.distinct, len(self.buffer)
+        prefix = self._table[4]
         if vt.tag == ORDINAL:
-            i, cum = _nearest_level(x, self.distinct), layout
-            return (float(ndtri(cum[i - 1])) if i else -math.inf,
-                    float(ndtri(cum[i])) if i < len(cum) - 1 else math.inf)
-        lo, hi, pa, pb, icum, m = layout
+            i = _nearest_level(x, d)
+            return (float(ndtri(prefix[i - 1] / n)) if i else -math.inf,
+                    float(ndtri(prefix[i] / n)) if i < len(d) - 1 else math.inf)
+        # the counts before, and up to the end of, the interior
+        a, b = float(prefix[lo - 1]) if lo else 0.0, float(prefix[hi - 1])
+        pa, pb = a / n, (n - b) / n
         if pb > 0 and x >= vt.upper:
             return float(ndtri(1.0 - pb)), math.inf
         if pa > 0 and x <= vt.lower:
             return -math.inf, float(ndtri(pa))
-        u_in = np.interp(x, self._table[0, lo:hi], _nodes(icum, m))
-        z = float(ndtri(pa + (1.0 - pa - pb) * u_in))
+        m = max(int(round(n * (1.0 - pa - pb))), 1)
+        j = max(bisect_right(d, x, lo, hi) - 1, lo)
+        u = _node((float(prefix[j]) - a) / (b - a), m)
+        if j < hi - 1 and x > d[j]:
+            u = _interp_step(x, d[j], d[j + 1], u,
+                             _node((float(prefix[j + 1]) - a) / (b - a), m))
+        z = float(ndtri(pa + (1.0 - pa - pb) * u))
         return z, z
 
     def from_latent(self, z: float) -> float:
         """``Marginal.from_latent`` of one latent value under the decayed
         marginal (the plain one at decay 1), bit for bit with it."""
-        vt, layout = self._layout(self._masses(decayed=True))
+        (vt, lo, hi), d, w = self._kind, self.distinct, self._weights()
+        if vt.tag != ORDINAL:
+            try:
+                pa, pb, icum, m = _interior(w, lo, hi, len(self.buffer))
+            except ValueError:
+                vt = _ORDINAL
         if vt.tag == ORDINAL:
-            return self.distinct[np.searchsorted(ndtri(layout[:-1]), z, "right")]
-        lo, hi, pa, pb, icum, m = layout
+            return d[np.searchsorted(ndtri(_prefix_masses(w)[:-1]), z, "right")]
         if pb > 0 and z >= ndtri(1.0 - pb):
             return vt.upper
         if pa > 0 and z <= ndtri(pa):
@@ -171,8 +201,39 @@ class _Window:
             return vt.upper
         if pa > 0 and u <= pa:
             return vt.lower
-        return _interp_exact((u - pa) / (1.0 - pa - pb), _nodes(icum, m),
-                             self._table[0, lo:hi])
+        # _interp_exact(v, nodes, interior values) from the nodes around v:
+        # the first of the nodes equal to v, else a step between two
+        v = (u - pa) / (1.0 - pa - pb)
+        j = bisect_right(icum, v, key=lambda c: _node(c, m))
+        if j == 0:
+            return d[lo]
+        left = _node(icum[j - 1], m)
+        if left == v:
+            return d[lo + bisect_left(icum, v, key=lambda c: _node(c, m))]
+        if j == len(icum):
+            return d[hi - 1]
+        return float(_interp_step(v, left, _node(icum[j], m), d[lo + j - 1], d[lo + j]))
+
+
+_TINY = float(np.finfo(float).tiny)
+_ORDINAL = VariableType(ORDINAL)
+
+
+def _node(c: float, m: int) -> float:
+    """``marginals._nodes`` of one prefix mass, as a scalar."""
+    return max(c * m / (m + 1), 1.0 / (m + 1))
+
+
+def _interp_step(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
+    """``np.interp``'s value at x strictly inside the segment [x0, x1]: from
+    the left end, and from the right one where that gives NaN."""
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    return y
 
 
 def _nearest_level(x: float, grid: list) -> int:
@@ -183,7 +244,7 @@ def _nearest_level(x: float, grid: list) -> int:
 
 @dataclass
 class StreamState:
-    """Mutable stream model; :func:`step` is the single writer."""
+    """Mutable stream model; :func:`fold` is the single writer."""
 
     config: StreamConfig
     col_names: list[str]
@@ -249,13 +310,15 @@ def _check_finite(state: StreamState, row, what: str) -> None:
                          f"cells must be finite or missing")
 
 
-def step(state: StreamState, row, revealed=None):
-    """Impute one arriving row, then fold it into the model.
+def answer(state: StreamState, row, revealed=None):
+    """Impute one arriving row, and leave the state as it was.
 
-    ``revealed``, when given, must agree with ``row`` at the row's observed
-    cells and may expose additional values; the revealed values are what
-    enters the windows and the correlation update. An infinite cell in
-    either raises ValueError before the state changes.
+    Returns the imputed row and the arguments of the :func:`fold` that
+    folds the row in. ``revealed``, when given, must agree with ``row`` at
+    the row's observed cells and may expose additional values; the
+    revealed values are what enters the windows and the correlation
+    update. Every error that a row can raise, such as an infinite cell in
+    either, is raised here.
     """
     row = np.asarray(row, dtype=float).ravel()
     if row.size != state.n_cols:
@@ -271,7 +334,7 @@ def step(state: StreamState, row, revealed=None):
             raise ValueError(f"revealed row disagrees with the input row at observed "
                              f"column {state.col_names[differ[0]]!r}")
 
-    # encode against the marginals current at ingest time, impute, then update
+    # encode against the marginals current at ingest time, and impute
     post = row_posterior(state.corr, *_encode_row(state, row))
     imputed = row.copy()
     for j in np.flatnonzero(np.isnan(row)):
@@ -280,10 +343,15 @@ def step(state: StreamState, row, revealed=None):
     # the correlation has not changed since the last update, so the row's
     # own solve gives its E-step terms; a revealed row is solved again on
     # the bounds of what it reveals, which are what enter the update
-    source = row
-    if revealed is not None:
-        source = revealed
-        post = row_posterior(state.corr, *_encode_row(state, source))
+    if revealed is None:
+        return imputed, (row, post)
+    return imputed, (revealed, row_posterior(state.corr, *_encode_row(state, revealed)))
+
+
+def fold(state: StreamState, source, post) -> None:
+    """Fold a row into the model: its values ``source`` into the windows,
+    and the E-step terms of its posterior ``post`` into the pending sums,
+    which update the correlation once a batch is complete."""
     # a column that got no value keeps its window, and so its marginal
     for j in np.flatnonzero(~np.isnan(source)):
         state.windows[j].append(source[j])
@@ -304,4 +372,11 @@ def step(state: StreamState, row, revealed=None):
             state.corr = (1.0 - eta) * state.corr + eta * mstep(s_sum, len(means))
             state.pending_means.clear()
             state.pending_cov[...] = 0.0
+
+
+def step(state: StreamState, row, revealed=None):
+    """Impute one arriving row, then fold it into the model: :func:`answer`
+    then :func:`fold`. Returns the imputed row and the state."""
+    imputed, folded = answer(state, row, revealed)
+    fold(state, *folded)
     return imputed, state

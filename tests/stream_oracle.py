@@ -4,7 +4,9 @@ The package keeps each window's distinct values sorted with their counts
 and decay-weight sums, has the window answer each cell's encode and decode
 from that table, and takes a row's posterior mean and E-step terms from a
 single-row solver. This module keeps the direct form: each marginal is
-refitted from the whole window with ``fit_marginal``, each cell is encoded
+refitted from the whole window with ``fit_marginal`` (under the decay
+weights of :func:`decayed_weights`, by :func:`weighted_marginal`), each
+cell is encoded
 as a one-element array, the posterior is ``batch_posterior`` on a one-row
 batch, and a correlation update solves its rows again with
 ``copula_em.blend_step``. Tests compare
@@ -18,18 +20,50 @@ import numpy as np
 from copulafill.copula_em import blend_step
 from copulafill.data_model import ORDINAL, VariableType
 from copulafill.latent import batch_posterior
-from copulafill.marginals import decayed_weights, fit_marginal
+from copulafill.marginals import Marginal, fit_marginal
+
+
+def decayed_weights(m: int, decay: float) -> np.ndarray:
+    """Weights decay**t for time lags t = 1..m, most recent first, each at
+    least the smallest normal float, so that a long window at a small decay
+    keeps every weight positive instead of underflowing to 0."""
+    if m < 1:
+        raise ValueError(f"window length must be >= 1, got {m}")
+    if not 0 < decay <= 1:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
+    return np.maximum(decay ** np.arange(1, m + 1, dtype=float),
+                      np.finfo(float).tiny)
+
+
+def weighted_marginal(values, vartype, weights=None):
+    """``fit_marginal`` of ``values`` with each value's weight summed in
+    place of its count; NaN entries are dropped with their weights. Without
+    weights it is ``fit_marginal``, and uniform weights reproduce it."""
+    if weights is None:
+        return fit_marginal(values, vartype)
+    values = np.asarray(values, dtype=float).ravel() + 0.0
+    weights = np.asarray(weights, dtype=float).ravel()
+    if weights.shape != values.shape:
+        raise ValueError("weights must match values in length")
+    keep = ~np.isnan(values)
+    values, weights = values[keep], weights[keep]
+    if values.size == 0:
+        raise ValueError("cannot fit a marginal with no observed values")
+    if (weights <= 0).any():
+        raise ValueError("weights must be positive")
+    uniq, inv = np.unique(values, return_inverse=True)
+    return Marginal(vartype, uniq, np.bincount(inv, weights=weights), int(values.size))
 
 
 def window_marginal(window, vartype, weights=None):
     """The marginal of a window's values, refitted from scratch."""
     vals = np.fromiter(window, dtype=float)
     try:
-        return fit_marginal(vals, vartype, weights)
+        return weighted_marginal(vals, vartype, weights)
     except ValueError:
         # a truncated window may momentarily hold boundary values only;
         # treat it as ordinal until interior values return
-        return fit_marginal(vals, VariableType(ORDINAL), weights)
+        return weighted_marginal(vals, VariableType(ORDINAL), weights)
 
 
 def decayed_marginal(state, j):

@@ -11,11 +11,12 @@ from scipy.stats import norm
 from copulafill import cli, copula_em, imputer, latent, lrgc
 from copulafill.cli import main
 from copulafill.copula_em import fit_standard
-from copulafill.data_model import read_csv, write_csv
+from copulafill.data_model import DataTable, format_row, read_csv, write_csv
 from copulafill.evaluation import mask_mcar, ordinal_spec, random_correlation, sample_gc
 from copulafill.imputer import confidence_intervals, impute_multiple, impute_single
 from copulafill.lrgc import fit_lrgc
 from copulafill.marginals import Marginal
+from copulafill.streaming import StreamConfig, init_stream, step
 
 import csv_oracle
 
@@ -328,6 +329,60 @@ class TestStreamCommand:
                      "--truth", str(bad), "--n-train", "25"])
         assert code == 3
         assert "observed column 'w'" in capsys.readouterr().err
+
+
+class TestStreamAnswersBeforeFolding:
+    """``stream`` writes each row's line before it folds the row in; the
+    lines are those of a library ``step`` replay."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        corr = random_correlation(4, seed=40, n_factors=2, noise=0.5)
+        specs = [norm.ppf, ordinal_spec([0.3, 0.4, 0.3]), norm(loc=1).ppf, norm.ppf]
+        truth = sample_gc(80, specs, corr=corr, seed=41)
+        masked = mask_mcar(truth, 0.3, seed=42)
+        in_path, truth_path = tmp_path / "in.csv", tmp_path / "truth.csv"
+        write_csv(in_path, masked.values, masked.col_names)
+        write_csv(truth_path, truth.values, truth.col_names)
+        return in_path, truth_path
+
+    @pytest.mark.parametrize("decay", ["1", "0.95"])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_lines_are_a_library_replay(self, files, tmp_path, decay, with_truth):
+        in_path, truth_path = files
+        out = tmp_path / "out.csv"
+        flags = ["--truth", str(truth_path)] if with_truth else []
+        assert main(["stream", str(in_path), "-o", str(out), "--decay", decay,
+                     "--batch-size", "10", *flags]) == 0
+        masked = read_csv(in_path)
+        revealed = read_csv(truth_path).values if with_truth else [None] * masked.n_rows
+        warm = read_csv(truth_path if with_truth else in_path).values[:25]
+        state = init_stream(DataTable(warm, masked.col_names),
+                            StreamConfig(decay=float(decay), batch_size=10))
+        want = [",".join(masked.col_names + ["warmup"])]
+        want += [format_row(row) + ",1" for row in masked.values[:25]]
+        for row, rev in zip(masked.values[25:], revealed[25:]):
+            want.append(format_row(step(state, row, rev)[0]) + ",0")
+        assert out.read_text().splitlines() == want
+
+    def test_a_disagreeing_revealed_row_ends_the_output_before_its_line(self, files,
+                                                                         tmp_path, capsys):
+        in_path, truth_path = files
+        masked, truth = read_csv(in_path), read_csv(truth_path)
+        t = 31     # the seventh row after the 25 warm-up rows
+        j = int(np.flatnonzero(~np.isnan(masked.values[t]))[0])
+        values = truth.values.copy()
+        values[t, j] += 1.0
+        bad = tmp_path / "bad_truth.csv"
+        write_csv(bad, values, truth.col_names)
+        out, full = tmp_path / "out.csv", tmp_path / "full.csv"
+        assert main(["stream", str(in_path), "-o", str(out), "--truth", str(bad)]) == 3
+        assert f"observed column {truth.col_names[j]!r}" in capsys.readouterr().err
+        assert main(["stream", str(in_path), "-o", str(full), "--truth", str(truth_path)]) == 0
+        # the header, the 25 warm-up lines and the lines of rows 25..t-1
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + t
+        assert lines == full.read_text().splitlines()[:1 + t]
 
 
 class TestDuplicateHeader:

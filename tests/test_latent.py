@@ -9,12 +9,11 @@ from copulafill.latent import (
     batch_posterior,
     conditional_mvn,
     row_posterior,
-    std_normal_cdf,
-    std_normal_quantile,
     truncnorm_moments,
 )
 
 import truncmoments_oracle as tm_oracle
+from truncmoments_oracle import std_normal_cdf, std_normal_quantile
 from conftest import quad_truncnorm
 
 

@@ -12,7 +12,9 @@ from copulafill.data_model import (
     UPPER_TRUNCATED,
     VariableType,
 )
-from copulafill.marginals import _interp_exact, decayed_weights, fit_marginal
+from copulafill.marginals import _interp_exact, fit_marginal
+
+from stream_oracle import decayed_weights, weighted_marginal
 
 CONT = VariableType(CONTINUOUS)
 ORD = VariableType(ORDINAL)
@@ -48,8 +50,8 @@ class TestFit:
     def test_boundary_only_weighted_sample_errors(self):
         # weighted boundary masses 1/7 + 2/7 + 4/7 add up to just under 1
         with pytest.raises(ValueError, match="no interior values"):
-            fit_marginal([2.5, 3.0, 1.0], VariableType(UPPER_TRUNCATED, upper=1.0),
-                         weights=[0.125, 0.25, 0.5])
+            weighted_marginal([2.5, 3.0, 1.0], VariableType(UPPER_TRUNCATED, upper=1.0),
+                              weights=[0.125, 0.25, 0.5])
 
     def test_crossed_bounds_rejected_before_fitting(self):
         with pytest.raises(ValueError, match="lower=2 is not below upper=1"):
@@ -75,13 +77,13 @@ class TestFit:
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
-            fit_marginal([1.0, 2.0], CONT, weights=[1.0, 0.0])
+            weighted_marginal([1.0, 2.0], CONT, weights=[1.0, 0.0])
 
     def test_uniform_weights_equal_unweighted(self):
         vals = np.random.default_rng(1).normal(size=30)
         a = fit_marginal(vals, CONT)
-        b = fit_marginal(vals, CONT, weights=np.full(30, 1.0))
-        c = fit_marginal(vals, CONT, weights=np.full(30, 2.5))
+        b = weighted_marginal(vals, CONT, weights=np.full(30, 1.0))
+        c = weighted_marginal(vals, CONT, weights=np.full(30, 2.5))
         grid = np.linspace(vals.min(), vals.max(), 101)
         assert np.array_equal(a.cdf(grid), b.cdf(grid))
         assert np.array_equal(a.cdf(grid), c.cdf(grid))
@@ -185,7 +187,7 @@ class TestPointFromLatent:
         # window order, as the stream weights them: the oldest values weigh least
         weights = None if decay is None else decayed_weights(len(sample), decay)[::-1]
         try:
-            m = fit_marginal(sample, vartype, weights)
+            m = weighted_marginal(sample, vartype, weights)
         except ValueError:
             assume(False)      # a truncated sample with no interior value
         cuts = [getattr(m, name, 0.0) for name in ("_z_alpha", "_z_beta")]
@@ -208,7 +210,7 @@ class TestPointFromLatent:
 
     def test_repeated_node_takes_its_first_value(self):
         # decay weights clamp the two oldest values' quantile nodes to 1/4
-        m = fit_marginal([0.0, 0.5, 1.0], CONT, decayed_weights(3, 0.3)[::-1])
+        m = weighted_marginal([0.0, 0.5, 1.0], CONT, decayed_weights(3, 0.3)[::-1])
         assert m._nodes[0] == m._nodes[1] == 0.25
         zs = ndtri(0.25) + np.arange(-8, 9) * np.spacing(ndtri(0.25))
         z = zs[ndtr(zs) == 0.25][0]         # a latent point that maps onto 1/4
@@ -232,8 +234,8 @@ class TestContinuousIsTheInteriorCase:
         upper = hi + gap if gap else float(np.nextafter(hi, np.inf))
         vartype = VariableType(tag, lower=lower if tag != UPPER_TRUNCATED else None,
                                upper=upper if tag != LOWER_TRUNCATED else None)
-        cont = fit_marginal(sample, CONT, weights)
-        trunc = fit_marginal(sample, vartype, weights)
+        cont = weighted_marginal(sample, CONT, weights)
+        trunc = weighted_marginal(sample, vartype, weights)
         assert trunc.p_alpha == trunc.p_beta == 0.0
         vals = cont.values
         xs = [np.nan, -np.inf, np.inf, lower, upper, *vals, *free,
@@ -358,9 +360,9 @@ class TestWeights:
         # ordinal: the most recent level takes almost all mass
         vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # oldest .. newest
         w = decayed_weights(5, 1e-6)[::-1]           # align to oldest-first
-        m = fit_marginal(vals, ORD, weights=w)
+        m = weighted_marginal(vals, ORD, weights=w)
         assert m.from_latent(0.0) == 5.0
         # continuous: the median lands within one grid cell of the newest
-        mc = fit_marginal(vals, CONT, weights=w)
+        mc = weighted_marginal(vals, CONT, weights=w)
         q = float(mc.quantile(0.5))
         assert 4.0 <= q <= 5.0

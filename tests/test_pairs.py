@@ -3,9 +3,12 @@ benchmark runs, on synthetic run results (no benchmark run), and its
 cleanup of the parent worktree on a SIGTERM."""
 
 import importlib.util
+import itertools
 import json
 import os
+import random
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -101,6 +104,62 @@ class TestSummary:
         pairs.write_json(str(path), "stream_replay", {"pairs": 12})
         assert json.loads(path.read_text()) == {"mcar_mixed": {"pairs": 5},
                                                 "stream_replay": {"pairs": 12}}
+
+
+def _signed_rank(diffs) -> int:
+    """The Wilcoxon signed-rank statistic: the summed ranks of |d| of the
+    positive d (no ties)."""
+    order = sorted(range(len(diffs)), key=lambda i: abs(diffs[i]))
+    return sum(rank + 1 for rank, i in enumerate(order) if diffs[i] > 0)
+
+
+class TestHodgesLehmann:
+    @pytest.mark.parametrize("n", [6, 7, 8, 10, 12])
+    def test_interval_against_a_brute_force_count(self, n):
+        rng = random.Random(n)
+        diffs = [rng.gauss(0.05, 0.1) for _ in range(n)]
+        got = pairs.hodges_lehmann(diffs)
+        # the null distribution of T over all 2**n sign patterns, by count
+        null = [sum(r + 1 for r in range(n) if signs >> r & 1) for signs in range(2 ** n)]
+        k = max(c for c in range(n * (n + 1) // 2)
+                if sum(t <= c - 1 for t in null) / 2 ** n <= 0.025)
+        walsh = sorted((a + b) / 2 for a, b in itertools.combinations_with_replacement(diffs, 2))
+        assert (got["lo"], got["hi"]) == (walsh[k - 1], walsh[-k])
+        assert got["hl"] == statistics.median(walsh)
+        assert got["resolved"] == (walsh[k - 1] > 0 or walsh[-k] < 0)
+        # the interval is the set of shifts the two-sided test keeps: just
+        # inside each end T lies within [k, N - k], just outside it does not
+        big = len(walsh)
+        for end, inward in ((got["lo"], 1.0), (got["hi"], -1.0)):
+            for step, kept in ((inward, True), (-inward, False)):
+                theta = end + step * 1e-9
+                t = _signed_rank([d - theta for d in diffs])
+                assert (k <= t <= big - k) == kept, (end, step)
+
+    def test_known_table_value_for_10_pairs(self):
+        # n = 10: P(T <= 8) = 25/1024 <= 2.5% < P(T <= 9), so k = 9 of 55
+        counts = pairs.signed_rank_counts(10)
+        assert sum(counts) == 1024 and sum(counts[:9]) == 25 and sum(counts[:10]) == 33
+        got = pairs.hodges_lehmann([float(i) for i in range(1, 11)])
+        walsh = sorted((i + j) / 2 for i in range(1, 11) for j in range(i, 11))
+        assert (got["lo"], got["hi"], got["resolved"]) == (walsh[8], walsh[46], True)
+
+    def test_five_pairs_never_resolve(self):
+        got = pairs.hodges_lehmann([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert (got["lo"], got["hi"], got["resolved"]) == (None, None, False)
+        assert got["hl"] == 0.3
+
+    def test_summary_keeps_each_pair_and_resolves_a_clear_gain(self, capsys):
+        parent = [run(rows_per_s=100.0 + i, job_s=1.0) for i in range(10)]
+        change = [run(rows_per_s=140.0 + i, job_s=1.0 + (-1) ** i * 0.01)
+                  for i in range(10)]
+        summary = pairs.summarize(METRICS, {"parent": parent, "change": change})
+        rows = summary["rows_per_s"]
+        assert rows["values"][3] == [103.0, 143.0]
+        assert rows["log_ratio"]["resolved"] and rows["log_ratio"]["lo"] > 0
+        assert not summary["job_s"]["log_ratio"]["resolved"]
+        printed = report(capsys, parent, change)
+        assert printed["rows_per_s"][-4] == "yes" and printed["job_s"][-4] == "no"
 
 
 def _registered_worktrees() -> set:

@@ -6,6 +6,7 @@ from scipy.special import ndtri
 from scipy.stats import expon, norm
 
 import stream_oracle as oracle
+from stream_oracle import decayed_weights
 from copulafill import latent
 from copulafill.copula_em import CopulaModel
 from copulafill.data_model import (
@@ -16,10 +17,11 @@ from copulafill.data_model import (
     UPPER_TRUNCATED,
     DataTable,
     VariableType,
+    format_row,
 )
 from copulafill.evaluation import ordinal_spec, random_correlation, sample_gc, truncated_spec
 from copulafill.imputer import impute_single
-from copulafill.marginals import Marginal, decayed_weights
+from copulafill.marginals import Marginal, fit_marginal
 from copulafill.streaming import StreamConfig, _encode_row, _Window, init_stream, step
 
 
@@ -681,3 +683,30 @@ class TestWindowQueries:
                                            rtol=1e-12, atol=0)
         assert window._table[3, :len(window.distinct)].sum() == 200 - 153
         assert window._t0 > 0
+
+
+class TestPrefixCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_levels, min_size=1, max_size=40), st.integers(2, 9),
+           st.sampled_from([1.0, 0.5]))
+    def test_every_append_keeps_the_prefix_counts(self, values, size, decay):
+        window = _Window([], size, VariableType(ORDINAL), decay)
+        for x in values:
+            window.append(x)
+            k = len(window.distinct)
+            counts = window._table[1, :k]
+            assert np.array_equal(window._table[4, :k], counts.cumsum())
+            assert window._table[4, k - 1] == len(window.buffer)
+
+
+@pytest.mark.parametrize("values", [[-0.0, 0.0, 1.0, 2.0], [0.0, -0.0, 1.0, 2.0]])
+@pytest.mark.parametrize("vartype", [VariableType(CONTINUOUS), VariableType(ORDINAL)])
+def test_a_zero_decodes_as_0_offline_and_in_a_window(values, vartype):
+    # the offline fit keeps one zero, whichever sign comes first, as a window does
+    fit = fit_marginal(values, vartype)
+    window = _Window(values, len(values), vartype)
+    for z in (-3.0, -0.5, 0.0, 0.5, 3.0):
+        assert np.array_equal(bits(fit.from_latent(np.array([z]))[0]),
+                              bits(window.from_latent(z))), z
+    assert format_row(fit.from_latent(np.array([-3.0]))) == "0"
+

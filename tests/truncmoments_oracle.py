@@ -5,14 +5,30 @@ sweep pass, often on a handful of elements, so its fixed cost per call is
 trimmed: fewer temporaries and masks, ``np.minimum``/``np.maximum`` for
 ``np.clip``. This module keeps the earlier, direct form. Tests require the
 package's kernel to match it bit for bit; nothing in ``src/`` imports it.
+It also keeps the checked standard normal CDF and quantile that the kernel
+is built on.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfcx, ndtr
+from scipy.special import erfcx, ndtr, ndtri
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+
+
+def std_normal_cdf(z):
+    """Standard normal CDF."""
+    return ndtr(z)
+
+
+def std_normal_quantile(p):
+    """Exact functional inverse of the standard normal CDF on (0, 1)."""
+    p = np.asarray(p, dtype=float)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    out = ndtri(p)
+    return float(out) if out.ndim == 0 else out
 
 
 def truncmoments(mu, var, lower, upper):

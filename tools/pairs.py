@@ -12,11 +12,14 @@ pair, so that slow drifts of the machine fall on both sides alike. Both
 sides run the same seed, so each pair sees the same inputs.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
-median and quartiles, the change of the medians, that change over the
-parent's interquartile range, and the number of pairs the working tree
-won in the metric's ``better`` direction. It also prints the failed
-operations of every run. ``--json PATH`` also writes that summary, with
-the pairs each side won, under the workload's name in the JSON object at
+median and quartiles; the Hodges-Lehmann estimate of the pairs'
+change/parent log-ratio with its exact Wilcoxon signed-rank 95% interval,
+as percent changes, and whether that interval excludes 0 (``resolved``);
+the change of the medians, that change over the parent's interquartile
+range, and the number of pairs the working tree won in the metric's
+``better`` direction. It also prints the failed operations of every run.
+``--json PATH`` also writes that summary, with the pairs each side won and
+each pair's two values, under the workload's name in the JSON object at
 PATH, keeping the other workloads' entries there. The worktree is removed
 at the end, also after an error or a SIGTERM, and a run still going then
 is killed with its children. Standard library only; nothing under
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import signal
 import statistics
@@ -118,10 +122,40 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def signed_rank_counts(n: int) -> list:
+    """The number of subsets of the ranks 1..n with each rank sum 0..n(n+1)/2:
+    the null distribution of the Wilcoxon signed-rank statistic, times 2**n."""
+    counts = [1] + [0] * (n * (n + 1) // 2)
+    for rank in range(1, n + 1):
+        for total in range(len(counts) - 1, rank - 1, -1):
+            counts[total] += counts[total - rank]
+    return counts
+
+
+def hodges_lehmann(diffs: list) -> dict:
+    """The Hodges-Lehmann estimate of the center of ``diffs`` (the median
+    of their n(n+1)/2 Walsh averages) and its exact Wilcoxon signed-rank
+    95% interval [W_(k), W_(N+1-k)], k the largest with P(T <= k-1) <= 2.5%.
+    With fewer than 6 values no k >= 1 qualifies: the interval is unbounded
+    (None) and never resolved. ``resolved`` when the interval excludes 0."""
+    n = len(diffs)
+    walsh = sorted((diffs[i] + diffs[j]) / 2 for i in range(n) for j in range(i, n))
+    counts, k, tail = signed_rank_counts(n), 0, 0
+    while 40 * (tail + counts[k]) <= 2 ** n:     # P(T <= k) <= 2.5%, exactly
+        tail += counts[k]
+        k += 1
+    lo, hi = (walsh[k - 1], walsh[len(walsh) - k]) if k else (None, None)
+    return {"hl": statistics.median(walsh), "lo": lo, "hi": hi,
+            "resolved": k > 0 and (lo > 0 or hi < 0)}
+
+
 def summarize(metrics: list, runs: dict) -> dict:
     """Per end-to-end metric: both sides' median and quartiles over the
-    pairs that reported it, and the pairs each side won in the metric's
-    ``better`` direction (a tie counts for neither); None when no pair did."""
+    pairs that reported it, the pairs each side won in the metric's
+    ``better`` direction (a tie counts for neither), each pair's values as
+    [parent, change], and :func:`hodges_lehmann` of the pairs' log-ratios
+    change/parent (None unless every value is positive); None when no pair
+    reported the metric."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -135,7 +169,10 @@ def summarize(metrics: list, runs: dict) -> dict:
         sign = 1.0 if metric["better"] == "higher" else -1.0
         won = {"parent": sum(sign * (p - c) > 0 for p, c in pairs),
                "change": sum(sign * (c - p) > 0 for p, c in pairs)}
-        entry = {"better": metric["better"], "pairs": len(pairs)}
+        entry = {"better": metric["better"], "pairs": len(pairs),
+                 "values": [list(pair) for pair in pairs], "log_ratio": None}
+        if all(p > 0 and c > 0 for p, c in pairs):
+            entry["log_ratio"] = hodges_lehmann([math.log(c / p) for p, c in pairs])
         for side, values in zip(("parent", "change"), zip(*pairs)):
             q1, median, q3 = quartiles(list(values))
             entry[side] = {"median": median, "q1": q1, "q3": q3, "won": won[side]}
@@ -143,11 +180,15 @@ def summarize(metrics: list, runs: dict) -> dict:
     return out
 
 
+def _percent(log_ratio) -> str:
+    return "n/a" if log_ratio is None else f"{math.expm1(log_ratio):+.1%}"
+
+
 def report(metrics: list, runs: dict) -> dict:
     """Print the summary of ``runs`` and return it (see :func:`summarize`)."""
     summary = summarize(metrics, runs)
     print(f"{'metric':<12} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30}"
-          f" {'change':>8} {'/ IQR':>7} {'won':>6}")
+          f" {'HL [95% interval]':<26} {'resolved':<8} {'change':>8} {'/ IQR':>7} {'won':>6}")
     for name, entry in summary.items():
         if entry is None:
             print(f"{name:<12} no pair reported it")
@@ -158,8 +199,11 @@ def report(metrics: list, runs: dict) -> dict:
         iqr = (cm - pm) / (p3 - p1) if p3 > p1 else float("nan")
         parent, change = (f"{m:.4g} [{q1:.4g}, {q3:.4g}]"
                           for q1, m, q3 in ((p1, pm, p3), (c1, cm, c3)))
-        print(f"{name:<12} {parent:<30} {change:<30} {rel:>+8.1%} {iqr:>+7.2f} "
-              f"{entry['change']['won']:>3}/{entry['pairs']}")
+        hl = entry["log_ratio"] or {"hl": None, "lo": None, "hi": None, "resolved": False}
+        interval = f"{_percent(hl['hl'])} [{_percent(hl['lo'])}, {_percent(hl['hi'])}]"
+        resolved = "yes" if hl["resolved"] else "no"
+        print(f"{name:<12} {parent:<30} {change:<30} {interval:<26} {resolved:<8} "
+              f"{rel:>+8.1%} {iqr:>+7.2f} {entry['change']['won']:>3}/{entry['pairs']}")
     for side in ("parent", "change"):
         failed = [f"{r['failed']}/{r['attempted']}" for r in runs[side]]
         print(f"{side} failed operations per run: {', '.join(failed)}")
