@@ -273,7 +273,7 @@ def _cmd_stream(args) -> int:
         warmup_train = []
         for _, (row, revealed) in zip(range(config.n_train), pairs):
             warmup_train.append(row if revealed is None else revealed)
-            out_fh.write(format_row(row) + ",1\n")
+            out_fh.write(format_row(np.add(row, 0.0)) + ",1\n")   # -0 prints 0
         out_fh.flush()
         if len(warmup_train) < config.n_train:
             raise ParseError(f"{args.input}: fewer rows than --n-train={config.n_train}")

@@ -220,8 +220,9 @@ def _sample_chunk(lower, upper, latent, eps, chunk):
     for rows in _row_pieces(len(ids), _DRAW_SHARE * eps[:, 0].size):
         i = ids[rows]
         r, c = np.nonzero(upper[i] > lower[i])
-        mu = stack.cond_mean(z, state, rows[r], pat[rows[r]], c)
-        sd = np.sqrt(stack.cvar[pat[rows[r]], c])
+        cvar = stack.cvar[pat[rows[r]], c]
+        mu = stack.cond_mean(z, state, rows[r], c, cvar)
+        sd = np.sqrt(cvar)
         u_lo, u_hi = (ndtr((b[i[r], c] - mu) / sd)[:, None] for b in (lower, upper))
         e = np.swapaxes(eps[:, i], 0, 1)             # (rows, num, p + k)
         u = u_lo + (u_hi - u_lo) * ndtr(e[r, :, c])

@@ -12,15 +12,16 @@ coordinates are dropped; only their variances are kept.
 All rows of a batch go through one sweep. Each distinct missingness
 pattern's observed block is factored once, and all of them together, as
 one stack: :class:`_DenseStack` here sets each pattern's missing rows and
-columns of Sigma to the identity and factors a (U, p, p) stack; the
-Woodbury stack of :mod:`copulafill.lrgc` factors (U, k, k) grams. A fixed
-element budget caps both the patterns one stack holds and the rows solved
-at once, so a long batch or a wide one splits into several stacks or
-chunks of rows, and no array holds a p x p matrix per row. Each pass of the
-sweep visits every interval column once, with one truncated-moment call
-over all rows of a chunk that hold an interval there, and gathers each
-row's update from its pattern's slice of the stack; the closing log-mass
-pass changes no state and makes one call over every interval cell.
+columns of Sigma to the identity, factors a (U, p, p) stack and inverts the
+factors with a stacked triangular inverse; the Woodbury stack of
+:mod:`copulafill.lrgc` factors (U, k, k) grams. A fixed element budget caps
+both the patterns one stack holds and the rows solved at once, so a long
+batch or a wide one splits into several stacks or chunks of rows, and no
+array holds a p x p matrix per row. Each pass of the sweep visits every
+interval column once, with one truncated-moment call over all rows of a
+chunk that hold an interval there, and gathers each row's update from its
+pattern's slice of the stack; the closing log-mass pass changes no state
+and makes one call over every interval cell.
 
 A single row, as a streamed row is, takes :func:`row_posterior` instead:
 its o x o observed block is factored directly, the same sweep runs on
@@ -72,12 +73,17 @@ def truncnorm_moments(mu, var, interval):
     return _truncmoments(mu, var, lower, upper)
 
 
-def _truncmoments(mu, var, lower, upper):
-    """Vectorized stable truncated-normal moments (see truncnorm_moments)."""
-    scalar = all(np.ndim(x) == 0 for x in (mu, var, lower, upper))
-    mu, var, lower, upper = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (mu, var, lower, upper))
-    )
+def _truncmoments(mu, var, lower, upper, with_mass=True):
+    """Vectorized stable truncated-normal moments (see truncnorm_moments).
+    Without ``with_mass`` the mass is not computed and None stands in for
+    it; the moments keep their bits."""
+    scalar = False
+    # 1-D float arrays of one shape, as the sweep passes, need no conversion
+    if not all(type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
+               and x.shape == mu.shape for x in (mu, var, lower, upper)):
+        scalar = all(np.ndim(x) == 0 for x in (mu, var, lower, upper))
+        mu, var, lower, upper = np.broadcast_arrays(*(
+            np.atleast_1d(np.asarray(a, dtype=float)) for a in (mu, var, lower, upper)))
     if (var <= 0).any():
         raise ValueError("truncnorm_moments requires var > 0")
     if (lower > upper).any():
@@ -98,15 +104,18 @@ def _truncmoments(mu, var, lower, upper):
         fin_a = ~np.isinf(a_w)
         one_sided = fin_a & np.isinf(b_w)
         two_sided = fin_a ^ one_sided
+        # each branch as an index array; a NaN a_w takes none of them
+        one_sided, tail, strad = (x.nonzero()[0] for x in (
+            one_sided, two_sided & (a_w >= 0), two_sided & (a_w < 0)))
 
-        if one_sided.any():
+        if one_sided.size:
             aa = a_w[one_sided]
             e = _SQRT_2_OVER_PI / erfcx(aa / _SQRT_2)
             m[one_sided] = e
             v[one_sided] = 1.0 + aa * e - e * e
-            mass[one_sided] = ndtr(-aa)
-        tail = two_sided & (a_w >= 0)
-        if tail.any():
+            if with_mass:
+                mass[one_sided] = ndtr(-aa)
+        if tail.size:
             aa, bb = a_w[tail], b_w[tail]
             delta = np.exp((aa * aa - bb * bb) / 2.0)
             ea = erfcx(aa / _SQRT_2)
@@ -116,9 +125,9 @@ def _truncmoments(mu, var, lower, upper):
             e2 = 1.0 + _SQRT_2_OVER_PI * (aa - bb * delta) / d
             m[tail] = e
             v[tail] = e2 - e * e
-            mass[tail] = np.exp(-aa * aa / 2.0) * d / 2.0
-        strad = two_sided & (a_w < 0)
-        if strad.any():
+            if with_mass:
+                mass[tail] = np.exp(-aa * aa / 2.0) * d / 2.0
+        if strad.size:
             aa, bb = a_w[strad], b_w[strad]
             z = ndtr(bb) - ndtr(aa)
             pa = np.exp(-aa * aa / 2.0) / _SQRT_2PI
@@ -128,9 +137,8 @@ def _truncmoments(mu, var, lower, upper):
             v[strad] = 1.0 + (aa * pa - bb * pb) / z - e * e
             mass[strad] = z
             # needle interval around 0: the density is locally uniform
-            needle = np.zeros_like(reflect)
-            needle[strad] = z < 1e-12
-            if needle.any():
+            needle = strad[z < 1e-12]
+            if needle.size:
                 m[needle] = (a_w[needle] + b_w[needle]) / 2.0
                 v[needle] = (b_w[needle] - a_w[needle]) ** 2 / 12.0
 
@@ -146,12 +154,12 @@ def _truncmoments(mu, var, lower, upper):
     # np.clip, bit for bit: these argument orders keep its signed zeros
     m = np.minimum(np.maximum(m, a_w), b_w)
     v = np.minimum(np.maximum(0.0, v), 1.0)
-    mass = np.minimum(np.maximum(0.0, mass), 1.0)
+    mass = np.minimum(np.maximum(0.0, mass), 1.0) if with_mass else None
 
     m = np.where(reflect, -m, m)
     mean, tvar = mu + sd * m, var * v
     if scalar:
-        return float(mean[0]), float(tvar[0]), float(mass[0])
+        return tuple(x if x is None else float(x[0]) for x in (mean, tvar, mass))
     return mean, tvar, mass
 
 
@@ -217,7 +225,7 @@ def _interval_means(lower, upper):
     z = lower.copy()
     interval = upper > lower
     if interval.any():
-        z[interval] = _truncmoments(0.0, 1.0, lower[interval], upper[interval])[0]
+        z[interval] = _truncmoments(0.0, 1.0, lower[interval], upper[interval], False)[0]
     return z
 
 
@@ -257,6 +265,26 @@ def _chol_inverse(chol):
     return np.swapaxes(linv, -1, -2) @ linv
 
 
+def _tri_inverse(chol, out):
+    """Write into the zeroed ``out`` the inverses of a (U, d, d) stack of
+    lower-triangular factors, by blocks (Du Croz & Higham 1992):
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], halving until a
+    block has at most 8 rows, which forward substitution over the stack
+    inverts."""
+    d = chol.shape[-1]
+    if d > 8:
+        h = d // 2
+        _tri_inverse(chol[:, :h, :h], out[:, :h, :h])
+        _tri_inverse(chol[:, h:, h:], out[:, h:, h:])
+        out[:, h:, :h] = -(out[:, h:, h:] @ (chol[:, h:, :h] @ out[:, :h, :h]))
+        return out
+    recip = 1.0 / _diag(chol)
+    for i in range(d):
+        out[:, i, :i] = (chol[:, i, None, :i] @ out[:, :i, :i])[:, 0] * -recip[:, i, None]
+        out[:, i, i] = recip[:, i]
+    return out
+
+
 def _row_pieces(n: int, width: int) -> list:
     """Consecutive row index ranges over ``n`` rows, each of at most
     ``_CHUNK_ELEMS // width`` rows."""
@@ -288,10 +316,11 @@ class _DenseStack:
     """Observed blocks of U missingness patterns under a dense correlation.
 
     Each pattern's Sigma has its missing rows and columns set to the
-    identity, so one (U, p, p) Cholesky factorization serves them all: the
-    inverse ``prec`` is Sigma_OO^-1 on the observed block and the identity
-    elsewhere. Per-row arrays are (r, p) with zeros at missing cells; the
-    sweep's running state is J z with J = ``prec``.
+    identity, so one (U, p, p) Cholesky factorization and one stacked
+    triangular inverse of its factors (:func:`_tri_inverse`) serve them all:
+    ``prec`` is Sigma_OO^-1 on the observed block and the identity elsewhere.
+    Per-row arrays are (r, p) with zeros at missing cells; the sweep's
+    running state is J z with J = ``prec``.
     """
 
     def __init__(self, sigma, missing):
@@ -300,7 +329,8 @@ class _DenseStack:
         obs_block = obs[:, :, None] & obs[:, None, :]
         chol = _chol_stack(np.where(obs_block, sigma, np.eye(len(sigma))),
                            obs.astype(float), _JITTERS)
-        self.prec = _chol_inverse(chol)
+        linv = _tri_inverse(chol, np.zeros_like(chol))
+        self.prec = np.swapaxes(linv, 1, 2) @ linv
         self.cvar = 1.0 / _diag(self.prec)       # observed conditional variances
         self.logdet = 2.0 * np.log(_diag(chol)).sum(axis=1)
         # Sigma_OO^-1 Sigma_OM, zero outside observed rows and missing columns
@@ -311,8 +341,8 @@ class _DenseStack:
     def start(self, z, pat):
         return _rows_times(z, self.prec, pat)
 
-    def cond_mean(self, z, jz, rows, pats, c):
-        return z[rows, c] - jz[rows, c] * self.cvar[pats, c]
+    def cond_mean(self, z, jz, rows, c, cvar):
+        return z[rows, c] - jz[rows, c] * cvar
 
     def update(self, jz, rows, pats, c, delta):
         jz[rows] += delta[:, None] * self.prec[pats, c]
@@ -351,17 +381,26 @@ class _DenseStack:
         """Fill the missing cells of ``draw`` (r, num, p), rows of patterns
         ``pat`` holding their drawn observed cells, from the normals ``eps``
         (r, num, p) at those cells, one vector-matrix product a draw, so a
-        draw does not depend on the draws or rows made with it."""
-        order = np.argsort(pat, kind="stable")
-        bounds = np.flatnonzero(np.diff(pat[order])) + 1
-        for rows in np.split(order, bounds):
-            u = pat[rows[0]]
-            mis = self.missing[u]
-            rows_draw = draw[rows]
-            chol = self._chol_missing[u][np.ix_(mis, mis)]
-            rows_draw[..., mis] = (rows_draw[..., None, :] @ self.coef[u][:, mis]
-                                   + eps[rows][..., None, mis] @ chol.T)[..., 0, :]
-            draw[rows] = rows_draw
+        draw does not depend on the draws or rows made with it. Rows with
+        equal missing counts go together, in pieces of at most
+        ``_CHUNK_ELEMS`` gathered coefficients."""
+        p = draw.shape[-1]
+        counts = self.missing.sum(axis=1)[pat]
+        for m in np.unique(counts[counts > 0]):
+            group = np.flatnonzero(counts == m)
+            for piece in _row_pieces(len(group), p * m):
+                rows = group[piece]
+                u = pat[rows, None, None]
+                mis = np.nonzero(self.missing[pat[rows]])[1].reshape(-1, 1, m)
+                mis_t = np.swapaxes(mis, 1, 2)
+                # a pattern's own blocks, coef[u][:, mis] column-major and
+                # chol[np.ix_(mis, mis)] row-major: BLAS rounds by layout
+                coef = self.coef[u, np.arange(p), mis_t]               # (g, m, p)
+                chol = self._chol_missing[u, mis_t, mis]
+                at = (rows[:, None, None], np.arange(draw.shape[1])[:, None], mis)
+                draw[at] = (draw[rows, :, None, :] @ np.swapaxes(coef, 1, 2)[:, None]
+                            + eps[at][..., None, :] @ np.swapaxes(chol, 1, 2)[:, None]
+                            )[..., 0, :]
 
 
 def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):
@@ -531,24 +570,25 @@ def _sweep(stack, pat, lo, hi, z_hat, ivar):
     log_mass = np.zeros(len(z_hat))
     if interval.any():
         z_hat[interval], ivar[interval], _ = _truncmoments(
-            0.0, 1.0, lo[interval], hi[interval])
+            0.0, 1.0, lo[interval], hi[interval], False)
     state = stack.start(z_hat, pat)
     cols = []
     for c in np.flatnonzero(interval.any(axis=0)):
         rows = np.flatnonzero(interval[:, c])
-        cols.append((c, rows, pat[rows], lo[rows, c], hi[rows, c]))
+        pats = pat[rows]
+        cols.append((c, rows, pats, stack.cvar[pats, c], lo[rows, c], hi[rows, c]))
     for _ in range(_SWEEPS):
-        for c, rows, pats, lo_c, hi_c in cols:
-            m, v, _ = _truncmoments(stack.cond_mean(z_hat, state, rows, pats, c),
-                                    stack.cvar[pats, c], lo_c, hi_c)
+        for c, rows, pats, cvar, lo_c, hi_c in cols:
+            m, v, _ = _truncmoments(stack.cond_mean(z_hat, state, rows, c, cvar),
+                                    cvar, lo_c, hi_c, False)
             stack.update(state, rows, pats, c, m - z_hat[rows, c])
             z_hat[rows, c] = m
             ivar[rows, c] = v
     if cols:
         # the log-mass pass updates no state, so its columns share one call;
         # each column's masses are then added in the order of the sweep
-        args = [(stack.cond_mean(z_hat, state, rows, pats, c), stack.cvar[pats, c],
-                 lo_c, hi_c) for c, rows, pats, lo_c, hi_c in cols]
+        args = [(stack.cond_mean(z_hat, state, rows, c, cvar), cvar, lo_c, hi_c)
+                for c, rows, _, cvar, lo_c, hi_c in cols]
         mass = _truncmoments(*map(np.concatenate, zip(*args)))[2]
         ends = np.cumsum([len(rows) for _, rows, *_ in cols])
         for (_, rows, *_), part in zip(cols, np.split(mass, ends[:-1])):

@@ -93,14 +93,14 @@ class _LowRankStack:
     def start(self, z, pat):
         return (self.ginv[pat] @ (z @ self.w)[:, :, None])[:, :, 0]
 
-    def cond_mean(self, z, ft, rows, pats, c):
+    def cond_mean(self, z, ft, rows, c, cvar):
         if np.ndim(c):
             # one column per row: a dot per row, as for a row drawn alone
             fw = (ft[rows, None, :] @ self.w[c, :, None])[:, 0, 0]
         else:
             fw = ft[rows] @ self.w[c]
         jz_c = (z[rows, c] - fw) / self.s2
-        return z[rows, c] - jz_c * self.cvar[pats, c]
+        return z[rows, c] - jz_c * cvar
 
     def update(self, ft, rows, pats, c, delta):
         ft[rows] += delta[:, None] * (self.ginv[pats] @ self.w[c])

@@ -50,7 +50,7 @@ def sample_chunk(row_ids, lower, upper, latent, eps, chunk):
         z_obs = np.tile(z[r], (len(latent), 1))
         for c in np.flatnonzero(upper[i] > lower[i]):
             z_obs[:, c] = truncnorm_draws(
-                eps[:, i, c], stack.cond_mean(z, state, r, u, c),
+                eps[:, i, c], stack.cond_mean(z, state, r, c, stack.cvar[u, c]),
                 np.sqrt(stack.cvar[u, c]), lower[i, c], upper[i, c])
         latent[:, i] = z_obs
         mis = stack.missing[u]

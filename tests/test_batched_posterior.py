@@ -291,6 +291,72 @@ class TestSafeguardsInsideAStack:
         assert np.isfinite(mixed.mean[1:3]).all()
 
 
+class TestStackedTriangularInverse:
+    """``_tri_inverse`` against ``np.linalg.inv`` at widths on both sides
+    of every recursion cut, odd splits included."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 15, 16, 17, 40])
+    def test_matches_numpy_inverse(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((6, d, d))
+        chol = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2) / d + np.eye(d))
+        got = latent._tri_inverse(chol, np.zeros_like(chol))
+        want = np.linalg.inv(chol)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+        assert not np.triu(got, 1).any()
+
+
+@st.composite
+def stack_patterns(draw):
+    """A width, missingness patterns with an all-observed and an
+    all-missing one among them, and a correlation seed."""
+    p = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=p, max_size=p),
+                         max_size=6))
+    return p, np.array(rows + [[False] * p, [True] * p]), draw(st.integers(0, 999))
+
+
+class TestDenseStackMatchesDenseBlock:
+    """Each pattern of a stack, read through its padded layout, is the
+    per-pattern ``posterior_oracle.DenseBlock``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_patterns())
+    def test_every_pattern(self, case):
+        p, missing, seed = case
+        sigma = random_correlation(p, seed=seed, n_factors=min(2, p), noise=0.5)
+        stack = latent._DenseStack(sigma, missing)
+        for u, row in enumerate(missing):
+            obs, mis = np.flatnonzero(~row), np.flatnonzero(row)
+            block = oracle.DenseBlock(sigma, obs, mis)
+            prec, cvar, coef, cov = np.eye(p), np.ones(p), np.zeros((p, p)), np.zeros((p, p))
+            prec[np.ix_(obs, obs)], cvar[obs] = block.prec, block.cvar
+            coef[np.ix_(obs, mis)], cov[np.ix_(mis, mis)] = block.coef, block.cov_pure
+            for got, want in ((stack.prec[u], prec), (stack.cvar[u], cvar),
+                              (stack.logdet[u], block.logdet),
+                              (stack.coef[u], coef), (stack.cov[u], cov)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_missing_copy_of_an_observed_column_draws_its_mean():
+    # column 1 copies column 0, so observing column 0 leaves it no
+    # conditional variance: only the 1e-10 diagonal floor of
+    # _chol_missing lets its missing block factor
+    sigma = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
+    stack = latent._DenseStack(sigma, np.array([[False, True, True]]))
+    assert stack.cov[0, 1, 1] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack.cov[0][1:, 1:])
+    rng = np.random.default_rng(4)
+    draw = np.zeros((40, 3, 3))
+    draw[..., 0] = rng.standard_normal((40, 3))
+    stack.draw_missing(draw, np.zeros(40, dtype=int), rng.standard_normal((40, 3, 3)))
+    assert np.isfinite(draw).all()
+    np.testing.assert_allclose(draw[..., 1], draw[..., 0] * stack.coef[0, 0, 1],
+                               rtol=0, atol=1e-4)
+
+
 def test_draws_do_not_depend_on_chunking(monkeypatch):
     from conftest import make_mixed_dataset
 

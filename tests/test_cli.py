@@ -588,6 +588,40 @@ class TestOneSolvePerJob:
             assert got == csv_oracle.write_csv(values, names), suffix
 
 
+class TestObservedMinusZeroPrintsZero:
+    """An observed -0 cell is written as 0, as a decoded zero is, by both
+    commands: in a warm-up row and in a streamed row alike."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        rng = np.random.default_rng(51)
+        rows = [[f"{x:.4f}" for x in r] for r in rng.normal(size=(40, 3))]
+        rows[3][1] = ""
+        rows[0][0] = rows[30][2] = "-0"
+        path = tmp_path / "negzero.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
+        return path
+
+    @staticmethod
+    def cells(path):
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+    def test_impute(self, path, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["impute", str(path), "-o", str(out)]) == 0
+        cells = self.cells(out)
+        assert cells[0][0] == cells[30][2] == "0"
+        assert not any(cell == "-0" for row in cells for cell in row)
+
+    def test_stream(self, path, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["stream", str(path), "-o", str(out), "--n-train", "20"]) == 0
+        cells = self.cells(out)
+        assert cells[0][-1] == "1" and cells[30][-1] == "0"
+        assert cells[0][0] == cells[30][2] == "0"
+        assert not any(cell == "-0" for row in cells for cell in row)
+
+
 class TestStreamRejectsInfiniteCells:
     @staticmethod
     def table(tmp_path, name, cell=None):

@@ -304,6 +304,62 @@ class TestTruncmomentsMatchesOracle:
             latent._truncmoments(0.0, 1.0, 1.0, -1.0)
 
 
+class TestTruncmomentsWithoutMass:
+    """A call that skips the mass, as the Gauss-Seidel passes make, gives
+    the moments of the full call bit for bit."""
+
+    def test_same_bits_on_many_random_cells(self):
+        # the cells of TestTruncmomentsMatchesOracle's test of this name
+        rng = np.random.default_rng(20)
+        n = 200_000
+        mu = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
+        var = 10.0 ** rng.uniform(-4, 1.5, n)
+        lo = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 2, n)
+        hi = lo + np.where(rng.random(n) < 0.2, 0.0,
+                           10.0 ** rng.uniform(-14, 1.5, n))
+        lo[rng.random(n) < 0.15] = -np.inf
+        hi[rng.random(n) < 0.15] = np.inf
+        cols = (mu, var, lo, hi)
+        for size in (1, 3, 10, 85, 260):
+            for start in range(0, 2600, size):
+                args = [c[start:start + size] for c in cols]
+                m, v, mass = latent._truncmoments(*args, False)
+                assert mass is None
+                assert same_bits((m, v), latent._truncmoments(*args)[:2])
+        assert same_bits(latent._truncmoments(*cols, False)[:2],
+                         latent._truncmoments(*cols)[:2])
+
+    def test_broadcast_and_scalar_arguments(self):
+        # all-line, straddling, point, one-sided, needle and far-tail cells
+        lo = np.array([-np.inf, -1.0, 0.5, 2.0, -1e-13, 60.0])
+        hi = np.array([np.inf, 1.0, 0.5, np.inf, 2e-13, 60.5])
+        assert same_bits(latent._truncmoments(0.0, 1.0, lo, hi, False)[:2],
+                         latent._truncmoments(0.0, 1.0, lo, hi)[:2])
+        got = latent._truncmoments(0.3, 2.0, -1.0, 0.5, False)
+        assert got[2] is None
+        assert same_bits(got[:2], latent._truncmoments(0.3, 2.0, -1.0, 0.5)[:2])
+
+    def test_nan_cells_keep_the_earlier_bits(self):
+        # a NaN working bound takes no branch: its cell keeps mean 0 and
+        # variance 1, and is not sanitized
+        nan, inf = np.nan, np.inf
+        args = (np.array([nan, 0.0, 0.0, 1.0, nan, 0.0]),
+                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+                np.array([0.0, nan, -inf, 0.5, -inf, 0.2]),
+                np.array([1.0, 1.0, nan, inf, inf, 0.2]))
+        with np.errstate(invalid="ignore"):
+            want = tm_oracle.truncmoments(*args)
+            assert same_bits(latent._truncmoments(*args), want)
+            assert same_bits(latent._truncmoments(*args, False)[:2], want[:2])
+
+    def test_invalid_arguments_still_raise(self):
+        one = np.ones(3)
+        with pytest.raises(ValueError, match="var > 0"):
+            latent._truncmoments(one, one * 0.0, -one, one, False)
+        with pytest.raises(ValueError, match="lower <= upper"):
+            latent._truncmoments(one, one, one, -one, False)
+
+
 def _scalar_vs_array(args):
     """The scalar kernel and the array kernel on one cell."""
     got = latent._truncmoments_scalar(*args)
