@@ -233,7 +233,7 @@ def _paired(rows, truth, truth_path):
         if truth and revealed is None:
             raise ParseError(f"{truth_path}: row {i} is missing: the truth "
                              f"file has fewer rows than the input")
-        yield row, revealed
+        yield np.add(row, 0.0), revealed    # + 0.0: an observed -0 prints 0
 
 
 def _cmd_stream(args) -> int:
@@ -273,7 +273,7 @@ def _cmd_stream(args) -> int:
         warmup_train = []
         for _, (row, revealed) in zip(range(config.n_train), pairs):
             warmup_train.append(row if revealed is None else revealed)
-            out_fh.write(format_row(np.add(row, 0.0)) + ",1\n")   # -0 prints 0
+            out_fh.write(format_row(row) + ",1\n")
         out_fh.flush()
         if len(warmup_train) < config.n_train:
             raise ParseError(f"{args.input}: fewer rows than --n-train={config.n_train}")

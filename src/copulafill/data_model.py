@@ -180,9 +180,8 @@ def _read_csv_stream(fh) -> DataTable:
     reader = csv.reader(fh)
     names = read_header(reader)
     rows = list(iter_csv_rows(reader, names))
-    # + 0.0 makes a -0 cell 0, so it prints as a decoded zero does
-    vals = np.array(rows, dtype=float) + 0.0 if rows else np.empty((0, len(names)))
-    return DataTable(vals, names)
+    vals = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    return DataTable(vals + 0.0, names)     # + 0.0: an observed -0 prints 0
 
 
 def read_header(reader) -> list[str]:

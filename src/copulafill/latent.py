@@ -10,10 +10,10 @@ coordinates at their current means. Cross-covariances among interval
 coordinates are dropped; only their variances are kept.
 
 All rows of a batch go through one sweep. Each distinct missingness
-pattern's observed block is factored once, and all of them together, as
-one stack: :class:`_DenseStack` here sets each pattern's missing rows and
-columns of Sigma to the identity, factors a (U, p, p) stack and inverts the
-factors with a stacked triangular inverse; the Woodbury stack of
+pattern's observed block is factored once, and all of them together, as one
+stack: :class:`_DenseStack` sets each pattern's missing rows and columns of
+Sigma to the identity, factors a (U, p, p) stack and inverts its factors
+with a stacked triangular inverse; the Woodbury stack of
 :mod:`copulafill.lrgc` factors (U, k, k) grams. A fixed element budget caps
 both the patterns one stack holds and the rows solved at once, so a long
 batch or a wide one splits into several stacks or chunks of rows, and no
@@ -75,8 +75,7 @@ def truncnorm_moments(mu, var, interval):
 
 def _truncmoments(mu, var, lower, upper, with_mass=True):
     """Vectorized stable truncated-normal moments (see truncnorm_moments).
-    Without ``with_mass`` the mass is not computed and None stands in for
-    it; the moments keep their bits."""
+    With ``with_mass`` False the mass is None; the moments keep their bits."""
     scalar = False
     # 1-D float arrays of one shape, as the sweep passes, need no conversion
     if not all(type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
@@ -316,11 +315,10 @@ class _DenseStack:
     """Observed blocks of U missingness patterns under a dense correlation.
 
     Each pattern's Sigma has its missing rows and columns set to the
-    identity, so one (U, p, p) Cholesky factorization and one stacked
-    triangular inverse of its factors (:func:`_tri_inverse`) serve them all:
-    ``prec`` is Sigma_OO^-1 on the observed block and the identity elsewhere.
-    Per-row arrays are (r, p) with zeros at missing cells; the sweep's
-    running state is J z with J = ``prec``.
+    identity, so one (U, p, p) Cholesky factorization and its stacked
+    triangular inverse (:func:`_tri_inverse`) serve them all: ``prec`` is
+    Sigma_OO^-1 on the observed block, the identity elsewhere. Per-row
+    arrays are (r, p), zero at missing cells; the sweep's state is ``prec`` z.
     """
 
     def __init__(self, sigma, missing):
@@ -381,26 +379,17 @@ class _DenseStack:
         """Fill the missing cells of ``draw`` (r, num, p), rows of patterns
         ``pat`` holding their drawn observed cells, from the normals ``eps``
         (r, num, p) at those cells, one vector-matrix product a draw, so a
-        draw does not depend on the draws or rows made with it. Rows with
-        equal missing counts go together, in pieces of at most
-        ``_CHUNK_ELEMS`` gathered coefficients."""
-        p = draw.shape[-1]
-        counts = self.missing.sum(axis=1)[pat]
-        for m in np.unique(counts[counts > 0]):
-            group = np.flatnonzero(counts == m)
-            for piece in _row_pieces(len(group), p * m):
-                rows = group[piece]
-                u = pat[rows, None, None]
-                mis = np.nonzero(self.missing[pat[rows]])[1].reshape(-1, 1, m)
-                mis_t = np.swapaxes(mis, 1, 2)
-                # a pattern's own blocks, coef[u][:, mis] column-major and
-                # chol[np.ix_(mis, mis)] row-major: BLAS rounds by layout
-                coef = self.coef[u, np.arange(p), mis_t]               # (g, m, p)
-                chol = self._chol_missing[u, mis_t, mis]
-                at = (rows[:, None, None], np.arange(draw.shape[1])[:, None], mis)
-                draw[at] = (draw[rows, :, None, :] @ np.swapaxes(coef, 1, 2)[:, None]
-                            + eps[at][..., None, :] @ np.swapaxes(chol, 1, 2)[:, None]
-                            )[..., 0, :]
+        draw does not depend on the draws or rows made with it."""
+        order = np.argsort(pat, kind="stable")
+        bounds = np.flatnonzero(np.diff(pat[order])) + 1
+        for rows in np.split(order, bounds):
+            u = pat[rows[0]]
+            mis = self.missing[u]
+            rows_draw = draw[rows]
+            chol = self._chol_missing[u][np.ix_(mis, mis)]
+            rows_draw[..., mis] = (rows_draw[..., None, :] @ self.coef[u][:, mis]
+                                   + eps[rows][..., None, mis] @ chol.T)[..., 0, :]
+            draw[rows] = rows_draw
 
 
 def conditional_mvn(sigma, obs_idx, z_obs, mis_idx):

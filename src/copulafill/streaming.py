@@ -320,7 +320,7 @@ def answer(state: StreamState, row, revealed=None):
     update. Every error that a row can raise, such as an infinite cell in
     either, is raised here.
     """
-    row = np.asarray(row, dtype=float).ravel() + 0.0   # a -0 cell prints 0
+    row = np.asarray(row, dtype=float).ravel()
     if row.size != state.n_cols:
         raise ValueError(f"row has {row.size} cells, expected {state.n_cols}")
     _check_finite(state, row, "row")

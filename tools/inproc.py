@@ -17,11 +17,13 @@ the others). No benchmark harness, fork or interpreter start-up is inside a
 timed call, so this resolves changes that 40-s ``tools/pairs.py`` runs of a
 short job cannot.
 
-It prints each side's median and minimum over all its timed jobs, and the
-Hodges-Lehmann estimate of the change/parent log-ratio over the jobs paired
-by round and input, with its exact Wilcoxon signed-rank 95% interval
-(``tools/pairs.py``'s functions), as percent changes, and the pairs in
-which the change was faster. The worktree is removed at the end, also after
+It prints each side's median and minimum over all its timed jobs. The jobs
+of one round share two interpreters and one stretch of machine load, so
+their log-ratios are not independent: each round is reduced to the median
+change/parent log-ratio of its inputs, and the Hodges-Lehmann estimate of
+those R round values, with its exact Wilcoxon signed-rank 95% interval
+(``tools/pairs.py``'s functions), is printed as percent changes, with the
+rounds in which the change was faster. Fewer than 6 rounds never resolve. The worktree is removed at the end, also after
 an error or a SIGTERM. Standard library only; nothing under ``bench/`` is
 changed.
 """
@@ -99,17 +101,17 @@ def child(code: str, args: list, paths: list, cwd: Path) -> str:
 
 def summarize(times: dict) -> dict:
     """``times[side]`` holds one list of job times a round, one time an
-    input. Each side's median and minimum over all its jobs; the jobs
-    paired by round and input, with ``hodges_lehmann`` of their
-    change/parent log-ratios and the pairs the change was faster in."""
+    input. Each side's median and minimum over all its jobs; each round's
+    median change/parent log-ratio over its inputs, with ``hodges_lehmann``
+    of those round values and the rounds the change was faster in."""
     out = {}
     for side in ("parent", "change"):
         flat = [t for r in times[side] for t in r]
         out[side] = {"median": statistics.median(flat), "min": min(flat)}
-    pairs = [pair for rounds in zip(times["parent"], times["change"])
-             for pair in zip(*rounds)]
-    out.update(pairs=len(pairs), faster=sum(c < p for p, c in pairs),
-               log_ratio=hodges_lehmann([math.log(c / p) for p, c in pairs]))
+    rounds = [statistics.median(math.log(c / p) for p, c in zip(*pair))
+              for pair in zip(times["parent"], times["change"])]
+    out.update(rounds=len(rounds), faster=sum(r < 0 for r in rounds),
+               log_ratio=hodges_lehmann(rounds))
     return out
 
 
@@ -118,10 +120,10 @@ def report(summary: dict) -> None:
         print(f"{side}: median {summary[side]['median'] * 1e3:.2f} ms, "
               f"min {summary[side]['min'] * 1e3:.2f} ms")
     hl = summary["log_ratio"]
-    print(f"change/parent over {summary['pairs']} pairs by round and input: HL "
-          f"{_percent(hl['hl'])} [{_percent(hl['lo'])}, {_percent(hl['hi'])}], "
-          f"resolved {'yes' if hl['resolved'] else 'no'}; change faster in "
-          f"{summary['faster']}/{summary['pairs']}")
+    print(f"change/parent over {summary['rounds']} rounds (median of each round's "
+          f"inputs): HL {_percent(hl['hl'])} [{_percent(hl['lo'])}, "
+          f"{_percent(hl['hi'])}], resolved {'yes' if hl['resolved'] else 'no'}; "
+          f"change faster in {summary['faster']}/{summary['rounds']} rounds")
 
 
 def main(argv=None) -> int:
