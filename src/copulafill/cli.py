@@ -150,11 +150,21 @@ def _check_outputs(inputs, outputs) -> None:
         seen[key] = what
 
 
-def _write(path, values, names) -> None:
+@contextlib.contextmanager
+def _output_errors(path):
+    """Raise a failed write to ``path`` as ConfigError; a closed pipe stays
+    the BrokenPipeError that ``main`` exits 0 on."""
     try:
-        write_csv(path, values, names)
+        yield
+    except BrokenPipeError:
+        raise
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err.strerror}") from None
+
+
+def _write(path, values, names) -> None:
+    with _output_errors(path):
+        write_csv(path, values, names)
 
 
 def _cmd_impute(args) -> int:
@@ -216,13 +226,13 @@ def _check_header(path: str, names, source: str, expected) -> None:
 
 def _csv_rows(fh, path: str):
     """Yield the header names of an open CSV file, then its rows; parse
-    failures name the file."""
+    and read failures name the file."""
     reader = csv.reader(fh)
     try:
         header = read_header(reader)
         yield header
         yield from iter_csv_rows(reader, header)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise ParseError(f"{path}: {err}") from None
 
 
@@ -233,7 +243,7 @@ def _paired(rows, truth, truth_path):
         if truth and revealed is None:
             raise ParseError(f"{truth_path}: row {i} is missing: the truth "
                              f"file has fewer rows than the input")
-        yield np.add(row, 0.0), revealed    # + 0.0: an observed -0 prints 0
+        yield row, revealed
 
 
 def _cmd_stream(args) -> int:
@@ -264,10 +274,10 @@ def _cmd_stream(args) -> int:
             _check_header(args.truth, next(truth), args.input, names)
         types = parse_type_overrides(args.types, len(names)) if args.types else None
         pairs = _paired(rows, truth, args.truth)
-        try:
-            out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
-        except OSError as err:
-            raise ConfigError(f"cannot write {args.output}: {err.strerror}") from None
+        # entered before -o is opened, so it also takes a failure to close it;
+        # a failed read is a ParseError by now
+        stack.enter_context(_output_errors(args.output))
+        out_fh = sys.stdout if args.output == "-" else open_csv(args.output, "w")
 
         csv.writer(out_fh, lineterminator="\n").writerow(names + ["warmup"])
         warmup_train = []

@@ -168,7 +168,7 @@ def read_csv(path_or_buf) -> DataTable:
 
     A cell is missing when it is empty, blank, or reads ``nan`` in any
     case; every other cell must be a finite number as Python's ``float``
-    reads it. Parse errors name the row and column.
+    reads it, and ``-0`` reads as 0. Parse errors name the row and column.
     """
     if hasattr(path_or_buf, "read"):
         return _read_csv_stream(path_or_buf)
@@ -181,7 +181,7 @@ def _read_csv_stream(fh) -> DataTable:
     names = read_header(reader)
     rows = list(iter_csv_rows(reader, names))
     vals = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    return DataTable(vals + 0.0, names)     # + 0.0: an observed -0 prints 0
+    return DataTable(vals, names)
 
 
 def read_header(reader) -> list[str]:
@@ -198,9 +198,9 @@ def read_header(reader) -> list[str]:
 
 
 def iter_csv_rows(reader, names):
-    """Lazily parse the data rows of a ``csv.reader`` to lists of floats.
-    Blank lines are skipped; a bad or infinite cell raises ValueError
-    naming its row and column, a row of the wrong width its row."""
+    """Lazily parse the data rows of a ``csv.reader`` to lists of floats, -0
+    read as 0. Blank lines are skipped; a bad or infinite cell raises
+    ValueError naming its row and column, a row of the wrong width its row."""
     nan = float("nan")
     for i, rec in enumerate(reader):
         if not rec:
@@ -210,7 +210,7 @@ def iter_csv_rows(reader, names):
         try:
             # float() strips whitespace and reads nan in any case itself,
             # so this gives the bits of _parse_cell on every token it takes
-            vals = [nan if t == "" else float(t) for t in rec]
+            vals = [nan if t == "" else float(t) + 0.0 for t in rec]
         except ValueError:   # a blank NA token, or a bad cell to name
             vals = [_parse_cell(tok, i, names[j]) for j, tok in enumerate(rec)]
         if math.inf in vals or -math.inf in vals:
@@ -225,7 +225,7 @@ def _parse_cell(token: str, row: int, col: str) -> float:
     if tok.lower() in _NA_TOKENS:
         return np.nan
     try:
-        return float(tok)
+        return float(tok) + 0.0
     except ValueError:
         raise ValueError(
             f"row {row + 1}, column {col!r}: cannot parse {token!r} as a number"

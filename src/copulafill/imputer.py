@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .copula_em import CopulaModel, encode_table
-from .data_model import DataTable
+from .data_model import ConfigError, DataTable
 from .latent import _DenseStack, _row_pieces, batch_posterior
 from .lrgc import _LowRankStack, _lowrank_posterior
 
@@ -59,13 +59,12 @@ class ImputationResult:
 
 
 def _coerce_values(model: CopulaModel, table) -> np.ndarray:
-    values = table.values if isinstance(table, DataTable) else np.asarray(table, float)
-    values = np.atleast_2d(values)
-    if values.shape[1] != model.n_cols:
-        raise ValueError(
-            f"table has {values.shape[1]} columns, model expects {model.n_cols}"
-        )
-    return values
+    """The values of ``table``, checked as a :class:`DataTable` checks them."""
+    if not isinstance(table, DataTable):
+        table = DataTable(np.atleast_2d(np.asarray(table, dtype=float)))
+    if table.n_cols != model.n_cols:
+        raise ValueError(f"table has {table.n_cols} columns, model expects {model.n_cols}")
+    return table.values
 
 
 def _model_kernel(model: CopulaModel):
@@ -181,11 +180,11 @@ def confidence_intervals(
     ``num_samples`` multiple imputations. Bounds are NaN at observed cells.
     """
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if kind not in ("analytic", "quantile"):
-        raise ValueError(f"unknown interval kind {kind!r}")
+        raise ConfigError(f"unknown interval kind {kind!r}")
     if kind == "quantile" and num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     result = _impute(model, _coerce_values(model, table), ci=kind, alpha=alpha,
                      seed=seed, ci_draws=num_samples)[0]
     return result.ci_lower, result.ci_upper
@@ -202,7 +201,7 @@ def impute_multiple(model: CopulaModel, table, num: int, seed: int = 0) -> np.nd
     table's row count, not on ``num`` or on the order rows are solved in.
     """
     if num < 1:
-        raise ValueError(f"num must be >= 1, got {num}")
+        raise ConfigError(f"num must be >= 1, got {num}")
     return _impute(model, _coerce_values(model, table), num=num, seed=seed)[1]
 
 

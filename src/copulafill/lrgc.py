@@ -192,6 +192,9 @@ def _init_lowrank(lower, upper, k) -> LowRankParams:
     signal = (w * w).sum(axis=1).mean()
     sigma2 = float(np.clip(total - signal, 0.01, 0.99))
     w, sigma2 = _project_unit_diag(w, sigma2)
+    # svds signs each singular vector at random, so that a tiny move of z
+    # could flip a column of the start: make each column's largest entry positive
+    w *= np.sign(w[np.abs(w).argmax(axis=0), np.arange(k)])
     return LowRankParams(w, sigma2)
 
 

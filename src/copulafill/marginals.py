@@ -235,6 +235,11 @@ def _nodes(icum, m: int):
     return np.maximum(icum * m / (m + 1), 1.0 / (m + 1))
 
 
+def _node(c: float, m: int) -> float:
+    """:func:`_nodes` of one prefix mass, as a float."""
+    return max(float(c) * m / (m + 1), 1.0 / (m + 1))
+
+
 def _interp_exact(x, xp, yp):
     """np.interp with exact lookup at the nodes.
 
@@ -246,6 +251,11 @@ def _interp_exact(x, xp, yp):
     """
     x = np.asarray(x, dtype=float)
     out = np.interp(x, xp, yp)
+    over = np.isinf(out)
+    if over.any() and np.isfinite(yp).all():   # a slope that overflows
+        j = np.searchsorted(xp, x[over], "right") - 1
+        out = np.array(out)
+        out[over] = _halved_step((x[over] - xp[j]) / (xp[j + 1] - xp[j]), yp[j], yp[j + 1])
     if (xp[1:] > xp[:-1]).all():
         return out if out.ndim else float(out)
     idx = np.searchsorted(xp, x)
@@ -255,6 +265,28 @@ def _interp_exact(x, xp, yp):
         return float(yp[idx]) if hit else float(out)
     out[hit] = yp[idx[hit]]
     return out
+
+
+def _interp_step(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
+    """:func:`_interp_exact`'s value at x strictly inside the segment [x0,
+    x1]: ``np.interp``'s, from the left end, and from the right one where
+    that gives NaN; where its slope overflows between finite y0 and y1,
+    :func:`_halved_step`'s."""
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    if abs(y) == math.inf and math.isfinite(y0) and math.isfinite(y1):
+        return _halved_step((x - x0) / (x1 - x0), y0, y1)
+    return y
+
+
+def _halved_step(t, y0, y1):
+    """The point a share ``t`` of the way from y0 to y1, on halved values,
+    so that finite ends give a finite point however far apart they are."""
+    return 2.0 * (y0 / 2.0 + t * (y1 / 2.0 - y0 / 2.0))
 
 
 def _nearest_index(x, grid):
@@ -268,3 +300,9 @@ def _nearest_index(x, grid):
     with np.errstate(over="ignore"):    # an infinite distance still compares
         pick_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
     return np.where(pick_left & (idx > 0) & (x < grid[-1]), left, idx)
+
+
+def _nearest_level(x: float, grid: list) -> int:
+    """:func:`_nearest_index` of one non-NaN value on a sorted list."""
+    i = min(bisect_left(grid, x), len(grid) - 1)
+    return i - 1 if 0 < i and x < grid[-1] and x - grid[i - 1] <= grid[i] - x else i

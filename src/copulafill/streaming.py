@@ -32,7 +32,8 @@ from scipy.special import ndtr, ndtri
 from .copula_em import column_types, encode_table, initial_corr, mstep
 from .data_model import ConfigError, DataTable, ORDINAL, VariableType
 from .latent import row_posterior
-from .marginals import Marginal, _interior, _layout, _prefix_masses
+from .marginals import (Marginal, _interior, _interp_step, _layout, _nearest_level, _node,
+                        _prefix_masses)
 
 
 @dataclass
@@ -61,10 +62,10 @@ class _Window:
     maps the stream asks of its marginal, read off its own table.
 
     ``buffer`` holds the values in arrival order and ``distinct`` holds
-    them sorted without repeats; ``_table`` holds ``distinct`` over their
-    counts, their summed decay weights (decay**(t0 - t) for the value
-    appended at time t: the counts at decay 1), their number of weights at
-    the floor and their inclusive prefix counts, exact integers. An append
+    them sorted without repeats; ``_table`` holds their summed decay
+    weights (decay**(t0 - t) for the value appended at time t: the counts
+    at decay 1), their number of weights at the floor and their inclusive
+    prefix counts, exact integers, whose steps are their counts. An append
     or an eviction updates one value's slot, and the prefix counts by one
     slice between the evicted value's slot and the new one's. ``_kind`` is
     the type, with its unset bounds taken from the values, and the slot
@@ -78,7 +79,7 @@ class _Window:
         self.buffer = deque(maxlen=size)
         self.distinct: list[float] = []
         self.vartype, self.decay = vartype, decay
-        self._table = np.zeros((5, size))
+        self._table = np.zeros((3, size))
         self._t = self._t0 = 0      # values appended so far; the time of weight 1
         # as in the oracle's decay weights, lags up to _lags weigh decay**lag
         # and older ones the smallest normal float; a rescale keeps the
@@ -90,47 +91,45 @@ class _Window:
 
     def append(self, x) -> None:
         x = float(x) + 0.0   # -0.0 is 0.0, as in a refit
-        k, table, buf, t = len(self.distinct), self._table, self.buffer, self._t
-        full = len(buf) == buf.maxlen
+        d, table, buf, t = self.distinct, self._table, self.buffer, self._t
+        weights, floors, prefix = table
+        k, full = len(d), len(buf) == buf.maxlen
         if full:
-            i = bisect_left(self.distinct, buf[0])
-            if table[1, i] == 1:
-                del self.distinct[i]
+            evicted = buf[0]
+            i = bisect_left(d, evicted)
+            if prefix[i] - (prefix[i - 1] if i else 0.0) == 1:   # its last copy
+                del d[i]
                 k -= 1
                 table[:, i:k] = table[:, i + 1:k + 1]
+            elif len(buf) > self._lags:
+                floors[i] -= 1
             else:
-                table[1, i] -= 1
-                if len(buf) > self._lags:
-                    table[3, i] -= 1
-                else:
-                    table[2, i] -= self.decay ** (self._t0 - t + len(buf))
-            evicted = buf[0]
+                weights[i] -= self.decay ** (self._t0 - t + len(buf))
         buf.append(x)
-        i = bisect_left(self.distinct, x)
-        new = i == k or self.distinct[i] != x
+        i = bisect_left(d, x)
+        new = i == k or d[i] != x
         if new:
-            self.distinct.insert(i, x)
+            d.insert(i, x)
             k += 1
             table[:, i + 1:k] = table[:, i:k - 1]
-            table[:, i] = (x, 0.0, 0.0, 0.0, 0.0)
-        table[1, i] += 1
+            table[:, i] = 0.0
         # prefix counts: +1 from the new value's slot on, -1 from the evicted one's
-        e = bisect_left(self.distinct, evicted) if full else k
+        e = bisect_left(d, evicted) if full else k
         if e < i:
-            table[4, e:i] -= 1
+            prefix[e:i] -= 1
         else:
-            table[4, i:e] += 1
+            prefix[i:e] += 1
         if new:
-            table[4, i] = (table[4, i - 1] if i else 0.0) + 1
+            prefix[i] = (prefix[i - 1] if i else 0.0) + 1
         self._t += 1
         if t - self._t0 > self._span:   # rescale in place
-            table[2, :k] *= self.decay ** (t - self._t0)
+            weights[:k] *= self.decay ** (t - self._t0)
             self._t0 = t
-        table[2, i] += self.decay ** (self._t0 - t)
+        weights[i] += self.decay ** (self._t0 - t)
         if len(buf) > self._lags:   # the value at lag _lags + 1 falls to the floor
-            j = bisect_left(self.distinct, buf[-self._lags - 1])
-            table[2, j] -= self.decay ** (self._t0 - t + self._lags)
-            table[3, j] += 1
+            j = bisect_left(d, buf[-self._lags - 1])
+            weights[j] -= self.decay ** (self._t0 - t + self._lags)
+            floors[j] += 1
         try:
             self._kind = _layout(self.vartype, self.distinct)
         except ValueError:
@@ -140,27 +139,21 @@ class _Window:
 
     def _weights(self):
         """The decay weights summed per distinct value (the counts at decay 1)."""
-        k, table = len(self.distinct), self._table
+        k, (weights, floors, _) = len(self.distinct), self._table
         if len(self.buffer) > self._lags:   # the floor: tiny / decay of the newest
-            return table[2, :k] + table[3, :k] * (_TINY / self.decay ** (self._t - self._t0))
-        return table[2, :k]
+            return weights[:k] + floors[:k] * (_TINY / self.decay ** (self._t - self._t0))
+        return weights[:k]
 
-    def marginal(self, decayed: bool = False) -> Marginal:
-        """``fit_marginal`` of the window, bit for bit; when ``decayed``,
-        under the decay weights of its length, to rounding."""
-        k = len(self.distinct)
-        sums = self._weights() if decayed else self._table[1, :k]
-        values = self._table[0, :k].copy()
-        try:
-            return Marginal(self._kind[0], values, sums, len(self.buffer))
-        except ValueError:     # decay weights that leave the interior none
-            return Marginal(_ORDINAL, values, sums, len(self.buffer))
+    def marginal(self) -> Marginal:
+        """``fit_marginal`` of the window, bit for bit."""
+        counts = np.diff(self._table[2, :len(self.distinct)], prepend=0.0)
+        return Marginal(self._kind[0], np.array(self.distinct), counts, len(self.buffer))
 
     def latent_bounds(self, x: float):
         """``Marginal.latent_bounds`` of one observed value under the plain
         marginal, bit for bit."""
         (vt, lo, hi), d, n = self._kind, self.distinct, len(self.buffer)
-        prefix = self._table[4]
+        prefix = self._table[2]
         if vt.tag == ORDINAL:
             i = _nearest_level(x, d)
             return (float(ndtri(prefix[i - 1] / n)) if i else -math.inf,
@@ -212,34 +205,11 @@ class _Window:
             return d[lo + bisect_left(icum, v, key=lambda c: _node(c, m))]
         if j == len(icum):
             return d[hi - 1]
-        return float(_interp_step(v, left, _node(icum[j], m), d[lo + j - 1], d[lo + j]))
+        return _interp_step(v, left, _node(icum[j], m), d[lo + j - 1], d[lo + j])
 
 
 _TINY = float(np.finfo(float).tiny)
 _ORDINAL = VariableType(ORDINAL)
-
-
-def _node(c: float, m: int) -> float:
-    """``marginals._nodes`` of one prefix mass, as a scalar."""
-    return max(c * m / (m + 1), 1.0 / (m + 1))
-
-
-def _interp_step(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """``np.interp``'s value at x strictly inside the segment [x0, x1]: from
-    the left end, and from the right one where that gives NaN."""
-    slope = (y1 - y0) / (x1 - x0)
-    y = slope * (x - x0) + y0
-    if y != y:
-        y = slope * (x - x1) + y1
-        if y != y and y0 == y1:
-            y = y0
-    return y
-
-
-def _nearest_level(x: float, grid: list) -> int:
-    """``marginals._nearest_index`` of one non-NaN value on a sorted list."""
-    i = min(bisect_left(grid, x), len(grid) - 1)
-    return i - 1 if 0 < i and x < grid[-1] and x - grid[i - 1] <= grid[i] - x else i
 
 
 @dataclass

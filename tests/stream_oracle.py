@@ -73,6 +73,16 @@ def decayed_marginal(state, j):
     return window_marginal(window, state.vartypes[j], weights)
 
 
+def decayed_window_marginal(window):
+    """The marginal that a window's decode reads: its distinct values under
+    its own summed decay weights (its counts at decay 1)."""
+    values, weights, n = np.array(window.distinct), window._weights(), len(window.buffer)
+    try:
+        return Marginal(window._kind[0], values, weights, n)
+    except ValueError:     # decay weights that leave the interior none
+        return Marginal(VariableType(ORDINAL), values, weights, n)
+
+
 def encode_row(marginals, row):
     """(p,) latent bounds of one row, each cell encoded as an array."""
     pairs = [m.latent_bounds(np.array([x])) for m, x in zip(marginals, row)]

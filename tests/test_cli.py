@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestImputeCommand:
         # rank-2 plus isotropic noise: the trailing eigenvalues are equal
         w_eig = np.sort(np.linalg.eigvalsh(corr))
         assert np.allclose(w_eig[:4], w_eig[0], atol=1e-8)
+
+    def test_dense_corr_out_is_the_fitted_correlation(self, toy_csv, tmp_path):
+        _, masked_path = toy_csv
+        out, corr_out = tmp_path / "out.csv", tmp_path / "corr.csv"
+        assert main(["impute", str(masked_path), "-o", str(out),
+                     "--corr-out", str(corr_out)]) == 0
+        corr = fit_standard(read_csv(masked_path)).corr
+        assert corr_out.read_text().splitlines() == [
+            "col0,col1,col2", *(format_row(row) for row in corr)]
 
     def test_ci_files(self, toy_csv, tmp_path):
         _, masked_path = toy_csv
@@ -665,6 +675,29 @@ class TestImputeRejectsInfiniteCells:
         assert capsys.readouterr().err == err
 
 
+class TestFarApartValues:
+    def test_impute_writes_finite_cells_that_evaluate_reads(self, tmp_path, capsys):
+        # b's extremes lie so far out that the slope of the decode's outer
+        # segments overflows; its missing cells decode in those segments
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=60)
+        b = a + 0.3 * rng.normal(size=60)
+        order = np.argsort(b)
+        b[order[0]], b[order[-1]] = -1e307, 1e307
+        masked = b.copy()
+        masked[order[[1, 2, 3, -2, -3, -4]]] = np.nan
+        paths = {name: tmp_path / f"{name}.csv" for name in ("truth", "masked", "out")}
+        for name, col in (("truth", b), ("masked", masked)):
+            paths[name].write_text("a,b\n" + "".join(
+                f"{x!r},{'' if y != y else repr(y)}\n" for x, y in zip(a.tolist(), col.tolist())))
+        assert main(["impute", str(paths["masked"]), "-o", str(paths["out"])]) == 0
+        assert "inf" not in paths["out"].read_text()
+        assert main(["evaluate", *(f"--{flag}={paths[name]}" for flag, name in
+                                   (("truth", "truth"), ("masked", "masked"),
+                                    ("imputed", "out")))]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestExitCodes:
     """Each exit code follows from the exception's type in ``main`` alone."""
 
@@ -677,6 +710,7 @@ class TestExitCodes:
         # the low-rank fit reads no batch size
         ("impute", ["--rank", "2", "--mode", "minibatch-offline", "--batch-size", "2"],
          0, ""),
+        ("impute", ["--multiple", "-1"], 1, "--multiple must be nonnegative"),
     ])
     def test_flag_values(self, toy_csv, tmp_path, capsys, cmd, flags, code, message):
         _, masked_path = toy_csv
@@ -731,6 +765,45 @@ class TestOutputPaths:
                      "--corr-out", str(corr_out)]) == 1
         assert "it is the --multiple file" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
+
+
+class TestReadAndWriteFailures:
+    """A write that fails exits 1 naming the path, a read that fails exits 2,
+    and a closed pipe exits 0."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("cmd", ["impute", "stream"])
+    def test_a_full_device_exits_1(self, toy_csv, capsys, cmd):
+        assert main([cmd, str(toy_csv[1]), "-o", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err == "copulafill: cannot write /dev/full: No space left on device\n"
+
+    def test_a_failed_read_is_a_parse_failure_not_a_write_failure(self, toy_csv,
+                                                                  tmp_path, capsys,
+                                                                  monkeypatch):
+        lines = toy_csv[1].read_text().splitlines(keepends=True)
+
+        def failing():
+            yield from lines[:40]
+            raise OSError(5, "Input/output error")
+        monkeypatch.setattr(sys, "stdin", failing())
+        assert main(["stream", "-", "-o", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "copulafill: parse failure: -: [Errno 5] " \
+                                          "Input/output error\n"
+
+    def test_a_closed_pipe_still_exits_0(self, toy_csv, tmp_path, capsys, monkeypatch):
+        # capsys comes first, so that monkeypatch restores its stdout first;
+        # main points the pipe's descriptor, here a file's, at os.devnull
+        with open(tmp_path / "sink", "w") as sink:
+            class ClosedPipe(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["stream", str(toy_csv[1])]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestHeadersMustMatch:

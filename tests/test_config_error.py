@@ -9,9 +9,11 @@ from copulafill import (ConfigError, FitConfig, StreamConfig, fit_lrgc,
                         fit_minibatch_offline)
 from copulafill.copula_em import column_types, fit_standard, validate_stepsize
 from copulafill.data_model import DataTable, detect_variable_types, parse_type_overrides
+from copulafill.imputer import confidence_intervals, impute_multiple
 from copulafill.latent import batch_posterior
 
 TABLE = DataTable(np.random.default_rng(0).standard_normal((30, 3)))
+MODEL = fit_standard(TABLE)
 
 
 @pytest.mark.parametrize("check", [
@@ -38,6 +40,10 @@ TABLE = DataTable(np.random.default_rng(0).standard_normal((30, 3)))
     lambda: fit_minibatch_offline(TABLE, FitConfig(stepsize=lambda t: 0.5)),
     lambda: fit_lrgc(TABLE, 0),
     lambda: fit_lrgc(TABLE, 3),
+    lambda: confidence_intervals(MODEL, TABLE, alpha=1.0),
+    lambda: confidence_intervals(MODEL, TABLE, kind="bootstrap"),
+    lambda: confidence_intervals(MODEL, TABLE, kind="quantile", num_samples=0),
+    lambda: impute_multiple(MODEL, TABLE, 0),
 ])
 def test_a_setting_out_of_range_raises_config_error(check):
     with pytest.raises(ConfigError) as info:

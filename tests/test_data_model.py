@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from copulafill.data_model import (
     parse_type_overrides,
     _parse_cell,
     format_row,
+    iter_csv_rows,
     read_csv,
     write_csv,
 )
@@ -283,6 +285,17 @@ class TestCsvReaderFastPath:
         with pytest.raises(ValueError,
                            match="row 2, column 'b': cannot parse 'x' as a number"):
             read_csv(io.StringIO("a,b,c\n1,2,3\n,x,\n"))
+
+    def test_a_blank_line_is_skipped_and_still_counted(self):
+        tab = read_csv(io.StringIO("a,b\n1,2\n\n3,4\n"))
+        assert tab.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError, match="row 3, column 'b'"):
+            read_csv(io.StringIO("a,b\n1,2\n\n3,x\n"))
+
+    def test_minus_zero_reads_as_zero_on_both_paths(self):
+        # the second row holds a blank NA token, which only _parse_cell reads
+        rows = list(iter_csv_rows(csv.reader(io.StringIO("-0,1\n-0, \n")), ["a", "b"]))
+        assert [bits(row[0]) for row in rows] == [bits(0.0)] * 2
 
     def test_infinite_cell_is_rejected_by_the_table(self):
         with pytest.raises(ValueError,

@@ -86,6 +86,10 @@ class TestSmae:
         assert np.isnan(scores[1])  # median baseline is perfect
         no_eval = smae(truth, truth, truth)
         assert np.isnan(no_eval).all()
+        assert np.isnan(mae(truth, truth, truth))
+        hidden = truth.copy()
+        hidden[:, 0] = np.nan       # no observed value to take the median of
+        assert np.isnan(smae(truth, truth, hidden)[0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

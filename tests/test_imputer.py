@@ -83,6 +83,16 @@ class TestImputeSingle:
         with pytest.raises(ValueError, match="columns"):
             impute_single(model, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("impute", [
+        impute_single,
+        lambda model, rows: impute_multiple(model, rows, 2),
+        lambda model, rows: confidence_intervals(model, rows),
+    ])
+    def test_infinite_cell_rejected_as_by_the_fit(self, impute):
+        model = build_model(np.random.default_rng(3).normal(size=(20, 3)), np.eye(3))
+        with pytest.raises(ValueError, match=r"cell \(0, 0\) is infinite"):
+            impute(model, [[np.inf, np.nan, 0.1]])
+
     def test_deterministic(self, mixed_dataset):
         _, _, masked = mixed_dataset
         model = fit_standard(masked)

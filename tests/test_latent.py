@@ -412,6 +412,16 @@ class TestScalarTruncmoments:
         assert (np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
                 & (hi - lo < 1e-12 * sd)).any()                 # needles
 
+    @pytest.mark.parametrize("args", [(np.inf, 1.0, 0.0, np.inf),
+                                      (-np.inf, 1.0, -np.inf, 1.0)])
+    def test_an_infinite_mean_at_an_infinite_bound_is_sanitized_bit_for_bit(self, args):
+        # both standardized ends are non-finite, one of them NaN
+        got = latent._truncmoments_scalar(*args)
+        with np.errstate(invalid="ignore"):
+            want = latent._truncmoments(*(np.array([a]) for a in args), False)
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array([want[0][0], want[1][0]]).view(np.uint64))
+
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError, match="var > 0"):
             latent._truncmoments_scalar(0.0, 0.0, -1.0, 1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from copulafill.data_model import (
     UPPER_TRUNCATED,
     VariableType,
 )
-from copulafill.marginals import _interp_exact, fit_marginal
+from copulafill.marginals import _interp_exact, _interp_step, fit_marginal
 
 from stream_oracle import decayed_weights, weighted_marginal
 
@@ -70,6 +72,13 @@ class TestFit:
         with pytest.raises(ValueError, match=f"no interior values: {bounds}, the "
                                              "unset bounds taken from the observed"):
             fit_marginal(values, vartype)
+
+    def test_ordinal_cdf_and_quantile_step_at_the_levels(self):
+        m = fit_marginal([1, 1, 2, 3], ORD)
+        assert m.cdf(np.array([0.5, 1.0, 1.5, 2.0, 3.0, 9.0])).tolist() == [
+            0.5, 0.5, 0.5, 0.75, 1.0, 1.0]
+        assert m.quantile(np.array([0.0, 0.5, 0.6, 0.75, 0.9, 1.0])).tolist() == [
+            1, 1, 2, 2, 3, 3]
 
     def test_requires_observations(self):
         with pytest.raises(ValueError, match="no observed"):
@@ -275,6 +284,52 @@ class TestInterpExact:
         xp, yp = np.array([0.1, 0.1, 0.1, 0.5]), np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(_interp_exact(np.array([0.1, 0.5]), xp, yp), [1.0, 4.0])
         assert _interp_exact(0.1, xp, yp) == 1.0
+
+
+class TestFarApartValues:
+    """Neighbouring values whose gap overflows a float: the decode between
+    them is finite, a share of the way from one to the other."""
+
+    VALUES = [-1.7e308, *map(float, range(-2, 8)), 1.7e308]
+    ZS = np.array([-1.3, -1.2, -1.1, 1.1, 1.2, 1.3])
+
+    def test_decode_and_quantile_stay_finite(self):
+        m = fit_marginal(self.VALUES, CONT)
+        u = ndtr(self.ZS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, q = m.from_latent(self.ZS), m.quantile(u)
+            assert [m.from_latent(z) for z in self.ZS] == out.tolist()
+            assert [m.quantile(p) for p in u] == q.tolist()
+        assert np.array_equal(out, q)
+        # the nodes of 12 values are k/13: the z's fall in the two outer gaps
+        t = np.where(self.ZS < 0, u * 13 - 1, u * 13 - 11)
+        y0 = np.where(self.ZS < 0, -1.7e308, 7.0)
+        y1 = np.where(self.ZS < 0, -2.0, 1.7e308)
+        np.testing.assert_allclose(out, (1 - t) * y0 + t * y1, rtol=1e-12)
+
+    def test_interp_step_takes_the_bits_of_interp_exact(self):
+        # floats, as a window passes them
+        nodes = (np.arange(1.0, 13.0) / 13).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in ndtr(self.ZS).tolist():
+                j = int(np.searchsorted(nodes, v)) - 1
+                got = _interp_step(v, nodes[j], nodes[j + 1], self.VALUES[j],
+                                   self.VALUES[j + 1])
+                want = _interp_exact(v, np.array(nodes), np.array(self.VALUES))
+                assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("y0, y1", [(0.25, 0.75), (0.5, 0.5), (-3.0, 1e300)])
+    def test_interp_step_retries_a_nan_from_the_right_end(self, y0, y1):
+        # x1 - x0 overflows, so the slope is 0, and 0 * (x - x0) is NaN
+        # where x - x0 overflows as well
+        for x in (-0.5e308, 0.0, 0.9e308, 0.999e308):
+            want = np.interp(x, [-1e308, 1e308], [y0, y1])
+            assert _bits(_interp_step(x, -1e308, 1e308, y0, y1)) == _bits(want), x
+        # infinite ends: both tries give NaN there, and equal values y0
+        want = np.interp(0.0, [-np.inf, np.inf], [y0, y1])
+        assert _bits(_interp_step(0.0, -np.inf, np.inf, y0, y1)) == _bits(want)
 
 
 class TestFromLatent:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -343,7 +345,7 @@ def assert_marginals_match_oracle(state):
         assert_same_marginal(state.marginals[j],
                              oracle.window_marginal(window.buffer, state.vartypes[j]))
         if state.config.decay < 1.0:
-            assert_close_marginal(window.marginal(decayed=True),
+            assert_close_marginal(oracle.decayed_window_marginal(window),
                                   oracle.decayed_marginal(state, j))
 
 
@@ -529,13 +531,13 @@ class TestWindow:
             assert_same_marginal(window.marginal(),
                                  oracle.window_marginal(window.buffer, vartype))
             weights = decayed_weights(len(window.buffer), decay)[::-1]
-            assert_close_marginal(window.marginal(decayed=True),
+            assert_close_marginal(oracle.decayed_window_marginal(window),
                                   oracle.window_marginal(window.buffer, vartype, weights))
             if decay == 1.0:   # one table: the weight row holds the counts
-                assert np.array_equal(bits(window.marginal(decayed=True).masses),
+                assert np.array_equal(bits(oracle.decayed_window_marginal(window).masses),
                                       bits(window.marginal().masses))
         assert sorted(set(window.buffer)) == window.distinct
-        counts = window._table[1, :len(window.distinct)].tolist()
+        counts = np.diff(window._table[2, :len(window.distinct)], prepend=0.0).tolist()
         assert counts == [list(window.buffer).count(v) for v in window.distinct]
 
     @settings(max_examples=150, deadline=None)
@@ -549,14 +551,14 @@ class TestWindow:
         for x in values:
             window.append(x)
             table = window._table.copy()
-            decayed = window.marginal(decayed=True)
+            decayed = oracle.decayed_window_marginal(window)
             weights = decayed_weights(len(window.buffer), decay)[::-1]
             assert_close_marginal(decayed,
                                   oracle.window_marginal(window.buffer, vartype, weights))
             window.from_latent(0.3)
             window.latent_bounds(x)
             assert np.array_equal(window._table, table)
-            assert np.array_equal(bits(window.marginal(decayed=True).masses),
+            assert np.array_equal(bits(oracle.decayed_window_marginal(window).masses),
                                   bits(decayed.masses))
 
     def test_underflowing_decay_weights_match_a_refit(self):
@@ -567,7 +569,7 @@ class TestWindow:
         for x in (0.5, 1.0, 2.5, 1.0, -0.5, 3.0, 2.5, 0.5):
             window.append(x)
             weights = decayed_weights(len(window.buffer), 1e-200)[::-1]
-            marg = window.marginal(decayed=True)
+            marg = oracle.decayed_window_marginal(window)
             assert_close_marginal(marg,
                                   oracle.window_marginal(window.buffer, vartype, weights))
             assert (marg.masses > 0).all()
@@ -650,7 +652,7 @@ class TestWindowQueries:
         for x in rng.choice(_QUERY_LEVELS, max(50 * size, 600)):
             window.append(x)
             plain, decayed = _refit_marginals(window, vartype, decay)
-            got = window.marginal(decayed=True)
+            got = oracle.decayed_window_marginal(window)
             assert got.vartype == decayed.vartype
             np.testing.assert_allclose(got.masses, decayed.masses, rtol=1e-12, atol=0)
             zs = np.array(_ZS)
@@ -665,6 +667,18 @@ class TestWindowQueries:
         else:
             assert window._t0 == 0
 
+    def test_decay_weights_that_leave_no_interior_decode_as_ordinal(self):
+        # the interior value's weight falls to the floor, so the boundary
+        # mass rounds to 1 under decay while the counts keep an interior
+        vartype = VariableType(LOWER_TRUNCATED, lower=0.0)
+        window = _Window([0.5, 0.0, 0.0, 0.0], 4, vartype, decay=1e-200)
+        plain, decayed = _refit_marginals(window, vartype, 1e-200)
+        assert window.marginal().vartype == plain.vartype == vartype
+        assert decayed.vartype == VariableType(ORDINAL)
+        for z in _ZS:
+            assert np.array_equal(bits(window.from_latent(z)),
+                                  bits(decayed.from_latent(np.array([z]))[0])), z
+
     def test_floor_and_rescale_over_a_long_window(self):
         # 0.01**lag falls below the smallest normal float past lag 153, so a
         # 200-value window holds weights at the floor, and the sums are
@@ -677,11 +691,11 @@ class TestWindowQueries:
             window.append(x)
             if t % 97 == 0 or t == 50 * 200 - 1:
                 plain, decayed = _refit_marginals(window, vartype, 0.01)
-                assert_close_marginal(window.marginal(decayed=True), decayed)
+                assert_close_marginal(oracle.decayed_window_marginal(window), decayed)
                 np.testing.assert_allclose([window.from_latent(z) for z in _ZS],
                                            decayed.from_latent(np.array(_ZS)),
                                            rtol=1e-12, atol=0)
-        assert window._table[3, :len(window.distinct)].sum() == 200 - 153
+        assert window._table[1, :len(window.distinct)].sum() == 200 - 153
         assert window._t0 > 0
 
 
@@ -693,10 +707,21 @@ class TestPrefixCounts:
         window = _Window([], size, VariableType(ORDINAL), decay)
         for x in values:
             window.append(x)
-            k = len(window.distinct)
-            counts = window._table[1, :k]
-            assert np.array_equal(window._table[4, :k], counts.cumsum())
-            assert window._table[4, k - 1] == len(window.buffer)
+            below = [sum(v <= level for v in window.buffer) for level in window.distinct]
+            assert window._table[2, :len(window.distinct)].tolist() == below
+
+
+def test_far_apart_values_decode_finite_as_the_marginal():
+    # the gaps between -1.7e308 and -2 and between 7 and 1.7e308 overflow
+    values = [-1.7e308, *map(float, range(-2, 8)), 1.7e308]
+    fit = fit_marginal(values, VariableType(CONTINUOUS))
+    window = _Window(values, len(values), VariableType(CONTINUOUS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-1.3, -1.2, -1.1, -0.9, 1.1, 1.2, 1.3):
+            got = window.from_latent(z)
+            assert np.isfinite(got), z
+            assert np.array_equal(bits(got), bits(fit.from_latent(np.array([z]))[0])), z
 
 
 @pytest.mark.parametrize("values", [[-0.0, 0.0, 1.0, 2.0], [0.0, -0.0, 1.0, 2.0]])
