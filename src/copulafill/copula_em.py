@@ -369,8 +369,7 @@ def approx_loglik(model: CopulaModel, table) -> float:
     keep = ~np.isnan(lower).all(axis=1)
     if not keep.any():
         raise ValueError("table has no observed cell; its log-likelihood is undefined")
-    posterior, _ = _model_kernel(model)
-    post = posterior(lower[keep], upper[keep])
+    post = _model_kernel(model)(lower[keep], upper[keep])
     return float((post.gauss_ll + post.log_mass).mean())
 
 

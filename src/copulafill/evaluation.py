@@ -77,20 +77,33 @@ def smae(imputed, truth, masked_input) -> np.ndarray:
         observed = masked[:, j][~np.isnan(masked[:, j])]
         if observed.size == 0:
             continue
-        med = np.median(observed)
-        denom = np.abs(med - truth[sel, j]).mean()
+        num, denom = _abs_error_means(truth[sel, j], imputed[sel, j],
+                                      np.median(observed))[0]
         if denom == 0:
             continue
-        out[j] = np.abs(imputed[sel, j] - truth[sel, j]).mean() / denom
+        out[j] = num / denom
     return out
 
 
 def mae(imputed, truth, masked_input) -> float:
-    """Plain MAE over all evaluation cells, columns pooled."""
+    """Plain MAE over all evaluation cells, columns pooled; inf only when it
+    lies past the float range."""
     imputed, truth, _, cells = _eval_cells(imputed, truth, masked_input)
     if not cells.any():
         return float("nan")
-    return float(np.abs(imputed[cells] - truth[cells]).mean())
+    (mean,), scale = _abs_error_means(truth[cells], imputed[cells])
+    return float(mean) / scale
+
+
+def _abs_error_means(truth, *guesses):
+    """Each guess's mean |guess - truth| and the scale they are taken at: 1,
+    or, where one overflows, 2^-m with 2^m > 2 len(truth), where none can."""
+    with np.errstate(over="ignore"):
+        means = [np.abs(g - truth).mean() for g in guesses]
+    if np.isfinite(means).all():
+        return means, 1.0
+    scale = 2.0 ** -(len(truth).bit_length() + 1)
+    return [np.abs(g * scale - truth * scale).mean() for g in guesses], scale
 
 
 def coverage(ci_lower, ci_upper, truth, masked_input) -> float:

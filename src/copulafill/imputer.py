@@ -30,8 +30,8 @@ from scipy.special import ndtr, ndtri
 
 from .copula_em import CopulaModel, encode_table
 from .data_model import ConfigError, DataTable
-from .latent import _DenseStack, _row_pieces, batch_posterior
-from .lrgc import _LowRankStack, _lowrank_posterior
+from .latent import _row_pieces, batch_posterior
+from .lrgc import _lowrank_posterior
 
 
 # a piece of drawn rows holds a few (rows, num, p) arrays at once, each of
@@ -68,14 +68,11 @@ def _coerce_values(model: CopulaModel, table) -> np.ndarray:
 
 
 def _model_kernel(model: CopulaModel):
-    """The model's posterior of encoded rows and its stack factory
-    ``make_stack(missing patterns)``: the one place the dense and the
-    low-rank model part ways."""
+    """The model's posterior of encoded rows: the one place the dense and
+    the low-rank model part ways."""
     if model.lowrank is None:
-        return (partial(batch_posterior, model.corr),
-                partial(_DenseStack, model.corr))
-    return (partial(_lowrank_posterior, model.lowrank),
-            partial(_LowRankStack, model.lowrank))
+        return partial(batch_posterior, model.corr)
+    return partial(_lowrank_posterior, model.lowrank)
 
 
 def _decode_missing(model: CopulaModel, values: np.ndarray, latent: np.ndarray,
@@ -113,8 +110,7 @@ def _model_posterior(model: CopulaModel, values: np.ndarray, latent=None,
         eps = np.random.default_rng(seed).standard_normal((*latent.shape[:2],
                                                            latent.shape[2] + k))
         visit = partial(_sample_chunk, lower, upper, latent, eps)
-    posterior, _ = _model_kernel(model)
-    post = posterior(lower, upper, visit=visit)
+    post = _model_kernel(model)(lower, upper, visit=visit)
     return post.mean, post.mvar
 
 

@@ -5,10 +5,13 @@ against :class:`_LowRankStack`: every missingness pattern's observed block
 of Sigma is replaced by a k x k Woodbury gram, all of them factored
 together as one (U, k, k) stack, so no p x p or U x p x p array is formed.
 A fit folds each solved chunk of patterns into the M-step sums with one
-matrix product and drops it. Because the implied
-correlation must have a unit diagonal with isotropic noise, every row of W
-carries the same norm sqrt(1 - s2); the M-step keeps the fitted row
-directions and projects the scales back onto that constraint.
+matrix product and drops it. Because the implied correlation must have a
+unit diagonal with isotropic noise, every row of W carries the same norm
+sqrt(1 - s2); the M-step keeps the fitted row directions and projects the
+scales back onto that constraint. The start is z's top k singular pairs,
+from the eigenpairs of z's smaller gram, and the fitted W is put in the
+eigenbasis of W^T W, so a fit's draws depend on W W^T, the seed and the
+row count, not on the basis EM ended in.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from .copula_em import CopulaModel, FitConfig, _prepare_fit, _rel_change, run_em
 from .data_model import ConfigError
@@ -185,17 +187,17 @@ def _mstep_lowrank(moments: _FactorMoments, k: int) -> tuple[np.ndarray, float]:
 
 def _init_lowrank(lower, upper, k) -> LowRankParams:
     z = np.nan_to_num(_interval_means(lower, upper), nan=0.0)
-    n = z.shape[0]
-    u, s, vt = svds(z, k=k, random_state=0)
-    w = vt.T * (s / np.sqrt(n))[None, :]
+    n, p = z.shape
+    # z's top k singular pairs from its smaller gram, so no array outgrows z
+    if n >= p:
+        lam, v = np.linalg.eigh(z.T @ z)
+        w = v[:, -k:] * np.sqrt(np.maximum(lam[-k:], 0.0) / n)
+    else:
+        w = z.T @ np.linalg.eigh(z @ z.T)[1][:, -k:] / np.sqrt(n)
     total = (z * z).sum() / z.size
     signal = (w * w).sum(axis=1).mean()
     sigma2 = float(np.clip(total - signal, 0.01, 0.99))
-    w, sigma2 = _project_unit_diag(w, sigma2)
-    # svds signs each singular vector at random, so that a tiny move of z
-    # could flip a column of the start: make each column's largest entry positive
-    w *= np.sign(w[np.abs(w).argmax(axis=0), np.arange(k)])
-    return LowRankParams(w, sigma2)
+    return LowRankParams(*_project_unit_diag(w, sigma2))
 
 
 def fit_lrgc(
@@ -230,6 +232,9 @@ def fit_lrgc(
 
     params, trace, converged = run_em(_init_lowrank(lower, upper, rank),
                                       em_step, config)
+    # EM fits W W^T alone: W goes to W^T W's eigenbasis, largest first, signed
+    w = params.w @ np.linalg.eigh(params.w.T @ params.w)[1][:, ::-1]
+    params.w = w * np.sign(w[np.abs(w).argmax(axis=0), np.arange(rank)])
     return CopulaModel(None, prep.marginals, prep.vartypes,
                        list(prep.table.col_names), fit_trace=trace,
                        converged=converged, lowrank=params)

@@ -15,6 +15,7 @@ from scipy.special import ndtr, ndtri
 
 from copulafill.copula_em import encode_table
 from copulafill.imputer import _model_kernel
+from copulafill.latent import _DenseStack
 from copulafill.lrgc import _LowRankStack
 
 
@@ -66,7 +67,9 @@ def latent_draws(model, values, num: int, seed: int = 0) -> np.ndarray:
     n, p = lower.shape
     latent = np.zeros((num, n, p))
     has_obs = ~np.isnan(lower).all(axis=1)
-    posterior, make_stack = _model_kernel(model)
+    posterior = _model_kernel(model)
+    make_stack = (partial(_DenseStack, model.corr) if model.lowrank is None
+                  else partial(_LowRankStack, model.lowrank))
     k = 0 if model.lowrank is None else model.lowrank.rank
     eps = np.random.default_rng(seed).standard_normal((num, n, p + k))
     posterior(lower[has_obs], upper[has_obs],

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -676,14 +677,17 @@ class TestImputeRejectsInfiniteCells:
 
 
 class TestFarApartValues:
-    def test_impute_writes_finite_cells_that_evaluate_reads(self, tmp_path, capsys):
+    # at 1.7e308 the mean of b's absolute errors overflows, but not its smae
+    @pytest.mark.parametrize("extreme", [1e307, 1.7e308])
+    def test_impute_writes_finite_cells_that_evaluate_reads(self, tmp_path, capsys,
+                                                            extreme):
         # b's extremes lie so far out that the slope of the decode's outer
         # segments overflows; its missing cells decode in those segments
         rng = np.random.default_rng(9)
         a = rng.normal(size=60)
         b = a + 0.3 * rng.normal(size=60)
         order = np.argsort(b)
-        b[order[0]], b[order[-1]] = -1e307, 1e307
+        b[order[0]], b[order[-1]] = -extreme, extreme
         masked = b.copy()
         masked[order[[1, 2, 3, -2, -3, -4]]] = np.nan
         paths = {name: tmp_path / f"{name}.csv" for name in ("truth", "masked", "out")}
@@ -695,7 +699,19 @@ class TestFarApartValues:
         assert main(["evaluate", *(f"--{flag}={paths[name]}" for flag, name in
                                    (("truth", "truth"), ("masked", "masked"),
                                     ("imputed", "out")))]) == 0
-        assert "Traceback" not in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "Warning" not in err
+        b_line = next(line for line in out.splitlines() if line.startswith("b "))
+        assert math.isfinite(float(b_line.split()[1]))
+
+
+def test_the_cli_imports_neither_scipy_sparse_nor_scipy_linalg():
+    code = ("import sys, copulafill.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -95,6 +95,17 @@ class TestSmae:
         with pytest.raises(ValueError, match="shape"):
             smae(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
 
+    def test_errors_near_the_float_range_keep_finite_scores(self):
+        # the sums of the absolute errors overflow, their means do not; the
+        # test configuration turns numpy's overflow warning into an error
+        truth = np.array([1.6e308, 1.6e308, 0.0, 0.0, 0.0]).reshape(-1, 1)
+        masked = truth.copy()
+        masked[:3] = np.nan  # observed remainder [0, 0], median 0
+        imputed = np.array([0.0, 0.0, 0.8e308, 0.0, 0.0]).reshape(-1, 1)
+        # MAE 4e308/3 against median-MAE 3.2e308/3
+        assert smae(imputed, truth, masked)[0] == pytest.approx(1.25, rel=1e-15)
+        assert mae(imputed, truth, masked) == pytest.approx(0.8e308 / 3 * 5, rel=1e-15)
+
 
 class TestMae:
     def test_perfect_and_offset(self):

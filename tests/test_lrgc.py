@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
+from scipy.sparse.linalg import svds
 from scipy.stats import norm
 
+from copulafill import lrgc
 from copulafill.copula_em import (CopulaModel, FitConfig, _prepare_fit, approx_loglik,
                                   fit_standard)
 from copulafill.data_model import CONTINUOUS, DataTable, VariableType
 from copulafill.evaluation import mae, mask_mcar, ordinal_spec, sample_gc
 from copulafill.imputer import impute_multiple, impute_single
-from copulafill.latent import batch_posterior
+from copulafill.latent import _interval_means, batch_posterior
 from copulafill.lrgc import (
     LowRankParams,
     _FactorMoments,
@@ -124,10 +126,11 @@ class TestFit:
         assert mae_low <= 1.05 * mae_full
 
 
-class TestSignOfTheStart:
-    """svds signs each singular vector at random; the start fixes the signs,
-    so that a tiny move of the encodings cannot flip a column of W. On this
-    table, unfixed, a move of 1e-13 moved the fitted W by 1.69."""
+class TestBasisOfTheFit:
+    """EM fits W W^T alone, and the fit returns W in the signed eigenbasis
+    of W^T W, so neither the basis of the start nor a tiny move of the
+    encodings moves W or the draws. On this table a start with random
+    column signs moved the fitted W by 1.69 under a 1e-13 move."""
 
     @staticmethod
     def prep():
@@ -135,9 +138,16 @@ class TestSignOfTheStart:
                         seed=2)
         return _prepare_fit(mask_mcar(np.round(tab.values, 3), 0.2, seed=2), None, 0.1)
 
-    def test_each_start_column_has_its_largest_entry_positive(self):
-        w = _init_lowrank(*self.prep().fitted_bounds(), 3).w
-        assert (w[np.abs(w).argmax(axis=0), np.arange(3)] > 0).all()
+    def test_a_rotated_start_gives_the_same_draws(self, monkeypatch):
+        prep = self.prep()
+        rot = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        models = [fit_lrgc(prep, 3, FitConfig(max_iter=5))]
+        start = _init_lowrank(*prep.fitted_bounds(), 3)
+        monkeypatch.setattr(lrgc, "_init_lowrank",
+                            lambda *_: LowRankParams(start.w @ rot, start.sigma2))
+        models.append(fit_lrgc(prep, 3, FitConfig(max_iter=5)))
+        a, b = (impute_multiple(m, prep.table.values, 2, seed=0) for m in models)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
     def test_a_tiny_move_of_the_encodings_keeps_the_fit(self):
         prep = self.prep()
@@ -146,6 +156,26 @@ class TestSignOfTheStart:
                                      upper=prep.upper * scale)
         a, b = (fit_lrgc(p, 3, FitConfig(max_iter=5)).lowrank.w for p in (prep, bumped))
         assert np.abs(a - b).max() < 1e-10
+
+
+def _svds_start(lower, upper, k):
+    """The start from scipy's svds: the oracle of the eigh start."""
+    z = np.nan_to_num(_interval_means(lower, upper), nan=0.0)
+    _, s, vt = svds(z, k=k, random_state=0)
+    w = vt.T * (s / np.sqrt(len(z)))
+    signal = (w * w).sum(axis=1).mean()
+    return _project_unit_diag(w, float(np.clip((z * z).mean() - signal, 0.01, 0.99)))
+
+
+@pytest.mark.parametrize("n,p", [(80, 12), (40, 300)])
+def test_the_start_matches_the_svds_start(n, p):
+    # n >= p takes the eigenpairs of z^T z, n < p those of z z^T
+    tab = sample_gc(n, [norm.ppf] * p, lowrank=random_lowrank(p, 3, 0.3, seed=n), seed=p)
+    bounds = _prepare_fit(mask_mcar(tab, 0.2, seed=1), None, 0.1).fitted_bounds()
+    got = _init_lowrank(*bounds, 3)
+    w, sigma2 = _svds_start(*bounds, 3)
+    np.testing.assert_allclose(got.w @ got.w.T, w @ w.T, rtol=0, atol=1e-12)
+    assert abs(got.sigma2 - sigma2) <= 1e-12
 
 
 class TestPosteriorOracle:
